@@ -1,10 +1,11 @@
 """Game-theoretic analysis on top of the engine.
 
-Best-response search (coarse grid plus coordinate-wise refinement),
-Nash-equilibrium verification via the unilateral-deviation inequality,
-Pareto comparison, the closed-form 6-player payoff formulas, the
-N-player entangler-payoff conjecture, and parameter sweeps that
-produce figure-ready tables.
+Best-response search (coarse grid plus coordinate-wise refinement on
+the deviator's 2x2 Gram form, finished by the exact top eigenvector;
+its memory does not depend on the grid), Nash-equilibrium verification
+via the unilateral-deviation inequality, Pareto comparison, the
+closed-form 6-player payoff formulas, the N-player entangler-payoff
+conjecture, and parameter sweeps that produce figure-ready tables.
 """
 from __future__ import annotations
 
@@ -21,12 +22,15 @@ from .game import (
     StrategyProfile,
     expected_payoff,
     final_state,
-    minority_projector,
+    minority_mask,
 )
 from .states import InitialStateRecipe, StateFamily, build_pure
 
 NASH_TOLERANCE = 1e-4
 REFINEMENT_MIN_STEP = 1e-6
+# The exact optimum replaces the refined grid point only when it pays
+# more by this margin, so flat optima keep their grid point.
+EXACT_OPTIMUM_MARGIN = 1e-12
 
 PARETO_MARGIN = 1e-10
 
@@ -143,10 +147,13 @@ def _su2_batch(thetas: np.ndarray, alphas: np.ndarray, betas: np.ndarray) -> np.
 
 
 class _DeviationEvaluator:
-    """Batched payoffs of one player deviating while the rest stay fixed.
+    """Payoffs of one player deviating while the rest stay fixed.
 
-    The other players' unitaries are applied once up front; each
-    candidate deviation then costs a single 2 x 2^(n-1) product.
+    The other players' unitaries are applied once up front, leaving the
+    2 x 2^(n-1) block b with the deviator's qubit first. For a deviation
+    with rows m_0, m_1 the pure payoff is sum_r m_r G_r m_r^dagger with
+    the 2x2 Gram matrices G_r = (b * mask_r) b^dagger, so each candidate
+    costs O(1) once G is built; the noise floor stays affine on top.
     """
 
     def __init__(self, spec: GameSpec, candidate: StrategyProfile, player: int):
@@ -161,23 +168,47 @@ class _DeviationEvaluator:
         self._block = (
             np.moveaxis(partial.amplitudes.reshape([2] * n), q, 0).reshape(2, -1)
         )
-        proj = minority_projector(n, player)
-        mask = np.zeros(2**n, dtype=bool)
-        mask[list(proj.winning_indices)] = True
+        mask = minority_mask(n, player)
         self._mask = np.moveaxis(mask.reshape([2] * n), q, 0).reshape(-1)
+        rows = self._mask.reshape(2, -1)
+        self._gram = np.stack([(self._block * r) @ self._block.conj().T for r in rows])
         self._f = spec.recipe.f
-        self._mixed_floor = (1 - self._f) * len(proj.winning_indices) / 2**n
+        self._mixed_floor = (1 - self._f) * np.count_nonzero(mask) / 2**n
 
     def payoffs(self, thetas, alphas, betas) -> np.ndarray:
+        """Payoffs at a batch of deviations, from the Gram form."""
         mats = _su2_batch(
             np.atleast_1d(np.asarray(thetas, dtype=float)),
             np.atleast_1d(np.asarray(alphas, dtype=float)),
             np.atleast_1d(np.asarray(betas, dtype=float)),
         )
-        amps = mats @ self._block
-        probs = np.abs(amps.reshape(len(mats), -1)) ** 2
-        pure = probs[:, self._mask].sum(axis=1)
+        pure = np.einsum("grc,rcd,grd->g", mats, self._gram, mats.conj()).real
         return self._f * pure + self._mixed_floor
+
+    def dense_payoff(self, theta: float, alpha: float, beta: float) -> float:
+        """Payoff at one deviation from the full 2 x 2^(n-1) product."""
+        m = _su2_batch(np.array([theta]), np.array([alpha]), np.array([beta]))[0]
+        probs = np.abs(m @ self._block).ravel() ** 2
+        return float(self._f * probs[self._mask].sum() + self._mixed_floor)
+
+    def exact_optimum(self) -> np.ndarray:
+        """(theta, alpha, beta) of the exact best deviation.
+
+        Unitarity turns the pure payoff into Tr G_1 + m_0 (G_0 - G_1)
+        m_0^dagger, which the top eigenvector x of G_0 - G_1 maximises
+        as m_0 = x^dagger.
+        """
+        _, vecs = np.linalg.eigh(self._gram[0] - self._gram[1])
+        x0, x1 = vecs[:, -1]
+        theta = 2 * math.atan2(abs(x1), abs(x0))
+        alpha = -np.angle(x0)
+        beta = -np.angle(x1) - math.pi / 2
+        return np.array([theta, _wrap_angle(alpha), _wrap_angle(beta)])
+
+
+def _wrap_angle(v: float) -> float:
+    """The same angle in [-pi, pi)."""
+    return (v + math.pi) % (2 * math.pi) - math.pi
 
 
 _THETA_BOX = (0.0, math.pi)
@@ -194,14 +225,17 @@ def best_response(
     """Search the full (theta, alpha, beta) box for the player's best deviation.
 
     Coarse grid first, then coordinate-wise interval shrinking around
-    the running optimum until every step is below 1e-6. The reported
-    best payoff never decreases across refinement rounds.
+    the running optimum until every step is below 1e-6, all on the 2x2
+    Gram form, so memory does not grow with the grid. The exact optimum
+    from the top eigenvector then replaces the refined point if it pays
+    more. Both reported payoffs come from the dense product at their
+    single point.
     """
     if grid_resolution < 2:
         raise ValueError("grid_resolution must be >= 2")
     ev = _DeviationEvaluator(spec, candidate, player)
     inc = candidate[player - 1]
-    equilibrium_payoff = float(ev.payoffs(inc.theta, inc.alpha, inc.beta)[0])
+    equilibrium_payoff = ev.dense_payoff(inc.theta, inc.alpha, inc.beta)
 
     thetas = np.linspace(*_THETA_BOX, grid_resolution)
     angles = np.linspace(*_ANGLE_BOX, grid_resolution)
@@ -228,10 +262,14 @@ def best_response(
                 best_val = float(vals[j])
                 best[coord] = scan[j]
             steps[coord] /= 5
-    gain = best_val - equilibrium_payoff
+    exact = ev.exact_optimum()
+    if ev.payoffs(*exact)[0] > best_val + EXACT_OPTIMUM_MARGIN:
+        best = exact
 
     theta = float(np.clip(best[0], *_THETA_BOX))
     alpha, beta = (float(np.clip(v, *_ANGLE_BOX)) for v in best[1:])
+    best_val = ev.dense_payoff(theta, alpha, beta)
+    gain = best_val - equilibrium_payoff
     return DeviationReport(
         player=player,
         candidate=candidate,

@@ -11,7 +11,6 @@ import csv
 import io
 import json
 import math
-import os
 import re
 import sys
 from dataclasses import dataclass
@@ -19,6 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import analysis, game
 from .analysis import DeviationReport, SweepRow
+from .core import MAX_QUBITS
 from .game import GameSpec, StrategyParams, StrategyProfile
 from .states import InitialStateRecipe, StateFamily
 
@@ -242,12 +242,11 @@ def _validate(config: RunConfig) -> None:
         # triggers profile-shape and angle-domain validation
         config.strategy_profile()
     if config.command not in ("classical", "conjecture"):
+        if config.n > MAX_QUBITS:
+            raise CliError(f"n must be <= {MAX_QUBITS} to build a state, got {config.n}")
         config.recipe()
     if not 1 <= config.player <= config.n:
         raise CliError(f"player must be in [1, {config.n}], got {config.player}")
-    threads = os.environ.get("QMG_THREADS")
-    if threads is not None and (not threads.isdigit() or int(threads) < 1):
-        raise CliError(f"QMG_THREADS must be a positive integer, got {threads!r}")
 
 
 def render(config: RunConfig) -> List[str]:
@@ -447,7 +446,10 @@ def _run_command(config: RunConfig):
 
 
 def run(config: RunConfig) -> int:
-    """Execute one run: print the summary, emit the table if requested."""
+    """Execute one run: print the summary, emit the table if requested.
+
+    Exit codes: 0 on success, 1 for a rejected run, 3 when memory runs out.
+    """
     try:
         rows, summary = _run_command(config)
         print(summary)
@@ -457,6 +459,9 @@ def run(config: RunConfig) -> int:
     except (CliError, ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 3
     return 0
 
 

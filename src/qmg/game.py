@@ -136,12 +136,22 @@ def minority_winners(outcome: int, n_players: int) -> frozenset:
 
 def minority_projector(n: int, player: int) -> MinorityProjector:
     """All basis indices in which the given player is in the minority."""
+    indices = frozenset(np.flatnonzero(minority_mask(n, player)).tolist())
+    return MinorityProjector(player, indices)
+
+
+def minority_mask(n: int, player: int) -> np.ndarray:
+    """Boolean mask over the 2^n basis indices where the player wins.
+
+    The rule of `minority_winners`, applied to every outcome at once.
+    """
     if not 1 <= player <= n:
         raise ValueError(f"player {player} out of range for {n} players")
-    indices = frozenset(
-        b for b in range(2**n) if player in minority_winners(b, n)
-    )
-    return MinorityProjector(player, indices)
+    outcomes = np.arange(2**n)
+    twice_ones = 2 * sum((outcomes >> k) & 1 for k in range(n))
+    bit = (outcomes >> (n - player)) & 1
+    # a 1-bit wins if ones are the minority, a 0-bit if zeros are
+    return np.where(bit == 1, twice_ones < n, twice_ones > n)
 
 
 def final_state(initial: State, profile: StrategyProfile) -> State:

@@ -1,9 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmg.analysis import (
+    NASH_TOLERANCE,
     DeviationReport,
     ParetoResult,
     best_response,
@@ -18,6 +22,7 @@ from qmg.analysis import (
     sweep_f,
     sweep_gamma,
     sweep_x,
+    _DeviationEvaluator,
 )
 from qmg.game import (
     IDENTITY,
@@ -26,8 +31,10 @@ from qmg.game import (
     StrategyProfile,
     classical_payoff,
     expected_payoff,
+    final_state,
+    minority_winners,
 )
-from qmg.states import InitialStateRecipe, StateFamily
+from qmg.states import InitialStateRecipe, StateFamily, build_pure
 
 PI = math.pi
 
@@ -230,3 +237,152 @@ class TestSweeps:
     def test_rejects_tiny_sweeps(self):
         with pytest.raises(ValueError):
             sweep_x(steps=1)
+
+
+class TestFalseNashRegression:
+    # A grid search can stall here at the incumbent's own payoff
+    # 0.323760145581752, giving max_gain 0 and a false Nash verdict.
+    PROFILE = StrategyProfile(
+        tuple(
+            StrategyParams(*t)
+            for t in [
+                (0.574, 2.9633, 2.4988),
+                (0, -PI, -PI),
+                (2.6161, 0.9572, -1.5799),
+                (2.9351, -0.3789, 1.7188),
+                (1.5737, -1.9895, -1.2822),
+                (1.8046, -2.2431, -3.0553),
+            ]
+        )
+    )
+
+    def test_exact_best_response_finds_the_gain(self):
+        report = best_response(ghz_spec(6), self.PROFILE, 2, grid_resolution=25)
+        assert abs(report.equilibrium_payoff - 0.323760145581752) < 1e-12
+        assert abs(report.best_deviation_payoff - 0.3239089391090645) < 1e-12
+        assert abs(report.max_gain - 1.488e-4) < 1e-7
+        assert report.max_gain > NASH_TOLERANCE
+        assert not report.is_nash_within_tol
+
+
+def _recipes():
+    """Every family at n <= 6, with noise f < 1 on the mixture."""
+    return st.one_of(
+        st.builds(InitialStateRecipe, st.just(StateFamily.GHZ), st.integers(2, 6)),
+        st.builds(
+            InitialStateRecipe,
+            st.just(StateFamily.BELL_PRODUCT),
+            st.sampled_from([2, 4, 6]),
+        ),
+        st.builds(
+            InitialStateRecipe,
+            st.just(StateFamily.GHZ_BELL_MIXTURE),
+            st.sampled_from([2, 4, 6]),
+            x=st.floats(0, 1, allow_nan=False),
+            f=st.floats(0, 0.99, allow_nan=False),
+        ),
+        st.builds(
+            InitialStateRecipe,
+            st.just(StateFamily.EXPONENTIAL_ENTANGLER),
+            st.integers(2, 6),
+            gamma=st.floats(0, PI / 2, allow_nan=False),
+        ),
+        st.builds(
+            InitialStateRecipe, st.just(StateFamily.W3_PRODUCT), st.sampled_from([3, 6])
+        ),
+    )
+
+
+def _random_points(rng, size):
+    return (
+        rng.uniform(0, PI, size),
+        rng.uniform(-PI, PI, size),
+        rng.uniform(-PI, PI, size),
+    )
+
+
+@st.composite
+def _deviation_cases(draw):
+    """(spec, random candidate profile, deviating player, numpy rng)."""
+    recipe = draw(_recipes())
+    n = recipe.n_qubits
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    profile = StrategyProfile(
+        tuple(StrategyParams(*map(float, t)) for t in zip(*_random_points(rng, n)))
+    )
+    player = draw(st.integers(1, n))
+    return GameSpec(n, recipe), profile, player, rng
+
+
+def _exact_best_payoff(spec, profile, player):
+    """Top of f * (Tr G_1 + m_0 (G_0 - G_1) m_0^dagger) + floor over unit m_0.
+
+    Built from the dense final state and the per-outcome minority rule,
+    apart from the evaluator under test.
+    """
+    n = spec.n_players
+    psi = final_state(build_pure(spec.recipe), profile.replace(player, IDENTITY))
+    block = np.moveaxis(psi.amplitudes.reshape([2] * n), player - 1, 0).reshape(2, -1)
+    mask = np.array([player in minority_winners(b, n) for b in range(2**n)])
+    rows = np.moveaxis(mask.reshape([2] * n), player - 1, 0).reshape(2, -1)
+    g0, g1 = ((block * r) @ block.conj().T for r in rows)
+    pure = np.trace(g1).real + np.linalg.eigvalsh(g0 - g1)[-1]
+    f = spec.recipe.f
+    return f * pure + (1 - f) * np.count_nonzero(mask) / 2**n
+
+
+class TestGramFormAgainstDenseOracle:
+    @given(_deviation_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_gram_payoffs_match_dense_product(self, case):
+        spec, profile, player, rng = case
+        ev = _DeviationEvaluator(spec, profile, player)
+        points = _random_points(rng, 16)
+        gram = ev.payoffs(*points)
+        dense = [ev.dense_payoff(*p) for p in zip(*points)]
+        assert np.max(np.abs(gram - dense)) < 1e-12
+
+    @given(_deviation_cases())
+    @settings(max_examples=30, deadline=None)
+    def test_best_deviation_beats_brute_dense_grid(self, case):
+        spec, profile, player, _ = case
+        report = best_response(spec, profile, player, grid_resolution=3)
+        ev = _DeviationEvaluator(spec, profile, player)
+        thetas = np.linspace(0, PI, 9)
+        angles = np.linspace(-PI, PI, 9)
+        brute = max(
+            ev.dense_payoff(t, a, b) for t in thetas for a in angles for b in angles
+        )
+        assert report.best_deviation_payoff >= brute - 1e-12
+
+    @given(_deviation_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_best_deviation_payoff_is_its_expected_payoff(self, case):
+        spec, profile, player, _ = case
+        report = best_response(spec, profile, player, grid_resolution=3)
+        replayed = expected_payoff(
+            spec, profile.replace(player, report.best_deviation), player
+        )
+        assert abs(report.best_deviation_payoff - replayed) < 1e-12
+
+    @given(_deviation_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_best_deviation_is_the_exact_optimum(self, case):
+        # a 3-point grid alone misses the optimum by up to 0.05 here
+        spec, profile, player, _ = case
+        report = best_response(spec, profile, player, grid_resolution=3)
+        exact = _exact_best_payoff(spec, profile, player)
+        assert abs(report.best_deviation_payoff - exact) < 1e-12
+
+
+def test_best_response_memory_does_not_grow_with_grid():
+    # a (grid^3, 2, 2^(n-1)) array here would take 64000 * 2^12 * 16 B = 4.2 GB
+    n = 12
+    candidate = StrategyProfile.symmetric(ne_strategy(n), n)
+    tracemalloc.start()
+    try:
+        best_response(ghz_spec(n), candidate, 1, grid_resolution=40)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20

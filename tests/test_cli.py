@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from qmg import analysis
 from qmg.cli import (
     CliError,
     RunConfig,
@@ -202,3 +203,34 @@ class TestRun:
                      "--output", str(path)])
         assert code == 0
         assert len(path.read_text().splitlines()) == 26
+
+
+class TestCleanFailure:
+    def test_n_above_dense_ceiling_rejected_before_any_state(self, capsys):
+        # a 2^30 Bell product would be built before the state refused it
+        assert main(["payoff", "--state", "bell", "--n", "30",
+                     "--symmetric", "0,0,0"]) == 2
+        assert "n must be <= 12 to build a state" in capsys.readouterr().err
+
+    def test_n_at_dense_ceiling_accepted(self):
+        assert parse_config(["payoff", "--n", "12", "--symmetric", "0,0,0"]).n == 12
+        with pytest.raises(CliError, match="n must be <= 12"):
+            parse_config(["payoff", "--n", "13", "--symmetric", "0,0,0"])
+
+    def test_stateless_commands_keep_large_n(self, capsys):
+        assert main(["classical", "--n", "13"]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_memory_error_has_its_own_exit_code(self, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("cannot allocate")
+
+        monkeypatch.setattr(analysis, "best_response", exhausted)
+        config = parse_config(["best-response", "--n", "4", "--state", "ghz",
+                               "--symmetric", "0,0,0"])
+        assert run(config) == 3
+        assert capsys.readouterr().err == "error: out of memory: cannot allocate\n"
+
+    def test_qmg_threads_is_not_read(self, monkeypatch):
+        monkeypatch.setenv("QMG_THREADS", "not-a-number")
+        assert parse_config(["classical", "--n", "4"]).n == 4

@@ -16,6 +16,7 @@ from qmg.game import (
     expected_payoff,
     final_state,
     max_symmetric_payoff,
+    minority_mask,
     minority_projector,
     minority_winners,
     strategy_unitary,
@@ -108,6 +109,16 @@ class TestMinorityRule:
     def test_player_out_of_range(self):
         with pytest.raises(ValueError):
             minority_projector(4, 5)
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_mask_matches_minority_winners(self, n):
+        for player in range(1, n + 1):
+            mask = minority_mask(n, player)
+            assert mask.shape == (2**n,) and mask.dtype == bool
+            expected = [player in minority_winners(b, n) for b in range(2**n)]
+            assert mask.tolist() == expected
+        with pytest.raises(ValueError):
+            minority_mask(n, n + 1)
 
     @given(st.integers(2, 8), st.data())
     @settings(max_examples=100, deadline=None)
