@@ -1,6 +1,6 @@
 """Quantum minority game simulator and analysis toolkit."""
 
-from .core import LocalUnitary, MixedState, PureState
+from .core import LocalUnitary, PureState
 from .game import (
     GameSpec,
     StrategyParams,
@@ -9,18 +9,16 @@ from .game import (
     expected_payoff,
     max_symmetric_payoff,
 )
-from .states import InitialStateRecipe, StateFamily, build_initial
+from .states import InitialStateRecipe, StateFamily
 
 __all__ = [
     "GameSpec",
     "InitialStateRecipe",
     "LocalUnitary",
-    "MixedState",
     "PureState",
     "StateFamily",
     "StrategyParams",
     "StrategyProfile",
-    "build_initial",
     "classical_payoff",
     "expected_payoff",
     "max_symmetric_payoff",

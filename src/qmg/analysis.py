@@ -20,6 +20,7 @@ from .game import (
     GameSpec,
     StrategyParams,
     StrategyProfile,
+    classical_payoff,
     expected_payoff,
     final_state,
     minority_mask,
@@ -327,48 +328,43 @@ def _ne_payoff(recipe: InitialStateRecipe) -> float:
     return expected_payoff(GameSpec(n, recipe), StrategyProfile.symmetric(strategy, n), 1)
 
 
-def sweep_x(n: int = 6, f: float = 1.0, steps: int = 11) -> List[SweepRow]:
-    """Simulated equilibrium payoff vs the closed-form value across x."""
+def _sweep_axis(stop: float, steps: int) -> List[float]:
+    """steps evenly spaced points from 0 to stop, inclusive."""
     if steps < 2:
         raise ValueError("steps must be >= 2")
-    rows = []
-    for x in np.linspace(0.0, 1.0, steps):
-        sim = _ne_payoff(
-            InitialStateRecipe(StateFamily.GHZ_BELL_MIXTURE, n, x=float(x), f=f)
-        )
-        analytic = payoff_formula_eq9(float(x), f) if n == 6 else None
-        rows.append(
-            SweepRow(
-                x=float(x),
-                f=f,
-                payoff_simulated=sim,
-                payoff_analytic=analytic,
-                abs_error=None if analytic is None else abs(sim - analytic),
-            )
-        )
-    return rows
+    return [float(v) for v in np.linspace(0.0, stop, steps)]
+
+
+def _ne_row(
+    recipe: InitialStateRecipe, analytic: Optional[float], **axes: float
+) -> SweepRow:
+    """Simulated equilibrium payoff at one sweep point, beside its formula."""
+    sim = _ne_payoff(recipe)
+    return SweepRow(
+        **axes,
+        payoff_simulated=sim,
+        payoff_analytic=analytic,
+        abs_error=None if analytic is None else abs(sim - analytic),
+    )
+
+
+def _mixture_row(n: int, x: float, f: float) -> SweepRow:
+    return _ne_row(
+        InitialStateRecipe(StateFamily.GHZ_BELL_MIXTURE, n, x=x, f=f),
+        payoff_formula_eq9(x, f) if n == 6 else None,
+        x=x,
+        f=f,
+    )
+
+
+def sweep_x(n: int = 6, f: float = 1.0, steps: int = 11) -> List[SweepRow]:
+    """Simulated equilibrium payoff vs the closed-form value across x."""
+    return [_mixture_row(n, x, f) for x in _sweep_axis(1.0, steps)]
 
 
 def sweep_f(n: int = 6, x: float = 1.0, steps: int = 11) -> List[SweepRow]:
     """Simulated equilibrium payoff vs the closed-form value across f."""
-    if steps < 2:
-        raise ValueError("steps must be >= 2")
-    rows = []
-    for f in np.linspace(0.0, 1.0, steps):
-        sim = _ne_payoff(
-            InitialStateRecipe(StateFamily.GHZ_BELL_MIXTURE, n, x=x, f=float(f))
-        )
-        analytic = payoff_formula_eq9(x, float(f)) if n == 6 else None
-        rows.append(
-            SweepRow(
-                x=x,
-                f=float(f),
-                payoff_simulated=sim,
-                payoff_analytic=analytic,
-                abs_error=None if analytic is None else abs(sim - analytic),
-            )
-        )
-    return rows
+    return [_mixture_row(n, x, f) for f in _sweep_axis(1.0, steps)]
 
 
 def sweep_gamma(
@@ -382,10 +378,7 @@ def sweep_gamma(
     The conjecture is reported, not asserted; only the endpoints are
     expected to agree.
     """
-    if steps < 2:
-        raise ValueError("steps must be >= 2")
-    from .game import classical_payoff
-
+    gammas = _sweep_axis(math.pi / 2, steps)
     if payoff_classical is None:
         payoff_classical = float(classical_payoff(n))
     if payoff_quantum is None:
@@ -394,18 +387,11 @@ def sweep_gamma(
                 StateFamily.EXPONENTIAL_ENTANGLER, n, gamma=math.pi / 2
             )
         )
-    rows = []
-    for gamma in np.linspace(0.0, math.pi / 2, steps):
-        sim = _ne_payoff(
-            InitialStateRecipe(StateFamily.EXPONENTIAL_ENTANGLER, n, gamma=float(gamma))
+    return [
+        _ne_row(
+            InitialStateRecipe(StateFamily.EXPONENTIAL_ENTANGLER, n, gamma=gamma),
+            conjecture_eq14(gamma, payoff_classical, payoff_quantum),
+            gamma=gamma,
         )
-        analytic = conjecture_eq14(float(gamma), payoff_classical, payoff_quantum)
-        rows.append(
-            SweepRow(
-                gamma=float(gamma),
-                payoff_simulated=sim,
-                payoff_analytic=analytic,
-                abs_error=abs(sim - analytic),
-            )
-        )
-    return rows
+        for gamma in gammas
+    ]

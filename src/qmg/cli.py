@@ -34,13 +34,7 @@ COMMANDS = (
     "conjecture",
 )
 
-_FAMILIES = {
-    "ghz": StateFamily.GHZ,
-    "bell": StateFamily.BELL_PRODUCT,
-    "mixture": StateFamily.GHZ_BELL_MIXTURE,
-    "exp": StateFamily.EXPONENTIAL_ENTANGLER,
-    "w3": StateFamily.W3_PRODUCT,
-}
+_FAMILY_NAMES = tuple(family.value for family in StateFamily)
 
 _PI_TOKEN = re.compile(
     r"^([+-]?)(\d+(?:\.\d+)?)?\s*pi(?:\s*/\s*(\d+(?:\.\d+)?))?$", re.IGNORECASE
@@ -100,7 +94,7 @@ class RunConfig:
 
     def recipe(self) -> InitialStateRecipe:
         return InitialStateRecipe(
-            _FAMILIES[self.state], self.n, x=self.x, f=self.f, gamma=self.gamma
+            StateFamily(self.state), self.n, x=self.x, f=self.f, gamma=self.gamma
         )
 
     def game_spec(self) -> GameSpec:
@@ -124,7 +118,7 @@ class RunConfig:
 _FLAG_SPEC = {
     # name -> (converter, help)
     "n": (int, "number of players / qubits"),
-    "state": (str, "initial state family: " + ", ".join(_FAMILIES)),
+    "state": (str, "initial state family: " + ", ".join(_FAMILY_NAMES)),
     "x": (float, "GHZ/Bell mixture weight in [0,1]"),
     "f": (float, "fidelity in [0,1]; 1 = noiseless"),
     "gamma": (parse_angle, "entangler angle in [0, pi/2]"),
@@ -218,7 +212,7 @@ def parse_config(args: Sequence[str], config_text: Optional[str] = None) -> RunC
 def _validate(config: RunConfig) -> None:
     if config.command not in COMMANDS:
         raise CliError(f"unknown command {config.command!r}")
-    if config.state not in _FAMILIES:
+    if config.state not in _FAMILY_NAMES:
         raise CliError(f"unknown state family {config.state!r}")
     if config.format not in ("csv", "json"):
         raise CliError(f"unknown output format {config.format!r}")
@@ -238,13 +232,19 @@ def _validate(config: RunConfig) -> None:
         raise CliError("theta-steps and alpha-steps must be >= 2")
     if config.tolerance <= 0:
         raise CliError(f"tolerance must be positive, got {config.tolerance}")
-    if config.command in ("payoff", "nash-check", "best-response"):
-        # triggers profile-shape and angle-domain validation
-        config.strategy_profile()
-    if config.command not in ("classical", "conjecture"):
-        if config.n > MAX_QUBITS:
-            raise CliError(f"n must be <= {MAX_QUBITS} to build a state, got {config.n}")
-        config.recipe()
+    try:
+        if config.command in ("payoff", "nash-check", "best-response"):
+            # triggers profile-shape and angle-domain validation
+            config.strategy_profile()
+        if config.command not in ("classical", "conjecture"):
+            if config.n > MAX_QUBITS:
+                raise CliError(
+                    f"n must be <= {MAX_QUBITS} to build a state, got {config.n}"
+                )
+            # triggers the family's qubit-count rules
+            config.recipe()
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
     if not 1 <= config.player <= config.n:
         raise CliError(f"player must be in [1, {config.n}], got {config.player}")
 

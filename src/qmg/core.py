@@ -1,19 +1,19 @@
-"""Dense complex linear algebra for small qubit registers.
+"""Dense state-vector algebra for small qubit registers.
 
-Pure states are length-2^n complex vectors, density matrices are
-2^n x 2^n arrays. Qubit 0 is the most significant bit of the basis
-index, so for n=4 the basis label |1000> is index 8.
+States are normalised length-2^n complex vectors; noise never needs a
+density matrix because the game adds it as an exact affine floor.
+Qubit 0 is the most significant bit of the basis index, so for n=4 the
+basis label |1000> is index 8.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable
 
 import numpy as np
 
 # Construction-time tolerance; test oracles use a looser 1e-10.
 CONSTRUCTION_TOL = 1e-12
-ORACLE_TOL = 1e-10
 
 # Dense storage only; 2^12 amplitudes is the intended ceiling.
 MAX_QUBITS = 12
@@ -63,33 +63,6 @@ class PureState:
 
 
 @dataclass(frozen=True)
-class MixedState:
-    """Hermitian, unit-trace density matrix over the 2^n basis."""
-
-    n_qubits: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        _check_qubit_count(self.n_qubits)
-        dim = 2**self.n_qubits
-        rho = _frozen_array(self.matrix, (dim, dim))
-        if np.max(np.abs(rho - rho.conj().T)) > CONSTRUCTION_TOL:
-            raise ValueError("density matrix not Hermitian")
-        tr = np.trace(rho).real
-        if abs(tr - 1.0) > 1e-9:
-            raise ValueError(f"density matrix trace {tr} != 1")
-        object.__setattr__(self, "matrix", rho)
-
-    @classmethod
-    def from_pure(cls, state: PureState) -> "MixedState":
-        rho = np.outer(state.amplitudes, state.amplitudes.conj())
-        return cls(state.n_qubits, rho)
-
-    def diagonal(self) -> np.ndarray:
-        return np.real(np.diag(self.matrix))
-
-
-@dataclass(frozen=True)
 class LocalUnitary:
     """A 2x2 unitary applied to a single qubit."""
 
@@ -100,9 +73,6 @@ class LocalUnitary:
         if np.max(np.abs(u @ u.conj().T - np.eye(2))) > CONSTRUCTION_TOL:
             raise ValueError("matrix is not unitary")
         object.__setattr__(self, "entries", u)
-
-
-State = Union[PureState, MixedState]
 
 
 def _check_qubit_index(n_qubits: int, qubit_index: int) -> None:
@@ -123,26 +93,14 @@ def apply_local(state: PureState, u: LocalUnitary, qubit_index: int) -> PureStat
     return PureState(n, out)
 
 
-def apply_local_mixed(state: MixedState, u: LocalUnitary, qubit_index: int) -> MixedState:
-    """Conjugate a density matrix by a single-qubit unitary: rho -> U rho U†."""
-    n = state.n_qubits
-    _check_qubit_index(n, qubit_index)
-    rho = state.matrix.reshape([2] * (2 * n))
-    rho = np.moveaxis(rho, (qubit_index, n + qubit_index), (0, 1)).reshape(2, 2, -1)
-    rho = np.einsum("ab,bdx,cd->acx", u.entries, rho, u.entries.conj())
-    rho = np.moveaxis(rho.reshape([2] * (2 * n)), (0, 1), (qubit_index, n + qubit_index))
-    return MixedState(n, rho.reshape(2**n, 2**n))
+def diagonal_expectation(state: PureState, indices: Iterable[int]) -> float:
+    """<psi|P|psi> for the diagonal projector onto the given basis indices.
 
-
-def diagonal_expectation(state: State, indices: Iterable[int]) -> float:
-    """Tr[rho P] for the diagonal projector onto the given basis indices."""
+    The sum runs in the iteration order of `indices`; the committed
+    tables depend on that order to the last bit.
+    """
     idx = np.fromiter(indices, dtype=np.intp)
     dim = 2**state.n_qubits
     if idx.size and (idx.min() < 0 or idx.max() >= dim):
         raise IndexError(f"basis index out of range for dimension {dim}")
-    if isinstance(state, PureState):
-        value = float(np.sum(state.probabilities()[idx]))
-    else:
-        value = float(np.sum(state.diagonal()[idx]))
-    # clip numerical dust outside [0, 1]
-    return min(max(value, 0.0), 1.0)
+    return float(np.sum(state.probabilities()[idx]))

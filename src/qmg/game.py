@@ -14,14 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import (
-    LocalUnitary,
-    PureState,
-    State,
-    apply_local,
-    apply_local_mixed,
-    diagonal_expectation,
-)
+from .core import LocalUnitary, PureState, apply_local, diagonal_expectation
 from .states import InitialStateRecipe, build_pure
 
 
@@ -69,14 +62,6 @@ class StrategyProfile:
 
     def __getitem__(self, i):
         return self.strategies[i]
-
-
-@dataclass(frozen=True)
-class MinorityProjector:
-    """Diagonal projector onto the outcomes where one player wins."""
-
-    player: int
-    winning_indices: frozenset
 
 
 @dataclass(frozen=True)
@@ -134,10 +119,9 @@ def minority_winners(outcome: int, n_players: int) -> frozenset:
     )
 
 
-def minority_projector(n: int, player: int) -> MinorityProjector:
+def minority_projector(n: int, player: int) -> frozenset:
     """All basis indices in which the given player is in the minority."""
-    indices = frozenset(np.flatnonzero(minority_mask(n, player)).tolist())
-    return MinorityProjector(player, indices)
+    return frozenset(np.flatnonzero(minority_mask(n, player)).tolist())
 
 
 def minority_mask(n: int, player: int) -> np.ndarray:
@@ -154,37 +138,36 @@ def minority_mask(n: int, player: int) -> np.ndarray:
     return np.where(bit == 1, twice_ones < n, twice_ones > n)
 
 
-def final_state(initial: State, profile: StrategyProfile) -> State:
+def final_state(initial: PureState, profile: StrategyProfile) -> PureState:
     """Apply every player's strategy unitary to their own qubit."""
     n = initial.n_qubits
     if len(profile) != n:
         raise ValueError(f"profile has {len(profile)} strategies for {n} qubits")
     state = initial
-    apply = apply_local if isinstance(initial, PureState) else apply_local_mixed
     for qubit, params in enumerate(profile.strategies):
-        state = apply(state, strategy_unitary(params), qubit)
+        state = apply_local(state, strategy_unitary(params), qubit)
     return state
 
 
 def expected_payoff(spec: GameSpec, profile: StrategyProfile, player: int) -> float:
-    """Expected payoff Tr[rho_fin P_player].
+    """Expected payoff Tr[rho_fin P_player] of the recipe's initial state.
 
     The identity component of a noisy initial state is invariant under
     the strategy unitaries, so the payoff separates exactly into
     f * (pure payoff) + (1-f) * k / 2^N; only the pure part is simulated.
     """
-    proj = minority_projector(spec.n_players, player)
+    winning = minority_projector(spec.n_players, player)
     psi = final_state(build_pure(spec.recipe), profile)
-    pure = diagonal_expectation(psi, proj.winning_indices)
+    pure = diagonal_expectation(psi, winning)
     f = spec.recipe.f
     if f >= 1.0:
         return pure
-    return f * pure + (1 - f) * len(proj.winning_indices) / 2**spec.n_players
+    return f * pure + (1 - f) * len(winning) / 2**spec.n_players
 
 
 def classical_payoff(n: int) -> Fraction:
     """Mixed-strategy classical payoff: winning outcomes over all outcomes."""
-    k = len(minority_projector(n, 1).winning_indices)
+    k = len(minority_projector(n, 1))
     return Fraction(k, 2**n)
 
 

@@ -1,9 +1,11 @@
 """Constructors for the initial-state families used by the game.
 
 Families: GHZ cat states, products of symmetric Bell pairs, the
-x-weighted GHZ/Bell superposition, noisy mixtures with fidelity f,
-the exponential entangler state at angle gamma, and products of
-three-qubit W states.
+x-weighted GHZ/Bell superposition, the exponential entangler state at
+angle gamma, and products of three-qubit W states. Every constructor
+returns a pure state; a recipe's fidelity f < 1 stands for the noisy
+start f|psi><psi| + (1-f)I/2^n, which the game adds as an exact floor
+on top of the pure payoff.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MixedState, PureState, State
+from .core import PureState
 
 
 class StateFamily(enum.Enum):
@@ -90,16 +92,6 @@ def make_ghz_bell_mixture(n: int, x: float) -> PureState:
     return PureState.from_amplitudes(n, amps)
 
 
-def make_noisy(state: PureState, f: float) -> MixedState:
-    """f |psi><psi| + (1-f)/2^n * I."""
-    if not 0.0 <= f <= 1.0:
-        raise ValueError(f"f must be in [0, 1], got {f}")
-    dim = 2**state.n_qubits
-    rho = f * np.outer(state.amplitudes, state.amplitudes.conj())
-    rho += (1 - f) / dim * np.eye(dim)
-    return MixedState(state.n_qubits, rho)
-
-
 def make_exponential(n: int, gamma: float) -> PureState:
     """cos(gamma/2)|0...0> + i sin(gamma/2)|1...1>.
 
@@ -142,11 +134,3 @@ def build_pure(recipe: InitialStateRecipe) -> PureState:
     if recipe.family is StateFamily.W3_PRODUCT:
         return make_w3_product(n)
     raise ValueError(f"unknown family {recipe.family!r}")
-
-
-def build_initial(recipe: InitialStateRecipe) -> State:
-    """Dispatch a recipe to its constructor; mixed only when f < 1."""
-    psi = build_pure(recipe)
-    if recipe.f < 1.0:
-        return make_noisy(psi, recipe.f)
-    return psi

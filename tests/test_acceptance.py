@@ -17,7 +17,8 @@ from qmg.analysis import (
     payoff_formula_eq9,
     sweep_gamma,
 )
-from qmg.core import MixedState, apply_local, diagonal_expectation
+from dense_oracle import MixedState, build_initial, dense_expectation, dense_final_state
+from qmg.core import apply_local
 from qmg.game import (
     IDENTITY,
     GameSpec,
@@ -31,7 +32,7 @@ from qmg.game import (
     minority_winners,
     strategy_unitary,
 )
-from qmg.states import InitialStateRecipe, StateFamily, build_initial, build_pure
+from qmg.states import InitialStateRecipe, StateFamily, build_pure
 
 PI = math.pi
 NE6 = StrategyProfile.symmetric(ne_strategy(6), 6)
@@ -195,7 +196,7 @@ def test_criterion_10_property_suites():
         out = final_state(psi, profile)
         assert abs(np.linalg.norm(out.amplitudes) - 1) < 1e-12
     rho = build_initial(InitialStateRecipe(StateFamily.GHZ, 4, f=0.5))
-    rho_out = final_state(rho, StrategyProfile(tuple(rand_params() for _ in range(4))))
+    rho_out = dense_final_state(rho, StrategyProfile(tuple(rand_params() for _ in range(4))))
     assert abs(np.trace(rho_out.matrix) - 1) < 1e-12
 
     # noise separation vs the dense density-matrix path, N=4
@@ -205,9 +206,9 @@ def test_criterion_10_property_suites():
         spec = GameSpec(4, recipe)
         profile = StrategyProfile(tuple(rand_params() for _ in range(4)))
         fast = expected_payoff(spec, profile, 1)
-        dense_state = final_state(build_initial(recipe), profile)
+        dense_state = dense_final_state(build_initial(recipe), profile)
         assert isinstance(dense_state, MixedState)
-        dense = diagonal_expectation(dense_state, minority_projector(4, 1).winning_indices)
+        dense = dense_expectation(dense_state, minority_projector(4, 1))
         assert abs(fast - dense) < 1e-10
 
     # stride-wise application vs explicit Kronecker products, N <= 4

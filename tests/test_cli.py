@@ -231,6 +231,21 @@ class TestCleanFailure:
         assert run(config) == 3
         assert capsys.readouterr().err == "error: out of memory: cannot allocate\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--n", "5", "--state", "bell", "--symmetric", "0,0,0"],
+             "bell requires even n_qubits"),
+            (["--n", "4", "--state", "w3", "--symmetric", "0,0,0"],
+             "w3 product requires n_qubits divisible by 3"),
+            (["--n", "4", "--symmetric", "4,0,0"],
+             "theta must be in [0, pi], got 4.0"),
+        ],
+    )
+    def test_domain_errors_are_clean(self, argv, message, capsys):
+        assert main(["payoff", *argv]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_qmg_threads_is_not_read(self, monkeypatch):
         monkeypatch.setenv("QMG_THREADS", "not-a-number")
         assert parse_config(["classical", "--n", "4"]).n == 4

@@ -5,16 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_oracle import build_initial, make_noisy
 from qmg.states import (
     InitialStateRecipe,
     StateFamily,
-    build_initial,
     build_pure,
     make_bell_product,
     make_exponential,
     make_ghz,
     make_ghz_bell_mixture,
-    make_noisy,
     make_w3_product,
 )
 
