@@ -36,6 +36,13 @@ COMMANDS = (
 
 _FAMILY_NAMES = tuple(family.value for family in StateFamily)
 
+# The sweeps build their own family and ignore --state.
+_SWEEP_FAMILIES = {
+    "sweep-x": StateFamily.GHZ_BELL_MIXTURE,
+    "sweep-f": StateFamily.GHZ_BELL_MIXTURE,
+    "sweep-gamma": StateFamily.EXPONENTIAL_ENTANGLER,
+}
+
 _PI_TOKEN = re.compile(
     r"^([+-]?)(\d+(?:\.\d+)?)?\s*pi(?:\s*/\s*(\d+(?:\.\d+)?))?$", re.IGNORECASE
 )
@@ -93,9 +100,9 @@ class RunConfig:
     format: str = "csv"
 
     def recipe(self) -> InitialStateRecipe:
-        return InitialStateRecipe(
-            StateFamily(self.state), self.n, x=self.x, f=self.f, gamma=self.gamma
-        )
+        """The recipe of the family this command builds."""
+        family = _SWEEP_FAMILIES.get(self.command, StateFamily(self.state))
+        return InitialStateRecipe(family, self.n, x=self.x, f=self.f, gamma=self.gamma)
 
     def game_spec(self) -> GameSpec:
         return GameSpec(self.n, self.recipe())
@@ -232,6 +239,8 @@ def _validate(config: RunConfig) -> None:
         raise CliError("theta-steps and alpha-steps must be >= 2")
     if config.tolerance <= 0:
         raise CliError(f"tolerance must be positive, got {config.tolerance}")
+    if config.profile is not None and config.symmetric is not None:
+        raise CliError("give --symmetric or --profile, not both")
     try:
         if config.command in ("payoff", "nash-check", "best-response"):
             # triggers profile-shape and angle-domain validation

@@ -8,7 +8,7 @@ basis label |1000> is index 8.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -82,24 +82,50 @@ def _check_qubit_index(n_qubits: int, qubit_index: int) -> None:
         )
 
 
+def _apply_to_qubit(amps: np.ndarray, u: np.ndarray, n: int, q: int) -> np.ndarray:
+    """u applied to qubit q of a raw length-2^n amplitude vector.
+
+    The moveaxis/reshape/matmul sequence is kept as is: the copy-free
+    forms (a strided matmul, the elementwise update) round differently
+    in the last bit, and the committed tables depend on these bits.
+    """
+    psi = np.moveaxis(amps.reshape([2] * n), q, 0).reshape(2, -1)
+    return np.moveaxis((u @ psi).reshape([2] * n), 0, q).reshape(-1)
+
+
 def apply_local(state: PureState, u: LocalUnitary, qubit_index: int) -> PureState:
     """Apply u to one qubit of a pure state (stride-wise, no Kronecker blowup)."""
     n = state.n_qubits
     _check_qubit_index(n, qubit_index)
-    psi = state.amplitudes.reshape([2] * n)
-    psi = np.moveaxis(psi, qubit_index, 0).reshape(2, -1)
-    out = u.entries @ psi
-    out = np.moveaxis(out.reshape([2] * n), 0, qubit_index).reshape(-1)
-    return PureState(n, out)
+    return PureState(n, _apply_to_qubit(state.amplitudes, u.entries, n, qubit_index))
+
+
+def apply_locals(state: PureState, unitaries: Sequence[LocalUnitary]) -> PureState:
+    """Apply unitaries[q] to qubit q for every qubit, validating once.
+
+    Bit for bit the same amplitudes as applying each one with
+    `apply_local` in qubit order.
+    """
+    n = state.n_qubits
+    if len(unitaries) != n:
+        raise ValueError(f"{len(unitaries)} unitaries for {n} qubits")
+    amps = state.amplitudes
+    for q, u in enumerate(unitaries):
+        amps = _apply_to_qubit(amps, u.entries, n, q)
+    return PureState(n, amps)
 
 
 def diagonal_expectation(state: PureState, indices: Iterable[int]) -> float:
     """<psi|P|psi> for the diagonal projector onto the given basis indices.
 
     The sum runs in the iteration order of `indices`; the committed
-    tables depend on that order to the last bit.
+    tables depend on that order to the last bit. An intp array is used
+    without a copy.
     """
-    idx = np.fromiter(indices, dtype=np.intp)
+    if isinstance(indices, np.ndarray):
+        idx = np.asarray(indices, dtype=np.intp)
+    else:
+        idx = np.fromiter(indices, dtype=np.intp)
     dim = 2**state.n_qubits
     if idx.size and (idx.min() < 0 or idx.max() >= dim):
         raise IndexError(f"basis index out of range for dimension {dim}")

@@ -8,13 +8,14 @@ Player i (1-based) acts on qubit i-1, the i-th most significant bit.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .core import LocalUnitary, PureState, apply_local, diagonal_expectation
+from .core import LocalUnitary, PureState, apply_locals, diagonal_expectation
 from .states import InitialStateRecipe, build_pure
 
 
@@ -143,10 +144,24 @@ def final_state(initial: PureState, profile: StrategyProfile) -> PureState:
     n = initial.n_qubits
     if len(profile) != n:
         raise ValueError(f"profile has {len(profile)} strategies for {n} qubits")
-    state = initial
-    for qubit, params in enumerate(profile.strategies):
-        state = apply_local(state, strategy_unitary(params), qubit)
-    return state
+    unitaries = {params: strategy_unitary(params) for params in set(profile.strategies)}
+    return apply_locals(initial, [unitaries[params] for params in profile.strategies])
+
+
+# Callers vary the profile far more often than the recipe. The state is
+# frozen with read-only amplitudes, so one shared copy is safe.
+_initial_state = functools.lru_cache(maxsize=1)(build_pure)
+
+
+@functools.lru_cache(maxsize=128)  # every (n, player) with n <= MAX_QUBITS
+def _winning_indices(n: int, player: int) -> np.ndarray:
+    """`minority_projector` as a read-only intp array in its iteration order.
+
+    The order fixes the summation order of every payoff to the last bit.
+    """
+    idx = np.fromiter(minority_projector(n, player), dtype=np.intp)
+    idx.setflags(write=False)
+    return idx
 
 
 def expected_payoff(spec: GameSpec, profile: StrategyProfile, player: int) -> float:
@@ -156,8 +171,8 @@ def expected_payoff(spec: GameSpec, profile: StrategyProfile, player: int) -> fl
     the strategy unitaries, so the payoff separates exactly into
     f * (pure payoff) + (1-f) * k / 2^N; only the pure part is simulated.
     """
-    winning = minority_projector(spec.n_players, player)
-    psi = final_state(build_pure(spec.recipe), profile)
+    winning = _winning_indices(spec.n_players, player)
+    psi = final_state(_initial_state(spec.recipe), profile)
     pure = diagonal_expectation(psi, winning)
     f = spec.recipe.f
     if f >= 1.0:
@@ -166,9 +181,15 @@ def expected_payoff(spec: GameSpec, profile: StrategyProfile, player: int) -> fl
 
 
 def classical_payoff(n: int) -> Fraction:
-    """Mixed-strategy classical payoff: winning outcomes over all outcomes."""
-    k = len(minority_projector(n, 1))
-    return Fraction(k, 2**n)
+    """Mixed-strategy classical payoff: winning outcomes over all outcomes.
+
+    A player wins as one of m < n/2 agreeing players, with m of either
+    bit value; the other m - 1 come from the remaining n - 1 players.
+    """
+    if n < 2:
+        raise ValueError("need at least 2 players")
+    wins = 2 * sum(math.comb(n - 1, m - 1) for m in range(1, (n - 1) // 2 + 1))
+    return Fraction(wins, 2**n)
 
 
 def max_symmetric_payoff(n: int) -> Fraction:

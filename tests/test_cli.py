@@ -219,6 +219,8 @@ class TestCleanFailure:
 
     def test_stateless_commands_keep_large_n(self, capsys):
         assert main(["classical", "--n", "13"]) == 0
+        # the closed form builds no 2^n array
+        assert main(["classical", "--n", "64"]) == 0
         assert capsys.readouterr().err == ""
 
     def test_memory_error_has_its_own_exit_code(self, monkeypatch, capsys):
@@ -245,6 +247,26 @@ class TestCleanFailure:
     def test_domain_errors_are_clean(self, argv, message, capsys):
         assert main(["payoff", *argv]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv, code, err",
+        [
+            (["sweep-x", "--n", "4", "--state", "w3"], 0, ""),
+            (["sweep-f", "--n", "4", "--state", "w3"], 0, ""),
+            (["sweep-gamma", "--n", "5", "--state", "bell"], 0, ""),
+            (["sweep-x", "--n", "5"], 2, "error: mixture requires even n_qubits\n"),
+            (["sweep-f", "--n", "5"], 2, "error: mixture requires even n_qubits\n"),
+        ],
+    )
+    def test_sweeps_validate_the_family_they_build(self, argv, code, err, capsys):
+        assert main([*argv, "--steps", "3"]) == code
+        assert capsys.readouterr().err == err
+
+    def test_profile_and_symmetric_together_rejected(self, capsys):
+        assert main(["payoff", "--n", "4", "--profile", "0,0,0;0,0,0;0,0,0;0,0,0",
+                     "--symmetric", "4,0,0"]) == 2
+        assert (capsys.readouterr().err
+                == "error: give --symmetric or --profile, not both\n")
 
     def test_qmg_threads_is_not_read(self, monkeypatch):
         monkeypatch.setenv("QMG_THREADS", "not-a-number")

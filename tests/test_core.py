@@ -7,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_oracle import MixedState, apply_local_mixed, dense_expectation
-from qmg.core import LocalUnitary, PureState, apply_local, diagonal_expectation
+from qmg.core import (
+    LocalUnitary,
+    PureState,
+    apply_local,
+    apply_locals,
+    diagonal_expectation,
+)
 from qmg.game import StrategyParams, strategy_unitary
 
 RNG = np.random.default_rng(7)
@@ -123,6 +129,27 @@ class TestApplyLocal:
             assert abs(np.linalg.norm(psi.amplitudes) - 1) < 1e-12
 
 
+class TestApplyLocals:
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_bit_identical_to_sequential_apply_local(self, n):
+        for _ in range(10):
+            psi = random_state(n)
+            us = [random_unitary() for _ in range(n)]
+            state = psi
+            for q, u in enumerate(us):
+                state = apply_local(state, u, q)
+            assert np.array_equal(apply_locals(psi, us).amplitudes, state.amplitudes)
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError):
+            apply_locals(random_state(3), [random_unitary()] * 2)
+
+    def test_result_is_read_only(self):
+        out = apply_locals(random_state(2), [random_unitary()] * 2)
+        with pytest.raises(ValueError):
+            out.amplitudes[0] = 0
+
+
 class TestApplyLocalMixed:
     def test_identity_is_noop(self):
         rho = MixedState.from_pure(random_state(2))
@@ -165,6 +192,16 @@ class TestDiagonalExpectation:
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
             diagonal_expectation(basis(2, 0), {4})
+        with pytest.raises(IndexError):
+            diagonal_expectation(basis(2, 0), np.array([0, 4], dtype=np.intp))
+        with pytest.raises(IndexError):
+            diagonal_expectation(basis(2, 0), np.array([-1], dtype=np.intp))
+
+    def test_index_array_sums_in_its_own_order(self):
+        psi = random_state(6)
+        indices = frozenset(RNG.choice(64, size=20, replace=False).tolist())
+        array = np.fromiter(indices, dtype=np.intp)
+        assert diagonal_expectation(psi, array) == diagonal_expectation(psi, indices)
 
     @given(st.integers(1, 4), st.data())
     @settings(max_examples=50, deadline=None)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -6,7 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_oracle import MixedState, build_initial, dense_expectation, dense_final_state
+from dense_oracle import (
+    MixedState,
+    build_initial,
+    dense_expectation,
+    dense_final_state,
+    make_noisy,
+)
+from qmg import game
+from qmg.core import apply_local
 from qmg.game import (
     IDENTITY,
     GameSpec,
@@ -40,6 +49,62 @@ def random_params():
 
 def random_profile(n):
     return StrategyProfile(tuple(random_params() for _ in range(n)))
+
+
+fidelity = st.floats(0, 1, allow_nan=False)
+
+# every family at N <= 8, noisy starts included
+recipes = st.one_of(
+    st.builds(InitialStateRecipe, st.just(StateFamily.GHZ), st.integers(2, 8), f=fidelity),
+    st.builds(
+        InitialStateRecipe,
+        st.just(StateFamily.BELL_PRODUCT),
+        st.sampled_from([2, 4, 6, 8]),
+        f=fidelity,
+    ),
+    st.builds(
+        InitialStateRecipe,
+        st.just(StateFamily.GHZ_BELL_MIXTURE),
+        st.sampled_from([2, 4, 6, 8]),
+        x=st.floats(0, 1, allow_nan=False),
+        f=fidelity,
+    ),
+    st.builds(
+        InitialStateRecipe,
+        st.just(StateFamily.EXPONENTIAL_ENTANGLER),
+        st.integers(2, 8),
+        gamma=st.floats(0, PI / 2, allow_nan=False),
+        f=fidelity,
+    ),
+    st.builds(
+        InitialStateRecipe, st.just(StateFamily.W3_PRODUCT), st.sampled_from([3, 6]), f=fidelity
+    ),
+)
+strategy_params = st.builds(StrategyParams, theta_angle, angle, angle)
+
+
+@st.composite
+def games(draw):
+    """A recipe and a profile that repeats some strategies and varies others."""
+    recipe = draw(recipes)
+    pool = draw(st.lists(strategy_params, min_size=1, max_size=3))
+    picks = draw(
+        st.lists(st.sampled_from(pool), min_size=recipe.n_qubits, max_size=recipe.n_qubits)
+    )
+    return recipe, StrategyProfile(tuple(picks))
+
+
+@st.composite
+def payoff_cases(draw):
+    """A game and the 1-based player whose payoff is asked for."""
+    recipe, profile = draw(games())
+    return recipe, profile, draw(st.integers(1, recipe.n_qubits))
+
+
+def dense_payoff(recipe, profile, player):
+    """Tr[rho_fin P_player] from the full density matrix."""
+    rho = dense_final_state(make_noisy(build_pure(recipe), recipe.f), profile)
+    return dense_expectation(rho, minority_projector(recipe.n_qubits, player))
 
 
 class TestStrategyUnitary:
@@ -162,6 +227,88 @@ class TestFinalState:
             final_state(psi, StrategyProfile.symmetric(IDENTITY, 3))
 
 
+class TestPayoffPath:
+    @given(games())
+    @settings(max_examples=100, deadline=None)
+    def test_final_state_bit_identical_to_sequential_apply_local(self, case):
+        recipe, profile = case
+        psi = build_pure(recipe)
+        state = psi
+        for q, params in enumerate(profile.strategies):
+            state = apply_local(state, strategy_unitary(params), q)
+        assert np.array_equal(final_state(psi, profile).amplitudes, state.amplitudes)
+
+    @given(st.lists(payoff_cases(), min_size=2, max_size=4))
+    @settings(max_examples=30, deadline=None)
+    def test_interleaved_payoffs_match_dense_oracle(self, cases):
+        # forward then backward, so every memo is hit after other recipes
+        for recipe, profile, player in cases + cases[::-1]:
+            spec = GameSpec(recipe.n_qubits, recipe)
+            fast = expected_payoff(spec, profile, player)
+            assert abs(fast - dense_payoff(recipe, profile, player)) < 1e-10
+
+    def test_memoised_initial_state_is_read_only(self):
+        recipe = InitialStateRecipe(StateFamily.GHZ, 4)
+        expected_payoff(GameSpec(4, recipe), random_profile(4), 1)
+        psi = game._initial_state(recipe)
+        assert psi is game._initial_state(recipe)
+        with pytest.raises(ValueError):
+            psi.amplitudes[0] = 0
+        winning = game._winning_indices(4, 1)
+        with pytest.raises(ValueError):
+            winning[0] = 0
+
+    @pytest.mark.parametrize("n", [2, 4, 7, 12])
+    def test_winning_indices_keep_the_projector_order(self, n):
+        for player in range(1, n + 1):
+            winning = game._winning_indices(n, player)
+            assert winning.dtype == np.intp
+            assert winning.tolist() == list(minority_projector(n, player))
+
+
+class TestInvariants:
+    @given(games())
+    @settings(max_examples=60, deadline=None)
+    def test_payoffs_sum_to_expected_minority_size(self, case):
+        recipe, profile = case
+        n = recipe.n_qubits
+        spec = GameSpec(n, recipe)
+        total = sum(expected_payoff(spec, profile, p) for p in range(1, n + 1))
+        sizes = np.array([len(minority_winners(b, n)) for b in range(2**n)], dtype=float)
+        rho = dense_final_state(make_noisy(build_pure(recipe), recipe.f), profile)
+        assert abs(total - rho.diagonal() @ sizes) < 1e-10
+        assert total <= (n - 1) // 2 + 1e-12
+
+    @given(
+        st.sampled_from(
+            [(StateFamily.GHZ, n) for n in range(2, 9)]
+            + [(StateFamily.BELL_PRODUCT, n) for n in (2, 4, 6, 8)]
+            + [(StateFamily.W3_PRODUCT, n) for n in (3, 6)]
+        ),
+        strategy_params,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_symmetric_play_pays_players_equally(self, family_n, params):
+        family, n = family_n
+        spec = GameSpec(n, InitialStateRecipe(family, n))
+        profile = StrategyProfile.symmetric(params, n)
+        payoffs = [expected_payoff(spec, profile, p) for p in range(1, n + 1)]
+        assert max(payoffs) - min(payoffs) < 1e-10
+
+    @given(payoff_cases(), fidelity)
+    @settings(max_examples=60, deadline=None)
+    def test_noisy_payoff_is_affine_in_f(self, case, f):
+        recipe, profile, player = case
+        n = recipe.n_qubits
+
+        def payoff(fid):
+            spec = GameSpec(n, dataclasses.replace(recipe, f=fid))
+            return expected_payoff(spec, profile, player)
+
+        assert payoff(0.0) == len(minority_projector(n, player)) / 2**n
+        assert abs(payoff(f) - (f * payoff(1.0) + (1 - f) * payoff(0.0))) < 1e-12
+
+
 class TestExpectedPayoff:
     def test_ghz6_equilibrium_payoff(self):
         spec = GameSpec(6, InitialStateRecipe(StateFamily.GHZ, 6))
@@ -236,6 +383,14 @@ class TestBaselines:
         assert classical_payoff(4) == Fraction(1, 8)
         assert classical_payoff(6) == Fraction(3, 16)
         assert classical_payoff(2) == 0
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_classical_payoff_counts_winning_outcomes(self, n):
+        assert classical_payoff(n) == Fraction(len(minority_projector(n, 1)), 2**n)
+
+    def test_classical_payoff_needs_two_players(self):
+        with pytest.raises(ValueError):
+            classical_payoff(1)
 
     def test_max_symmetric_payoffs(self):
         assert max_symmetric_payoff(6) == Fraction(1, 3)
