@@ -348,9 +348,19 @@ def _ne_row(
     )
 
 
+def mixture_recipe(n: int, x: float = 1.0, f: float = 1.0) -> InitialStateRecipe:
+    """The GHZ/Bell mixture that `sweep_x` and `sweep_f` play on."""
+    return InitialStateRecipe(StateFamily.GHZ_BELL_MIXTURE, n, x=x, f=f)
+
+
+def entangler_recipe(n: int, gamma: float = math.pi / 2) -> InitialStateRecipe:
+    """The entangled state that `sweep_gamma` plays on."""
+    return InitialStateRecipe(StateFamily.EXPONENTIAL_ENTANGLER, n, gamma=gamma)
+
+
 def _mixture_row(n: int, x: float, f: float) -> SweepRow:
     return _ne_row(
-        InitialStateRecipe(StateFamily.GHZ_BELL_MIXTURE, n, x=x, f=f),
+        mixture_recipe(n, x, f),
         payoff_formula_eq9(x, f) if n == 6 else None,
         x=x,
         f=f,
@@ -382,14 +392,10 @@ def sweep_gamma(
     if payoff_classical is None:
         payoff_classical = float(classical_payoff(n))
     if payoff_quantum is None:
-        payoff_quantum = _ne_payoff(
-            InitialStateRecipe(
-                StateFamily.EXPONENTIAL_ENTANGLER, n, gamma=math.pi / 2
-            )
-        )
+        payoff_quantum = _ne_payoff(entangler_recipe(n))
     return [
         _ne_row(
-            InitialStateRecipe(StateFamily.EXPONENTIAL_ENTANGLER, n, gamma=gamma),
+            entangler_recipe(n, gamma),
             conjecture_eq14(gamma, payoff_classical, payoff_quantum),
             gamma=gamma,
         )

@@ -36,13 +36,6 @@ COMMANDS = (
 
 _FAMILY_NAMES = tuple(family.value for family in StateFamily)
 
-# The sweeps build their own family and ignore --state.
-_SWEEP_FAMILIES = {
-    "sweep-x": StateFamily.GHZ_BELL_MIXTURE,
-    "sweep-f": StateFamily.GHZ_BELL_MIXTURE,
-    "sweep-gamma": StateFamily.EXPONENTIAL_ENTANGLER,
-}
-
 _PI_TOKEN = re.compile(
     r"^([+-]?)(\d+(?:\.\d+)?)?\s*pi(?:\s*/\s*(\d+(?:\.\d+)?))?$", re.IGNORECASE
 )
@@ -100,9 +93,14 @@ class RunConfig:
     format: str = "csv"
 
     def recipe(self) -> InitialStateRecipe:
-        """The recipe of the family this command builds."""
-        family = _SWEEP_FAMILIES.get(self.command, StateFamily(self.state))
-        return InitialStateRecipe(family, self.n, x=self.x, f=self.f, gamma=self.gamma)
+        """The recipe this command builds; the sweeps ignore --state."""
+        if self.command in ("sweep-x", "sweep-f"):
+            return analysis.mixture_recipe(self.n, self.x, self.f)
+        if self.command == "sweep-gamma":
+            return analysis.entangler_recipe(self.n, self.gamma)
+        return InitialStateRecipe(
+            StateFamily(self.state), self.n, x=self.x, f=self.f, gamma=self.gamma
+        )
 
     def game_spec(self) -> GameSpec:
         return GameSpec(self.n, self.recipe())

@@ -120,8 +120,12 @@ def minority_winners(outcome: int, n_players: int) -> frozenset:
     )
 
 
+@functools.lru_cache(maxsize=128)  # every (n, player) with n <= MAX_QUBITS
 def minority_projector(n: int, player: int) -> frozenset:
-    """All basis indices in which the given player is in the minority."""
+    """All basis indices in which the given player is in the minority.
+
+    Memoised: repeated calls return the same frozenset object.
+    """
     return frozenset(np.flatnonzero(minority_mask(n, player)).tolist())
 
 
@@ -150,16 +154,20 @@ def final_state(initial: PureState, profile: StrategyProfile) -> PureState:
 
 # Callers vary the profile far more often than the recipe. The state is
 # frozen with read-only amplitudes, so one shared copy is safe.
-_initial_state = functools.lru_cache(maxsize=1)(build_pure)
+@functools.lru_cache(maxsize=1)
+def _initial_state(recipe: InitialStateRecipe) -> PureState:
+    return build_pure(recipe)
 
 
-@functools.lru_cache(maxsize=128)  # every (n, player) with n <= MAX_QUBITS
-def _winning_indices(n: int, player: int) -> np.ndarray:
-    """`minority_projector` as a read-only intp array in its iteration order.
+@functools.lru_cache(maxsize=128)
+def _winning_indices(projector: frozenset) -> np.ndarray:
+    """A memoised projector as a read-only intp array in its iteration order.
 
     The order fixes the summation order of every payoff to the last bit.
+    Keyed by the frozenset `minority_projector` returns, whose hash is
+    stored once computed.
     """
-    idx = np.fromiter(minority_projector(n, player), dtype=np.intp)
+    idx = np.fromiter(projector, dtype=np.intp, count=len(projector))
     idx.setflags(write=False)
     return idx
 
@@ -171,7 +179,7 @@ def expected_payoff(spec: GameSpec, profile: StrategyProfile, player: int) -> fl
     the strategy unitaries, so the payoff separates exactly into
     f * (pure payoff) + (1-f) * k / 2^N; only the pure part is simulated.
     """
-    winning = _winning_indices(spec.n_players, player)
+    winning = _winning_indices(minority_projector(spec.n_players, player))
     psi = final_state(_initial_state(spec.recipe), profile)
     pure = diagonal_expectation(psi, winning)
     f = spec.recipe.f

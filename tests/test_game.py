@@ -254,16 +254,53 @@ class TestPayoffPath:
         assert psi is game._initial_state(recipe)
         with pytest.raises(ValueError):
             psi.amplitudes[0] = 0
-        winning = game._winning_indices(4, 1)
+        winning = game._winning_indices(minority_projector(4, 1))
         with pytest.raises(ValueError):
             winning[0] = 0
 
     @pytest.mark.parametrize("n", [2, 4, 7, 12])
     def test_winning_indices_keep_the_projector_order(self, n):
         for player in range(1, n + 1):
-            winning = game._winning_indices(n, player)
+            projector = minority_projector(n, player)
+            assert projector is minority_projector(n, player)
+            winning = game._winning_indices(projector)
             assert winning.dtype == np.intp
-            assert winning.tolist() == list(minority_projector(n, player))
+            assert winning.tolist() == list(projector)
+
+    def test_every_payoff_goes_through_the_projector(self, monkeypatch):
+        # the benchmark tracer counts the projector once per payoff
+        calls = []
+        projector = game.minority_projector
+
+        def counted(n, player):
+            calls.append((n, player))
+            return projector(n, player)
+
+        monkeypatch.setattr(game, "minority_projector", counted)
+        spec = GameSpec(4, InitialStateRecipe(StateFamily.GHZ, 4))
+        profile = random_profile(4)
+        for _ in range(2):
+            for player in range(1, 5):
+                expected_payoff(spec, profile, player)
+        assert calls == [(4, p) for p in range(1, 5)] * 2
+
+    def test_initial_state_misses_go_through_build_pure(self, monkeypatch):
+        # a memo miss reaches the module-level build_pure the tracer wraps
+        built = []
+        build_pure = game.build_pure
+
+        def counted(recipe):
+            built.append(recipe)
+            return build_pure(recipe)
+
+        monkeypatch.setattr(game, "build_pure", counted)
+        game._initial_state.cache_clear()
+        ghz = InitialStateRecipe(StateFamily.GHZ, 4)
+        bell = InitialStateRecipe(StateFamily.BELL_PRODUCT, 4)
+        profile = random_profile(4)
+        for recipe in (ghz, ghz, bell, bell, ghz):
+            expected_payoff(GameSpec(4, recipe), profile, 1)
+        assert built == [ghz, bell, ghz]
 
 
 class TestInvariants:
