@@ -1,11 +1,12 @@
 """Game-theoretic analysis on top of the engine.
 
-Best-response search (coarse grid plus coordinate-wise refinement on
-the deviator's 2x2 Gram form, finished by the exact top eigenvector;
-its memory does not depend on the grid), Nash-equilibrium verification
-via the unilateral-deviation inequality, Pareto comparison, the
-closed-form 6-player payoff formulas, the N-player entangler-payoff
-conjecture, and parameter sweeps that produce figure-ready tables.
+Best-response search (coarse grid in fixed-size chunks plus
+coordinate-wise refinement on the deviator's 2x2 Gram form, finished by
+the exact top eigenvector; its memory is bounded by the chunk),
+Nash-equilibrium verification via the unilateral-deviation inequality,
+Pareto comparison, the closed-form 6-player payoff formulas, the
+N-player entangler-payoff conjecture, and parameter sweeps that produce
+figure-ready tables.
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .game import (
+    IDENTITY,
     GameSpec,
     StrategyParams,
     StrategyProfile,
@@ -29,6 +31,9 @@ from .states import InitialStateRecipe, StateFamily, build_pure
 
 NASH_TOLERANCE = 1e-4
 REFINEMENT_MIN_STEP = 1e-6
+# Coarse-grid points evaluated at once; bounds best-response memory
+# for any grid. A grid of 25 (15625 points) is one chunk.
+GRID_CHUNK = 2**15
 # The exact optimum replaces the refined grid point only when it pays
 # more by this margin, so flat optima keep their grid point.
 EXACT_OPTIMUM_MARGIN = 1e-12
@@ -164,7 +169,7 @@ class _DeviationEvaluator:
         if not 1 <= player <= n:
             raise ValueError(f"player {player} out of range")
         psi = build_pure(spec.recipe)
-        partial = final_state(psi, candidate.replace(player, StrategyParams(0, 0, 0)))
+        partial = final_state(psi, candidate.replace(player, IDENTITY))
         q = player - 1
         self._block = (
             np.moveaxis(partial.amplitudes.reshape([2] * n), q, 0).reshape(2, -1)
@@ -225,9 +230,10 @@ def best_response(
 ) -> DeviationReport:
     """Search the full (theta, alpha, beta) box for the player's best deviation.
 
-    Coarse grid first, then coordinate-wise interval shrinking around
-    the running optimum until every step is below 1e-6, all on the 2x2
-    Gram form, so memory does not grow with the grid. The exact optimum
+    Coarse grid first, evaluated GRID_CHUNK points at a time, then
+    coordinate-wise interval shrinking around the running optimum until
+    every step is below 1e-6, all on the 2x2 Gram form, so memory is
+    bounded by the chunk, whatever the grid. The exact optimum
     from the top eigenvector then replaces the refined point if it pays
     more. Both reported payoffs come from the dense product at their
     single point.
@@ -240,11 +246,16 @@ def best_response(
 
     thetas = np.linspace(*_THETA_BOX, grid_resolution)
     angles = np.linspace(*_ANGLE_BOX, grid_resolution)
-    tg, ag, bg = np.meshgrid(thetas, angles, angles, indexing="ij")
-    vals = ev.payoffs(tg.ravel(), ag.ravel(), bg.ravel())
-    k = int(np.argmax(vals))
-    best = np.array([tg.ravel()[k], ag.ravel()[k], bg.ravel()[k]])
-    best_val = float(vals[k])
+    size = grid_resolution**3
+    best_val = -math.inf
+    for start in range(0, size, GRID_CHUNK):
+        flat = np.arange(start, min(start + GRID_CHUNK, size))
+        t, a, b = np.unravel_index(flat, (grid_resolution,) * 3)
+        vals = ev.payoffs(thetas[t], angles[a], angles[b])
+        k = int(np.argmax(vals))
+        if vals[k] > best_val:  # strict: the first maximum wins across chunks
+            best_val = float(vals[k])
+            best = np.array([thetas[t[k]], angles[a[k]], angles[b[k]]])
 
     boxes = (_THETA_BOX, _ANGLE_BOX, _ANGLE_BOX)
     steps = np.array([b[1] - b[0] for b in boxes]) / (grid_resolution - 1)

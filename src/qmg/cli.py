@@ -69,6 +69,10 @@ def _parse_triple(text: str) -> Tuple[float, float, float]:
     return tuple(parse_angle(p) for p in parts)
 
 
+def _parse_profile(text: str) -> Tuple[Tuple[float, float, float], ...]:
+    return tuple(_parse_triple(c) for c in text.split(";") if c.strip())
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Fully validated description of one CLI run."""
@@ -127,8 +131,8 @@ _FLAG_SPEC = {
     "x": (float, "GHZ/Bell mixture weight in [0,1]"),
     "f": (float, "fidelity in [0,1]; 1 = noiseless"),
     "gamma": (parse_angle, "entangler angle in [0, pi/2]"),
-    "symmetric": (str, "shared strategy 'theta,alpha,beta'"),
-    "profile": (str, "per-player strategies 't,a,b;t,a,b;...'"),
+    "symmetric": (_parse_triple, "shared strategy 'theta,alpha,beta'"),
+    "profile": (_parse_profile, "per-player strategies 't,a,b;t,a,b;...'"),
     "player": (int, "1-based player for best-response"),
     "grid": (int, "grid resolution per strategy axis"),
     "theta-steps": (int, "surface grid points along theta"),
@@ -199,15 +203,9 @@ def parse_config(args: Sequence[str], config_text: Optional[str] = None) -> RunC
         if value is None:
             continue
         try:
-            raw[attr] = conv(value) if isinstance(value, str) else value
-        except (ValueError, CliError) as exc:
+            raw[attr] = conv(value)
+        except ValueError as exc:
             raise CliError(f"bad value for --{name}: {exc}") from None
-
-    if "symmetric" in raw and isinstance(raw["symmetric"], str):
-        raw["symmetric"] = _parse_triple(raw["symmetric"])
-    if "profile" in raw and isinstance(raw["profile"], str):
-        chunks = [c for c in raw["profile"].split(";") if c.strip()]
-        raw["profile"] = tuple(_parse_triple(c) for c in chunks)
 
     config = RunConfig(command=ns.command, **raw)
     _validate(config)
@@ -215,8 +213,6 @@ def parse_config(args: Sequence[str], config_text: Optional[str] = None) -> RunC
 
 
 def _validate(config: RunConfig) -> None:
-    if config.command not in COMMANDS:
-        raise CliError(f"unknown command {config.command!r}")
     if config.state not in _FAMILY_NAMES:
         raise CliError(f"unknown state family {config.state!r}")
     if config.format not in ("csv", "json"):
@@ -235,8 +231,10 @@ def _validate(config: RunConfig) -> None:
         raise CliError(f"steps must be >= 2, got {config.steps}")
     if config.theta_steps < 2 or config.alpha_steps < 2:
         raise CliError("theta-steps and alpha-steps must be >= 2")
-    if config.tolerance <= 0:
-        raise CliError(f"tolerance must be positive, got {config.tolerance}")
+    if not (math.isfinite(config.tolerance) and config.tolerance > 0):
+        raise CliError(
+            f"tolerance must be finite and positive, got {config.tolerance}"
+        )
     if config.profile is not None and config.symmetric is not None:
         raise CliError("give --symmetric or --profile, not both")
     try:
@@ -256,35 +254,22 @@ def _validate(config: RunConfig) -> None:
         raise CliError(f"player must be in [1, {config.n}], got {config.player}")
 
 
+def _token(value) -> str:
+    """A flag value as parse_config reads it back; floats via repr."""
+    if isinstance(value, tuple):
+        sep = ";" if value and isinstance(value[0], tuple) else ","
+        return sep.join(_token(v) for v in value)
+    return repr(value) if isinstance(value, float) else str(value)
+
+
 def render(config: RunConfig) -> List[str]:
     """Command-line tokens that parse back to the same RunConfig."""
     tokens = [config.command]
-
-    def add(flag, value):
-        tokens.extend([f"--{flag}", str(value)])
-
-    add("n", config.n)
-    add("state", config.state)
-    add("x", repr(config.x))
-    add("f", repr(config.f))
-    add("gamma", repr(config.gamma))
-    if config.symmetric is not None:
-        add("symmetric", ",".join(repr(v) for v in config.symmetric))
-    if config.profile is not None:
-        add("profile", ";".join(",".join(repr(v) for v in t) for t in config.profile))
-    add("player", config.player)
-    add("grid", config.grid)
-    add("theta-steps", config.theta_steps)
-    add("alpha-steps", config.alpha_steps)
-    add("steps", config.steps)
-    add("tolerance", repr(config.tolerance))
-    if config.payoff_classical is not None:
-        add("payoff-classical", repr(config.payoff_classical))
-    if config.payoff_quantum is not None:
-        add("payoff-quantum", repr(config.payoff_quantum))
-    if config.output is not None:
-        add("output", config.output)
-    add("format", config.format)
+    for name in _FLAG_SPEC:
+        value = getattr(config, name.replace("-", "_"))
+        if value is not None:
+            # one token, so argparse never reads a value like -1e-05 as a flag
+            tokens.append(f"--{name}={_token(value)}")
     return tokens
 
 
@@ -344,14 +329,10 @@ def render_table(rows, fmt: str) -> str:
             writer.writerow([_fmt(rec.get(c, "")) for c in columns])
         return buf.getvalue()
     if fmt == "json":
-        clean = []
-        for rec in records:
-            clean.append(
-                {
-                    k: (float(_fmt(v)) if isinstance(v, float) else v)
-                    for k, v in rec.items()
-                }
-            )
+        clean = [
+            {k: (float(_fmt(v)) if isinstance(v, float) else v) for k, v in rec.items()}
+            for rec in records
+        ]
         return json.dumps(clean, indent=2) + "\n"
     raise CliError(f"unknown output format {fmt!r}")
 

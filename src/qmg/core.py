@@ -2,6 +2,7 @@
 
 States are normalised length-2^n complex vectors; noise never needs a
 density matrix because the game adds it as an exact affine floor.
+Local unitaries are applied to every qubit in one pass.
 Qubit 0 is the most significant bit of the basis index, so for n=4 the
 basis label |1000> is index 8.
 """
@@ -75,43 +76,22 @@ class LocalUnitary:
         object.__setattr__(self, "entries", u)
 
 
-def _check_qubit_index(n_qubits: int, qubit_index: int) -> None:
-    if not 0 <= qubit_index < n_qubits:
-        raise IndexError(
-            f"qubit index {qubit_index} out of range for {n_qubits} qubits"
-        )
-
-
-def _apply_to_qubit(amps: np.ndarray, u: np.ndarray, n: int, q: int) -> np.ndarray:
-    """u applied to qubit q of a raw length-2^n amplitude vector.
-
-    The moveaxis/reshape/matmul sequence is kept as is: the copy-free
-    forms (a strided matmul, the elementwise update) round differently
-    in the last bit, and the committed tables depend on these bits.
-    """
-    psi = np.moveaxis(amps.reshape([2] * n), q, 0).reshape(2, -1)
-    return np.moveaxis((u @ psi).reshape([2] * n), 0, q).reshape(-1)
-
-
-def apply_local(state: PureState, u: LocalUnitary, qubit_index: int) -> PureState:
-    """Apply u to one qubit of a pure state (stride-wise, no Kronecker blowup)."""
-    n = state.n_qubits
-    _check_qubit_index(n, qubit_index)
-    return PureState(n, _apply_to_qubit(state.amplitudes, u.entries, n, qubit_index))
-
-
 def apply_locals(state: PureState, unitaries: Sequence[LocalUnitary]) -> PureState:
-    """Apply unitaries[q] to qubit q for every qubit, validating once.
+    """Apply unitaries[q] to qubit q for every qubit in one pass.
 
-    Bit for bit the same amplitudes as applying each one with
-    `apply_local` in qubit order.
+    Stride-wise, with no Kronecker blowup; the state is validated once,
+    at the end. The moveaxis/reshape/matmul step is kept as is: the
+    copy-free forms (a strided matmul, the elementwise update) round
+    differently in the last bit, and the committed tables depend on
+    these bits.
     """
     n = state.n_qubits
     if len(unitaries) != n:
         raise ValueError(f"{len(unitaries)} unitaries for {n} qubits")
     amps = state.amplitudes
     for q, u in enumerate(unitaries):
-        amps = _apply_to_qubit(amps, u.entries, n, q)
+        psi = np.moveaxis(amps.reshape([2] * n), q, 0).reshape(2, -1)
+        amps = np.moveaxis((u.entries @ psi).reshape([2] * n), 0, q).reshape(-1)
     return PureState(n, amps)
 
 

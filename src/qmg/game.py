@@ -4,6 +4,7 @@ Each of N players holds one qubit and plays an SU(2) strategy operator
 on it. Players in the strict minority after measurement in the
 computational basis receive payoff 1; ties and unanimity pay nothing.
 Player i (1-based) acts on qubit i-1, the i-th most significant bit.
+`minority_mask` is the one form of that rule in the package.
 """
 from __future__ import annotations
 
@@ -97,42 +98,24 @@ def strategy_unitary(p: StrategyParams) -> LocalUnitary:
     return LocalUnitary(m)
 
 
-def minority_winners(outcome: int, n_players: int) -> frozenset:
-    """1-based players in the strict minority of a basis outcome.
-
-    Ties (even N split) and unanimity leave everyone empty-handed.
-    """
-    if n_players < 2:
-        raise ValueError("need at least 2 players")
-    if not 0 <= outcome < 2**n_players:
-        raise ValueError(f"outcome {outcome} out of range for {n_players} players")
-    ones = outcome.bit_count()
-    if 0 < ones < n_players / 2:
-        winning_bit = 1
-    elif n_players / 2 < ones < n_players:
-        winning_bit = 0
-    else:
-        return frozenset()
-    return frozenset(
-        p
-        for p in range(1, n_players + 1)
-        if (outcome >> (n_players - p)) & 1 == winning_bit
-    )
-
-
 @functools.lru_cache(maxsize=128)  # every (n, player) with n <= MAX_QUBITS
-def minority_projector(n: int, player: int) -> frozenset:
-    """All basis indices in which the given player is in the minority.
+def minority_projector(n: int, player: int) -> np.ndarray:
+    """Read-only intp array of the basis indices where the player wins.
 
-    Memoised: repeated calls return the same frozenset object.
+    The indices run in the iteration order of their frozenset, and that
+    order fixes every payoff's summation order to the last bit. Memoised:
+    repeated calls return the same array object.
     """
-    return frozenset(np.flatnonzero(minority_mask(n, player)).tolist())
+    winning = frozenset(np.flatnonzero(minority_mask(n, player)).tolist())
+    idx = np.fromiter(winning, dtype=np.intp, count=len(winning))
+    idx.setflags(write=False)
+    return idx
 
 
 def minority_mask(n: int, player: int) -> np.ndarray:
     """Boolean mask over the 2^n basis indices where the player wins.
 
-    The rule of `minority_winners`, applied to every outcome at once.
+    A player wins in the strict minority; ties and unanimity pay nothing.
     """
     if not 1 <= player <= n:
         raise ValueError(f"player {player} out of range for {n} players")
@@ -159,19 +142,6 @@ def _initial_state(recipe: InitialStateRecipe) -> PureState:
     return build_pure(recipe)
 
 
-@functools.lru_cache(maxsize=128)
-def _winning_indices(projector: frozenset) -> np.ndarray:
-    """A memoised projector as a read-only intp array in its iteration order.
-
-    The order fixes the summation order of every payoff to the last bit.
-    Keyed by the frozenset `minority_projector` returns, whose hash is
-    stored once computed.
-    """
-    idx = np.fromiter(projector, dtype=np.intp, count=len(projector))
-    idx.setflags(write=False)
-    return idx
-
-
 def expected_payoff(spec: GameSpec, profile: StrategyProfile, player: int) -> float:
     """Expected payoff Tr[rho_fin P_player] of the recipe's initial state.
 
@@ -179,7 +149,7 @@ def expected_payoff(spec: GameSpec, profile: StrategyProfile, player: int) -> fl
     the strategy unitaries, so the payoff separates exactly into
     f * (pure payoff) + (1-f) * k / 2^N; only the pure part is simulated.
     """
-    winning = _winning_indices(minority_projector(spec.n_players, player))
+    winning = minority_projector(spec.n_players, player)
     psi = final_state(_initial_state(spec.recipe), profile)
     pure = diagonal_expectation(psi, winning)
     f = spec.recipe.f

@@ -1,9 +1,11 @@
-"""Density-matrix reference path for the noise-split tests.
+"""Reference paths the package's fast paths are tested against.
 
 The package simulates only the pure part of a noisy start
 f|psi><psi| + (1-f)I/2^n and adds the identity part as an exact floor.
 This module evolves the full 2^n x 2^n density matrix instead, so the
-tests can check that split against a brute-force computation.
+tests can check that split against a brute-force computation. It also
+holds the per-outcome minority rule that `game.minority_mask` is pinned
+to, and the per-qubit apply that `core.apply_locals` matches bit for bit.
 """
 from __future__ import annotations
 
@@ -17,11 +19,49 @@ from qmg.core import (
     LocalUnitary,
     PureState,
     _check_qubit_count,
-    _check_qubit_index,
     _frozen_array,
 )
 from qmg.game import StrategyProfile, strategy_unitary
 from qmg.states import InitialStateRecipe, build_pure
+
+
+def minority_winners(outcome: int, n_players: int) -> frozenset:
+    """1-based players in the strict minority of a basis outcome.
+
+    Ties (even N split) and unanimity leave everyone empty-handed.
+    """
+    if n_players < 2:
+        raise ValueError("need at least 2 players")
+    if not 0 <= outcome < 2**n_players:
+        raise ValueError(f"outcome {outcome} out of range for {n_players} players")
+    ones = outcome.bit_count()
+    if 0 < ones < n_players / 2:
+        winning_bit = 1
+    elif n_players / 2 < ones < n_players:
+        winning_bit = 0
+    else:
+        return frozenset()
+    return frozenset(
+        p
+        for p in range(1, n_players + 1)
+        if (outcome >> (n_players - p)) & 1 == winning_bit
+    )
+
+
+def _check_qubit_index(n_qubits: int, qubit_index: int) -> None:
+    if not 0 <= qubit_index < n_qubits:
+        raise IndexError(
+            f"qubit index {qubit_index} out of range for {n_qubits} qubits"
+        )
+
+
+def apply_local(state: PureState, u: LocalUnitary, qubit_index: int) -> PureState:
+    """Apply u to one qubit of a pure state, validating the result."""
+    n = state.n_qubits
+    _check_qubit_index(n, qubit_index)
+    psi = np.moveaxis(state.amplitudes.reshape([2] * n), qubit_index, 0).reshape(2, -1)
+    amps = np.moveaxis((u.entries @ psi).reshape([2] * n), 0, qubit_index)
+    return PureState(n, amps.reshape(-1))
 
 
 @dataclass(frozen=True)

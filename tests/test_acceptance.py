@@ -17,8 +17,14 @@ from qmg.analysis import (
     payoff_formula_eq9,
     sweep_gamma,
 )
-from dense_oracle import MixedState, build_initial, dense_expectation, dense_final_state
-from qmg.core import apply_local
+from dense_oracle import (
+    MixedState,
+    apply_local,
+    build_initial,
+    dense_expectation,
+    dense_final_state,
+    minority_winners,
+)
 from qmg.game import (
     IDENTITY,
     GameSpec,
@@ -29,7 +35,6 @@ from qmg.game import (
     final_state,
     max_symmetric_payoff,
     minority_projector,
-    minority_winners,
     strategy_unitary,
 )
 from qmg.states import InitialStateRecipe, StateFamily, build_pure

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_oracle import minority_winners
+from qmg import analysis
 from qmg.analysis import (
     NASH_TOLERANCE,
     DeviationReport,
@@ -32,7 +34,6 @@ from qmg.game import (
     classical_payoff,
     expected_payoff,
     final_state,
-    minority_winners,
 )
 from qmg.states import InitialStateRecipe, StateFamily, build_pure
 
@@ -377,12 +378,29 @@ class TestGramFormAgainstDenseOracle:
 
 def test_best_response_memory_does_not_grow_with_grid():
     # a (grid^3, 2, 2^(n-1)) array here would take 64000 * 2^12 * 16 B = 4.2 GB
+    # at grid 40, and one unchunked grid-100 batch peaks near 160 MB
     n = 12
     candidate = StrategyProfile.symmetric(ne_strategy(n), n)
-    tracemalloc.start()
-    try:
-        best_response(ghz_spec(n), candidate, 1, grid_resolution=40)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * 2**20
+    for grid in (40, 100):
+        tracemalloc.start()
+        try:
+            best_response(ghz_spec(n), candidate, 1, grid_resolution=grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20, grid
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_grid_chunks_keep_the_first_maximum(chunk, monkeypatch):
+    # at n = 2 nobody ever wins, so every grid point ties at payoff 0 and
+    # the report must keep the first one; chunking must not move it
+    cases = [(2, IDENTITY), (4, ne_strategy(4))]
+    runs = [
+        (ghz_spec(n), StrategyProfile.symmetric(params, n), player)
+        for n, params in cases
+        for player in (1, 2)
+    ]
+    whole = [best_response(*run, grid_resolution=5) for run in runs]
+    monkeypatch.setattr(analysis, "GRID_CHUNK", chunk)
+    assert [best_response(*run, grid_resolution=5) for run in runs] == whole

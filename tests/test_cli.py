@@ -91,6 +91,7 @@ class TestParseConfig:
                  "--profile", "0,0,0;pi/2,0,0;pi,0,0;pi/4,-pi/8,pi/8",
                  "--grid", "7", "--tolerance", "1e-3"]
             ),
+            parse_config(["conjecture", "--n", "6", "--payoff-classical", "-0.00001"]),
         ]
         for config in configs:
             assert parse_config(render(config)) == config
@@ -242,6 +243,10 @@ class TestCleanFailure:
              "w3 product requires n_qubits divisible by 3"),
             (["--n", "4", "--symmetric", "4,0,0"],
              "theta must be in [0, pi], got 4.0"),
+            (["--n", "4", "--symmetric", "0,0,0", "--tolerance", "nan"],
+             "tolerance must be finite and positive, got nan"),
+            (["--n", "4", "--symmetric", "0,0,0", "--tolerance", "inf"],
+             "tolerance must be finite and positive, got inf"),
         ],
     )
     def test_domain_errors_are_clean(self, argv, message, capsys):

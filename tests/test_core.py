@@ -6,14 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_oracle import MixedState, apply_local_mixed, dense_expectation
-from qmg.core import (
-    LocalUnitary,
-    PureState,
-    apply_local,
-    apply_locals,
-    diagonal_expectation,
-)
+from dense_oracle import MixedState, apply_local, apply_local_mixed, dense_expectation
+from qmg.core import LocalUnitary, PureState, apply_locals, diagonal_expectation
 from qmg.game import StrategyParams, strategy_unitary
 
 RNG = np.random.default_rng(7)
