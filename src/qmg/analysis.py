@@ -1,6 +1,6 @@
 """Game-theoretic analysis on top of the engine.
 
-Best-response search (coarse grid in fixed-size chunks plus
+Best-response search (coarse grid in chunks of whole theta planes plus
 coordinate-wise refinement on the deviator's 2x2 Gram form, finished by
 the exact top eigenvector; its memory is bounded by the chunk),
 Nash-equilibrium verification via the unilateral-deviation inequality,
@@ -24,6 +24,7 @@ from .game import (
     StrategyProfile,
     classical_payoff,
     expected_payoff,
+    expected_payoffs,
     final_state,
     minority_mask,
 )
@@ -221,6 +222,26 @@ _THETA_BOX = (0.0, math.pi)
 _ANGLE_BOX = (-math.pi, math.pi)
 
 
+def _grid_chunks(steps: int):
+    """The (theta, alpha, beta) grid as meshgrids, in ravel order.
+
+    Each chunk holds as many whole theta planes as fit in GRID_CHUNK
+    points; when one plane does not fit, each chunk holds whole
+    (theta, alpha) rows instead, so memory stays bounded at any grid.
+    """
+    thetas = np.linspace(*_THETA_BOX, steps)
+    angles = np.linspace(*_ANGLE_BOX, steps)
+    planes = GRID_CHUNK // steps**2
+    if planes:
+        for i in range(0, steps, planes):
+            yield np.meshgrid(thetas[i:i + planes], angles, angles, indexing="ij")
+        return
+    rows = max(1, GRID_CHUNK // steps)
+    for i in range(steps):
+        for j in range(0, steps, rows):
+            yield np.meshgrid(thetas[i:i + 1], angles[j:j + rows], angles, indexing="ij")
+
+
 def best_response(
     spec: GameSpec,
     candidate: StrategyProfile,
@@ -230,7 +251,7 @@ def best_response(
 ) -> DeviationReport:
     """Search the full (theta, alpha, beta) box for the player's best deviation.
 
-    Coarse grid first, evaluated GRID_CHUNK points at a time, then
+    Coarse grid first, evaluated in chunks from `_grid_chunks`, then
     coordinate-wise interval shrinking around the running optimum until
     every step is below 1e-6, all on the 2x2 Gram form, so memory is
     bounded by the chunk, whatever the grid. The exact optimum
@@ -244,18 +265,14 @@ def best_response(
     inc = candidate[player - 1]
     equilibrium_payoff = ev.dense_payoff(inc.theta, inc.alpha, inc.beta)
 
-    thetas = np.linspace(*_THETA_BOX, grid_resolution)
-    angles = np.linspace(*_ANGLE_BOX, grid_resolution)
-    size = grid_resolution**3
     best_val = -math.inf
-    for start in range(0, size, GRID_CHUNK):
-        flat = np.arange(start, min(start + GRID_CHUNK, size))
-        t, a, b = np.unravel_index(flat, (grid_resolution,) * 3)
-        vals = ev.payoffs(thetas[t], angles[a], angles[b])
+    for chunk in _grid_chunks(grid_resolution):
+        t, a, b = (axis.ravel() for axis in chunk)
+        vals = ev.payoffs(t, a, b)
         k = int(np.argmax(vals))
         if vals[k] > best_val:  # strict: the first maximum wins across chunks
             best_val = float(vals[k])
-            best = np.array([thetas[t[k]], angles[a[k]], angles[b[k]]])
+            best = np.array([t[k], a[k], b[k]])
 
     boxes = (_THETA_BOX, _ANGLE_BOX, _ANGLE_BOX)
     steps = np.array([b[1] - b[0] for b in boxes]) / (grid_resolution - 1)
@@ -314,20 +331,19 @@ def payoff_surface(
     """Player 1 payoff when everyone plays M(theta, alpha, -alpha) on a grid."""
     if theta_steps < 2 or alpha_steps < 2:
         raise ValueError("steps must be >= 2")
-    rows = []
-    for theta in np.linspace(*_THETA_BOX, theta_steps):
-        for alpha in np.linspace(*_ANGLE_BOX, alpha_steps):
-            profile = StrategyProfile.symmetric(
-                StrategyParams(theta, alpha, -alpha), spec.n_players
-            )
-            rows.append(
-                SweepRow(
-                    theta=float(theta),
-                    alpha=float(alpha),
-                    payoff_simulated=expected_payoff(spec, profile, 1),
-                )
-            )
-    return rows
+    points = [
+        (theta, alpha)
+        for theta in np.linspace(*_THETA_BOX, theta_steps)
+        for alpha in np.linspace(*_ANGLE_BOX, alpha_steps)
+    ]
+    profiles = [
+        StrategyProfile.symmetric(StrategyParams(theta, alpha, -alpha), spec.n_players)
+        for theta, alpha in points
+    ]
+    return [
+        SweepRow(theta=float(theta), alpha=float(alpha), payoff_simulated=payoff)
+        for (theta, alpha), payoff in zip(points, expected_payoffs(spec, profiles, 1))
+    ]
 
 
 def _ne_payoff(recipe: InitialStateRecipe) -> float:

@@ -225,6 +225,10 @@ def _validate(config: RunConfig) -> None:
         raise CliError(f"f must be in [0, 1], got {config.f}")
     if not 0.0 <= config.gamma <= math.pi / 2:
         raise CliError(f"gamma must be in [0, pi/2], got {config.gamma}")
+    for name in ("payoff-classical", "payoff-quantum"):
+        value = getattr(config, name.replace("-", "_"))
+        if value is not None and not 0.0 <= value <= 1.0:
+            raise CliError(f"{name} must be in [0, 1], got {value}")
     if config.grid < 2:
         raise CliError(f"grid must be >= 2, got {config.grid}")
     if config.steps < 2:

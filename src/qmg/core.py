@@ -2,14 +2,17 @@
 
 States are normalised length-2^n complex vectors; noise never needs a
 density matrix because the game adds it as an exact affine floor.
-Local unitaries are applied to every qubit in one pass.
+`apply_locals` is the one kernel that applies local unitaries: it takes
+a batch of amplitude rows with one unitary per row and qubit, costs one
+(2, 2) @ (2, 2^(n-1)) BLAS product and one transpose copy per qubit, and
+checks every result row's norm at once.
 Qubit 0 is the most significant bit of the basis index, so for n=4 the
 basis label |1000> is index 8.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -35,6 +38,17 @@ def _check_qubit_count(n_qubits: int) -> None:
         raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
 
 
+def _check_unit_rows(rows: np.ndarray) -> None:
+    """Reject any amplitude row whose norm is off 1 by more than 1e-9.
+
+    A non-finite row has a nan or inf norm and is rejected too.
+    """
+    norms = np.linalg.norm(rows, axis=1)
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= 1e-9))
+    if bad.size:
+        raise ValueError(f"state not normalized: |psi| = {norms[bad[0]]}")
+
+
 @dataclass(frozen=True)
 class PureState:
     """Normalized state vector over the 2^n computational basis."""
@@ -45,9 +59,7 @@ class PureState:
     def __post_init__(self):
         _check_qubit_count(self.n_qubits)
         amps = _frozen_array(self.amplitudes, (2**self.n_qubits,))
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > 1e-9:
-            raise ValueError(f"state not normalized: |psi| = {norm}")
+        _check_unit_rows(amps[None])
         object.__setattr__(self, "amplitudes", amps)
 
     @classmethod
@@ -76,23 +88,37 @@ class LocalUnitary:
         object.__setattr__(self, "entries", u)
 
 
-def apply_locals(state: PureState, unitaries: Sequence[LocalUnitary]) -> PureState:
-    """Apply unitaries[q] to qubit q for every qubit in one pass.
+def apply_locals(amplitudes: np.ndarray, unitaries: np.ndarray) -> np.ndarray:
+    """Apply unitaries[b, q] to qubit q of row b, for every row and qubit.
 
-    Stride-wise, with no Kronecker blowup; the state is validated once,
-    at the end. The moveaxis/reshape/matmul step is kept as is: the
-    copy-free forms (a strided matmul, the elementwise update) round
-    differently in the last bit, and the committed tables depend on
-    these bits.
+    amplitudes is (B, 2^n) and unitaries is (B, n, 2, 2); the result is a
+    new read-only (B, 2^n) array. Qubit q sits in front of a
+    (B, 2, 2^(n-1)) view when its unitary is applied; transposing the
+    product brings qubit q+1 to the front, and after the last qubit the
+    rows are back in natural order. Both operands are made contiguous
+    first, so every product is a BLAS product on materialised rows; the
+    committed tables depend on the last bits of that product. Every
+    result row is checked to have unit norm.
     """
-    n = state.n_qubits
-    if len(unitaries) != n:
-        raise ValueError(f"{len(unitaries)} unitaries for {n} qubits")
-    amps = state.amplitudes
-    for q, u in enumerate(unitaries):
-        psi = np.moveaxis(amps.reshape([2] * n), q, 0).reshape(2, -1)
-        amps = np.moveaxis((u.entries @ psi).reshape([2] * n), 0, q).reshape(-1)
-    return PureState(n, amps)
+    amps = np.ascontiguousarray(amplitudes, dtype=complex)
+    us = np.ascontiguousarray(unitaries, dtype=complex)
+    if amps.ndim != 2 or us.ndim != 4 or us.shape[2:] != (2, 2):
+        raise ValueError(
+            f"expected (B, 2^n) rows and (B, n, 2, 2) unitaries, "
+            f"got {amps.shape} and {us.shape}"
+        )
+    rows, n = us.shape[:2]
+    _check_qubit_count(n)
+    if amps.shape != (rows, 2**n):
+        raise ValueError(f"{amps.shape} rows for {rows} sets of {n} unitaries")
+    half = 2 ** (n - 1)
+    x = amps.reshape(rows, 2, half)
+    for q in range(n):
+        x = (us[:, q] @ x).transpose(0, 2, 1).reshape(rows, 2, half)
+    out = x.reshape(rows, 2**n)
+    _check_unit_rows(out)
+    out.setflags(write=False)
+    return out
 
 
 def diagonal_expectation(state: PureState, indices: Iterable[int]) -> float:

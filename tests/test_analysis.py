@@ -391,6 +391,19 @@ def test_best_response_memory_does_not_grow_with_grid():
         assert peak < 64 * 2**20, grid
 
 
+def test_surface_memory_stays_within_one_chunk():
+    # one N=12 row per kernel call peaks near 0.55 MiB; eight-row chunks
+    # took 2.96 MiB, so a chunk that grows back fails here
+    spec = GameSpec(12, InitialStateRecipe(StateFamily.GHZ_BELL_MIXTURE, 12, x=0.5))
+    tracemalloc.start()
+    try:
+        payoff_surface(spec, 25, 25)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20
+
+
 @pytest.mark.parametrize("chunk", [1, 7, 64])
 def test_grid_chunks_keep_the_first_maximum(chunk, monkeypatch):
     # at n = 2 nobody ever wins, so every grid point ties at payoff 0 and

@@ -91,7 +91,10 @@ class TestParseConfig:
                  "--profile", "0,0,0;pi/2,0,0;pi,0,0;pi/4,-pi/8,pi/8",
                  "--grid", "7", "--tolerance", "1e-3"]
             ),
-            parse_config(["conjecture", "--n", "6", "--payoff-classical", "-0.00001"]),
+            parse_config(["conjecture", "--n", "6", "--payoff-classical", "0.00001"]),
+            # renders as "-0.0,0.0,0.0", which argparse would take for a flag
+            # if it were not joined to its flag as one token
+            parse_config(["best-response", "--n", "4", "--symmetric=-0.0,0,0"]),
         ]
         for config in configs:
             assert parse_config(render(config)) == config
@@ -237,20 +240,26 @@ class TestCleanFailure:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["--n", "5", "--state", "bell", "--symmetric", "0,0,0"],
+            (["payoff", "--n", "5", "--state", "bell", "--symmetric", "0,0,0"],
              "bell requires even n_qubits"),
-            (["--n", "4", "--state", "w3", "--symmetric", "0,0,0"],
+            (["payoff", "--n", "4", "--state", "w3", "--symmetric", "0,0,0"],
              "w3 product requires n_qubits divisible by 3"),
-            (["--n", "4", "--symmetric", "4,0,0"],
+            (["payoff", "--n", "4", "--symmetric", "4,0,0"],
              "theta must be in [0, pi], got 4.0"),
-            (["--n", "4", "--symmetric", "0,0,0", "--tolerance", "nan"],
+            (["payoff", "--n", "4", "--symmetric", "0,0,0", "--tolerance", "nan"],
              "tolerance must be finite and positive, got nan"),
-            (["--n", "4", "--symmetric", "0,0,0", "--tolerance", "inf"],
+            (["payoff", "--n", "4", "--symmetric", "0,0,0", "--tolerance", "inf"],
              "tolerance must be finite and positive, got inf"),
+            (["conjecture", "--n", "6", "--payoff-classical", "2"],
+             "payoff-classical must be in [0, 1], got 2.0"),
+            (["sweep-gamma", "--n", "4", "--steps", "3", "--payoff-quantum", "-0.5"],
+             "payoff-quantum must be in [0, 1], got -0.5"),
+            (["conjecture", "--n", "6", "--payoff-quantum", "nan"],
+             "payoff-quantum must be in [0, 1], got nan"),
         ],
     )
     def test_domain_errors_are_clean(self, argv, message, capsys):
-        assert main(["payoff", *argv]) == 2
+        assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize(

@@ -123,25 +123,78 @@ class TestApplyLocal:
             assert abs(np.linalg.norm(psi.amplitudes) - 1) < 1e-12
 
 
+def sequential(psi, us):
+    """The oracle: one validated apply_local per qubit, in qubit order."""
+    for q, u in enumerate(us):
+        psi = apply_local(psi, u, q)
+    return psi.amplitudes
+
+
+def entries(rows):
+    """(B, n, 2, 2) kernel operand from B lists of n LocalUnitary."""
+    return np.array([[u.entries for u in row] for row in rows])
+
+
 class TestApplyLocals:
     @pytest.mark.parametrize("n", [1, 2, 5, 8])
     def test_bit_identical_to_sequential_apply_local(self, n):
-        for _ in range(10):
-            psi = random_state(n)
-            us = [random_unitary() for _ in range(n)]
-            state = psi
-            for q, u in enumerate(us):
-                state = apply_local(state, u, q)
-            assert np.array_equal(apply_locals(psi, us).amplitudes, state.amplitudes)
+        for rows in (1, 3):
+            states = [random_state(n) for _ in range(rows)]
+            us = [[random_unitary() for _ in range(n)] for _ in range(rows)]
+            out = apply_locals(np.array([psi.amplitudes for psi in states]), entries(us))
+            assert out.shape == (rows, 2**n)
+            for got, psi, row in zip(out, states, us):
+                assert np.array_equal(got, sequential(psi, row))
+
+    @given(st.integers(1, 8), st.sampled_from([1, 3]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_random_batches_match_the_oracle(self, n, rows, seed):
+        rng = np.random.default_rng(seed)
+        amps = rng.normal(size=(rows, 2**n)) + 1j * rng.normal(size=(rows, 2**n))
+        states = [PureState.from_amplitudes(n, a) for a in amps]
+        thetas = rng.uniform(0, math.pi, size=(rows, n))
+        phases = rng.uniform(-math.pi, math.pi, size=(rows, n, 2))
+        us = [
+            [strategy_unitary(StrategyParams(t, *ab)) for t, ab in zip(ts, abs_)]
+            for ts, abs_ in zip(thetas, phases)
+        ]
+        out = apply_locals(np.array([psi.amplitudes for psi in states]), entries(us))
+        for got, psi, row in zip(out, states, us):
+            assert np.array_equal(got, sequential(psi, row))
 
     def test_length_mismatch(self):
+        amps = random_state(3).amplitudes[None]
         with pytest.raises(ValueError):
-            apply_locals(random_state(3), [random_unitary()] * 2)
+            apply_locals(amps, entries([[random_unitary()] * 2]))
+        with pytest.raises(ValueError):
+            apply_locals(np.repeat(amps, 2, axis=0), entries([[random_unitary()] * 3]))
+        with pytest.raises(ValueError):
+            apply_locals(amps[0], entries([[random_unitary()] * 3])[0])
 
     def test_result_is_read_only(self):
-        out = apply_locals(random_state(2), [random_unitary()] * 2)
+        psi = random_state(2)
+        out = apply_locals(psi.amplitudes[None], entries([[random_unitary()] * 2]))
         with pytest.raises(ValueError):
-            out.amplitudes[0] = 0
+            out[0, 0] = 0
+
+    def test_broadcast_operands_give_the_materialised_bits(self):
+        psi = random_state(6)
+        row = [random_unitary() for _ in range(6)]
+        amps, us = psi.amplitudes[None], entries([row])
+        want = apply_locals(np.repeat(amps, 3, axis=0), np.repeat(us, 3, axis=0))
+        got = apply_locals(np.broadcast_to(amps, (3, 64)), np.broadcast_to(us, (3, 6, 2, 2)))
+        assert np.array_equal(got, want)
+        assert np.array_equal(got[0], sequential(psi, row))
+
+    def test_every_row_is_norm_checked(self):
+        amps = np.repeat(random_state(2).amplitudes[None], 3, axis=0)
+        us = np.array([[np.eye(2)] * 2] * 3, dtype=complex)
+        us[2, 1] *= 1.001  # not unitary: only the last row loses its norm
+        with pytest.raises(ValueError, match="not normalized"):
+            apply_locals(amps, us)
+        us[2, 1] = np.nan
+        with pytest.raises(ValueError, match="not normalized"):
+            apply_locals(amps, us)
 
 
 class TestApplyLocalMixed:

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from dense_oracle import (
     minority_winners,
 )
 from qmg import game
+from qmg.analysis import payoff_surface
+from qmg.core import apply_locals
 from qmg.game import (
     IDENTITY,
     GameSpec,
@@ -24,6 +27,7 @@ from qmg.game import (
     StrategyProfile,
     classical_payoff,
     expected_payoff,
+    expected_payoffs,
     final_state,
     max_symmetric_payoff,
     minority_mask,
@@ -299,6 +303,117 @@ class TestPayoffPath:
         for recipe in (ghz, ghz, bell, bell, ghz):
             expected_payoff(GameSpec(4, recipe), profile, 1)
         assert built == [ghz, bell, ghz]
+
+
+def profiles_for(n):
+    return st.lists(strategy_params, min_size=n, max_size=n).map(
+        lambda s: StrategyProfile(tuple(s))
+    )
+
+
+@st.composite
+def batches(draw, max_n=8):
+    """A recipe, 1-5 profiles for it, a player and a kernel budget.
+
+    The budget holds one row, two rows or the default, so the batch
+    often crosses a chunk boundary.
+    """
+    recipe = draw(recipes.filter(lambda r: r.n_qubits <= max_n))
+    n = recipe.n_qubits
+    profiles = draw(st.lists(profiles_for(n), min_size=1, max_size=5))
+    budget = draw(st.sampled_from([2**n, 2 * 2**n, game.PAYOFF_CHUNK]))
+    return recipe, profiles, draw(st.integers(1, n)), budget
+
+
+class TestBatchedPayoffs:
+    @given(recipes, st.sampled_from([1, 3]), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_kernel_matches_apply_local_for_every_family(self, recipe, rows, data):
+        n = recipe.n_qubits
+        psi = build_pure(recipe)
+        profiles = [data.draw(profiles_for(n)) for _ in range(rows)]
+        out = apply_locals(
+            np.repeat(psi.amplitudes[None], rows, axis=0),
+            np.array([game._unitaries(profile) for profile in profiles]),
+        )
+        for got, profile in zip(out, profiles):
+            state = psi
+            for q, params in enumerate(profile.strategies):
+                state = apply_local(state, strategy_unitary(params), q)
+            assert np.array_equal(got, state.amplitudes)
+
+    @given(batches())
+    @settings(max_examples=60, deadline=None)
+    def test_batch_equals_one_payoff_at_a_time(self, case):
+        recipe, profiles, player, budget = case
+        spec = GameSpec(recipe.n_qubits, recipe)
+        with mock.patch.object(game, "PAYOFF_CHUNK", budget):
+            batched = expected_payoffs(spec, profiles, player)
+        assert batched == [expected_payoff(spec, p, player) for p in profiles]
+
+    @given(
+        recipes.filter(lambda r: r.n_qubits <= 6),
+        st.integers(2, 4),
+        st.integers(2, 4),
+        st.sampled_from([1, 3, 64]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_surface_is_the_pointwise_payoff(self, recipe, theta_steps, alpha_steps, rows):
+        n = recipe.n_qubits
+        spec = GameSpec(n, recipe)
+        with mock.patch.object(game, "PAYOFF_CHUNK", rows * 2**n):
+            surface = payoff_surface(spec, theta_steps, alpha_steps)
+        pointwise = [
+            expected_payoff(
+                spec,
+                StrategyProfile.symmetric(
+                    StrategyParams(row.theta, row.alpha, -row.alpha), n
+                ),
+                1,
+            )
+            for row in surface
+        ]
+        assert [row.payoff_simulated for row in surface] == pointwise
+
+    def test_profile_length_is_checked(self):
+        spec = GameSpec(4, InitialStateRecipe(StateFamily.GHZ, 4))
+        with pytest.raises(ValueError):
+            expected_payoffs(spec, [random_profile(4), random_profile(3)], 1)
+
+
+class TestFinalStateMemo:
+    @given(st.lists(payoff_cases(), min_size=2, max_size=6), st.randoms())
+    @settings(max_examples=40, deadline=None)
+    def test_interleaved_calls_give_the_unmemoised_payoffs(self, cases, rnd):
+        def fresh(recipe, profile, player):
+            game._final_state.cache_clear()
+            return expected_payoff(GameSpec(recipe.n_qubits, recipe), profile, player)
+
+        want = [fresh(*case) for case in cases]
+        order = list(range(len(cases))) * 2
+        rnd.shuffle(order)
+        for i in order:
+            recipe, profile, player = cases[i]
+            got = expected_payoff(GameSpec(recipe.n_qubits, recipe), profile, player)
+            assert got == want[i]
+
+    def test_one_final_state_per_profile(self, monkeypatch):
+        # a memo miss reaches the module-level final_state the tracer wraps
+        built = []
+        build = game.final_state
+
+        def counted(initial, profile):
+            built.append(profile)
+            return build(initial, profile)
+
+        monkeypatch.setattr(game, "final_state", counted)
+        game._final_state.cache_clear()
+        spec = GameSpec(4, InitialStateRecipe(StateFamily.GHZ, 4))
+        first, second = random_profile(4), random_profile(4)
+        for profile in (first, first, second):
+            for player in range(1, 5):
+                expected_payoff(spec, profile, player)
+        assert built == [first, second]
 
 
 class TestInvariants:
