@@ -22,13 +22,14 @@ from .game import (
     GameSpec,
     StrategyParams,
     StrategyProfile,
+    _initial_state,
     classical_payoff,
     expected_payoff,
     expected_payoffs,
     final_state,
     minority_mask,
 )
-from .states import InitialStateRecipe, StateFamily, build_pure
+from .states import InitialStateRecipe, StateFamily
 
 NASH_TOLERANCE = 1e-4
 REFINEMENT_MIN_STEP = 1e-6
@@ -169,8 +170,9 @@ class _DeviationEvaluator:
             raise ValueError("profile length does not match player count")
         if not 1 <= player <= n:
             raise ValueError(f"player {player} out of range")
-        psi = build_pure(spec.recipe)
-        partial = final_state(psi, candidate.replace(player, IDENTITY))
+        partial = final_state(
+            _initial_state(spec.recipe), candidate.replace(player, IDENTITY)
+        )
         q = player - 1
         self._block = (
             np.moveaxis(partial.amplitudes.reshape([2] * n), q, 0).reshape(2, -1)

@@ -1,8 +1,13 @@
-"""Command-line harness.
+"""Command-line harness: two tables drive every run.
 
-Subcommands dispatch to the engine and analysis modules, print a short
-summary, and optionally write CSV/JSON tables. Angles are accepted as
-decimal radians or as fractions of pi ("pi/2", "-pi/12").
+`_COMMANDS` holds one row per subcommand: the runner that returns its
+table records and summary line, whether it needs a strategy profile,
+and the recipe of the state it builds (None for the closed forms, which
+build none). `_FLAG_SPEC` holds one entry per flag: its converter, its
+domain (a predicate plus the phrase of the `<flag> must be <phrase>,
+got <value>` error) and its help. The parser, the validation and the
+run all read these two tables. Angles are accepted as decimal radians
+or as fractions of pi ("pi/2", "-pi/12").
 """
 from __future__ import annotations
 
@@ -14,25 +19,13 @@ import math
 import re
 import sys
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import analysis, game
 from .analysis import DeviationReport, SweepRow
 from .core import MAX_QUBITS
 from .game import GameSpec, StrategyParams, StrategyProfile
 from .states import InitialStateRecipe, StateFamily
-
-COMMANDS = (
-    "payoff",
-    "surface",
-    "best-response",
-    "nash-check",
-    "sweep-x",
-    "sweep-f",
-    "sweep-gamma",
-    "classical",
-    "conjecture",
-)
 
 _FAMILY_NAMES = tuple(family.value for family in StateFamily)
 
@@ -96,18 +89,9 @@ class RunConfig:
     output: Optional[str] = None
     format: str = "csv"
 
-    def recipe(self) -> InitialStateRecipe:
-        """The recipe this command builds; the sweeps ignore --state."""
-        if self.command in ("sweep-x", "sweep-f"):
-            return analysis.mixture_recipe(self.n, self.x, self.f)
-        if self.command == "sweep-gamma":
-            return analysis.entangler_recipe(self.n, self.gamma)
-        return InitialStateRecipe(
-            StateFamily(self.state), self.n, x=self.x, f=self.f, gamma=self.gamma
-        )
-
     def game_spec(self) -> GameSpec:
-        return GameSpec(self.n, self.recipe())
+        """The game on the state of this command's row."""
+        return GameSpec(self.n, _COMMANDS[self.command].recipe(self))
 
     def strategy_profile(self) -> StrategyProfile:
         if self.profile is not None:
@@ -115,34 +99,37 @@ class RunConfig:
                 raise CliError(
                     f"profile has {len(self.profile)} strategies for n={self.n}"
                 )
-            return StrategyProfile(
-                tuple(StrategyParams(*t) for t in self.profile)
-            )
-        triple = self.symmetric
-        if triple is None:
+            return StrategyProfile(tuple(StrategyParams(*t) for t in self.profile))
+        if self.symmetric is None:
             raise CliError("command needs --symmetric or --profile")
-        return StrategyProfile.symmetric(StrategyParams(*triple), self.n)
+        return StrategyProfile.symmetric(StrategyParams(*self.symmetric), self.n)
 
+
+_UNIT = (lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+_AT_LEAST_TWO = (lambda v: v >= 2, ">= 2")
 
 _FLAG_SPEC = {
-    # name -> (converter, help)
-    "n": (int, "number of players / qubits"),
-    "state": (str, "initial state family: " + ", ".join(_FAMILY_NAMES)),
-    "x": (float, "GHZ/Bell mixture weight in [0,1]"),
-    "f": (float, "fidelity in [0,1]; 1 = noiseless"),
-    "gamma": (parse_angle, "entangler angle in [0, pi/2]"),
-    "symmetric": (_parse_triple, "shared strategy 'theta,alpha,beta'"),
-    "profile": (_parse_profile, "per-player strategies 't,a,b;t,a,b;...'"),
-    "player": (int, "1-based player for best-response"),
-    "grid": (int, "grid resolution per strategy axis"),
-    "theta-steps": (int, "surface grid points along theta"),
-    "alpha-steps": (int, "surface grid points along alpha"),
-    "steps": (int, "number of sweep points"),
-    "tolerance": (float, "payoff-gain tolerance for the NE verdict"),
-    "payoff-classical": (float, "classical payoff fed to the conjecture"),
-    "payoff-quantum": (float, "quantum payoff fed to the conjecture"),
-    "output": (str, "path of the emitted table"),
-    "format": (str, "output format: csv or json"),
+    # name -> (converter, domain as (predicate, phrase) or None, help)
+    "n": (int, _AT_LEAST_TWO, "number of players / qubits"),
+    "state": (str, (lambda v: v in _FAMILY_NAMES, "one of " + ", ".join(_FAMILY_NAMES)),
+              "initial state family"),
+    "x": (float, _UNIT, "GHZ/Bell mixture weight"),
+    "f": (float, _UNIT, "fidelity, 1 = noiseless"),
+    "gamma": (parse_angle, (lambda v: 0.0 <= v <= math.pi / 2, "in [0, pi/2]"),
+              "entangler angle"),
+    "symmetric": (_parse_triple, None, "shared strategy 'theta,alpha,beta'"),
+    "profile": (_parse_profile, None, "per-player strategies 't,a,b;t,a,b;...'"),
+    "player": (int, None, "1-based player for best-response"),
+    "grid": (int, _AT_LEAST_TWO, "grid resolution per strategy axis"),
+    "theta-steps": (int, _AT_LEAST_TWO, "surface grid points along theta"),
+    "alpha-steps": (int, _AT_LEAST_TWO, "surface grid points along alpha"),
+    "steps": (int, _AT_LEAST_TWO, "number of sweep points"),
+    "tolerance": (float, (lambda v: math.isfinite(v) and v > 0, "finite and positive"),
+                  "payoff-gain tolerance for the NE verdict"),
+    "payoff-classical": (float, _UNIT, "classical payoff fed to the conjecture"),
+    "payoff-quantum": (float, _UNIT, "quantum payoff fed to the conjecture"),
+    "output": (str, None, "path of the emitted table"),
+    "format": (str, (lambda v: v in ("csv", "json"), "csv or json"), "output format"),
 }
 
 
@@ -150,9 +137,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qmg", description="Quantum minority game simulator"
     )
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=_COMMANDS)
     parser.add_argument("--config", help="key=value file mirroring the flag names")
-    for name, (_, help_text) in _FLAG_SPEC.items():
+    for name, (_, domain, help_text) in _FLAG_SPEC.items():
+        if domain is not None:
+            help_text += f", {domain[1]}"
         parser.add_argument(f"--{name}", default=None, help=help_text)
     return parser
 
@@ -167,7 +156,7 @@ def _read_config_file(text: str) -> dict:
             raise CliError(f"config line {lineno}: expected key = value, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip().replace("_", "-")
-        if key != "command" and key not in _FLAG_SPEC:
+        if key not in _FLAG_SPEC:
             raise CliError(f"config line {lineno}: unknown key {key!r}")
         values[key] = value.strip()
     return values
@@ -195,7 +184,7 @@ def parse_config(args: Sequence[str], config_text: Optional[str] = None) -> RunC
         file_values = _read_config_file(config_text)
 
     raw = {}
-    for name, (conv, _) in _FLAG_SPEC.items():
+    for name, (conv, _, _) in _FLAG_SPEC.items():
         attr = name.replace("-", "_")
         value = getattr(ns, attr)
         if value is None:
@@ -213,45 +202,24 @@ def parse_config(args: Sequence[str], config_text: Optional[str] = None) -> RunC
 
 
 def _validate(config: RunConfig) -> None:
-    if config.state not in _FAMILY_NAMES:
-        raise CliError(f"unknown state family {config.state!r}")
-    if config.format not in ("csv", "json"):
-        raise CliError(f"unknown output format {config.format!r}")
-    if config.n < 2:
-        raise CliError(f"n must be >= 2, got {config.n}")
-    if not 0.0 <= config.x <= 1.0:
-        raise CliError(f"x must be in [0, 1], got {config.x}")
-    if not 0.0 <= config.f <= 1.0:
-        raise CliError(f"f must be in [0, 1], got {config.f}")
-    if not 0.0 <= config.gamma <= math.pi / 2:
-        raise CliError(f"gamma must be in [0, pi/2], got {config.gamma}")
-    for name in ("payoff-classical", "payoff-quantum"):
+    for name, (_, domain, _) in _FLAG_SPEC.items():
         value = getattr(config, name.replace("-", "_"))
-        if value is not None and not 0.0 <= value <= 1.0:
-            raise CliError(f"{name} must be in [0, 1], got {value}")
-    if config.grid < 2:
-        raise CliError(f"grid must be >= 2, got {config.grid}")
-    if config.steps < 2:
-        raise CliError(f"steps must be >= 2, got {config.steps}")
-    if config.theta_steps < 2 or config.alpha_steps < 2:
-        raise CliError("theta-steps and alpha-steps must be >= 2")
-    if not (math.isfinite(config.tolerance) and config.tolerance > 0):
-        raise CliError(
-            f"tolerance must be finite and positive, got {config.tolerance}"
-        )
+        if domain is not None and value is not None and not domain[0](value):
+            raise CliError(f"{name} must be {domain[1]}, got {value}")
     if config.profile is not None and config.symmetric is not None:
         raise CliError("give --symmetric or --profile, not both")
+    command = _COMMANDS[config.command]
     try:
-        if config.command in ("payoff", "nash-check", "best-response"):
+        if command.needs_profile:
             # triggers profile-shape and angle-domain validation
             config.strategy_profile()
-        if config.command not in ("classical", "conjecture"):
+        if command.recipe is not None:
             if config.n > MAX_QUBITS:
                 raise CliError(
                     f"n must be <= {MAX_QUBITS} to build a state, got {config.n}"
                 )
             # triggers the family's qubit-count rules
-            config.recipe()
+            command.recipe(config)
     except ValueError as exc:
         raise CliError(str(exc)) from None
     if not 1 <= config.player <= config.n:
@@ -285,57 +253,22 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _rows_to_records(rows) -> List[dict]:
-    records = []
-    for row in rows:
-        if isinstance(row, SweepRow):
-            rec = {
-                k: getattr(row, k)
-                for k in ("x", "f", "gamma", "theta", "alpha")
-                if getattr(row, k) is not None
-            }
-            rec["payoff_simulated"] = row.payoff_simulated
-            if row.payoff_analytic is not None:
-                rec["payoff_analytic"] = row.payoff_analytic
-                rec["abs_error"] = row.abs_error
-        elif isinstance(row, DeviationReport):
-            rec = {
-                "player": row.player,
-                "best_theta": row.best_deviation.theta,
-                "best_alpha": row.best_deviation.alpha,
-                "best_beta": row.best_deviation.beta,
-                "best_deviation_payoff": row.best_deviation_payoff,
-                "equilibrium_payoff": row.equilibrium_payoff,
-                "max_gain": row.max_gain,
-                "is_nash_within_tol": row.is_nash_within_tol,
-                "grid_resolution": row.grid_resolution,
-                "refinement_steps": row.refinement_steps,
-            }
-        elif isinstance(row, dict):
-            rec = dict(row)
-        else:
-            raise TypeError(f"cannot tabulate {type(row).__name__}")
-        records.append(rec)
-    return records
-
-
 def render_table(rows, fmt: str) -> str:
-    """Deterministic CSV or JSON text for a nonempty table."""
+    """Deterministic CSV or JSON text for a nonempty list of records."""
     if not rows:
         raise CliError("refusing to emit an empty table")
-    records = _rows_to_records(rows)
-    columns = list(records[0])
+    columns = list(rows[0])
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
-        for rec in records:
+        for rec in rows:
             writer.writerow([_fmt(rec.get(c, "")) for c in columns])
         return buf.getvalue()
     if fmt == "json":
         clean = [
             {k: (float(_fmt(v)) if isinstance(v, float) else v) for k, v in rec.items()}
-            for rec in records
+            for rec in rows
         ]
         return json.dumps(clean, indent=2) + "\n"
     raise CliError(f"unknown output format {fmt!r}")
@@ -351,90 +284,126 @@ def emit_table(rows, fmt: str, path: str) -> None:
         raise CliError(f"cannot write {path}: {exc}") from None
 
 
-def _run_command(config: RunConfig):
-    """Returns (rows, summary) for the configured command."""
-    cmd = config.command
-    if cmd == "classical":
-        value = game.classical_payoff(config.n)
-        rows = [{"n": config.n, "payoff": float(value)}]
-        return rows, f"classical payoff for n={config.n}: {value} = {float(value):.6g}"
+def _sweep_record(row: SweepRow) -> dict:
+    """The row's set fields, in field order; absent axes leave no column."""
+    return {k: v for k, v in vars(row).items() if v is not None}
 
-    if cmd == "conjecture":
-        c = (
-            config.payoff_classical
-            if config.payoff_classical is not None
-            else float(game.classical_payoff(config.n))
-        )
-        q = config.payoff_quantum if config.payoff_quantum is not None else 5 / 16
-        value = analysis.conjecture_eq14(config.gamma, c, q)
-        rows = [
-            {
-                "gamma": config.gamma,
-                "payoff_classical": c,
-                "payoff_quantum": q,
-                "payoff_conjectured": value,
-            }
-        ]
-        return rows, f"conjectured payoff at gamma={config.gamma:.6g}: {value:.12g}"
 
-    if cmd == "payoff":
-        spec = config.game_spec()
-        profile = config.strategy_profile()
-        rows = [
-            {"player": p, "payoff": game.expected_payoff(spec, profile, p)}
-            for p in range(1, config.n + 1)
-        ]
-        payoffs = ", ".join(f"{r['payoff']:.6g}" for r in rows)
-        return rows, f"per-player payoffs: {payoffs}"
+_DEVIATION_COLUMNS = (
+    "player", "best_theta", "best_alpha", "best_beta", "best_deviation_payoff",
+    "equilibrium_payoff", "max_gain", "is_nash_within_tol", "grid_resolution",
+    "refinement_steps",
+)
 
-    if cmd == "surface":
-        rows = analysis.payoff_surface(
-            config.game_spec(), config.theta_steps, config.alpha_steps
-        )
-        top = max(r.payoff_simulated for r in rows)
-        return rows, f"surface of {len(rows)} gridpoints, max payoff {top:.6g}"
 
-    if cmd == "best-response":
-        report = analysis.best_response(
-            config.game_spec(),
-            config.strategy_profile(),
-            config.player,
-            config.grid,
-            config.tolerance,
-        )
-        summary = (
-            f"player {config.player}: best deviation payoff "
-            f"{report.best_deviation_payoff:.6g}, max_gain {report.max_gain:.3g}"
-        )
-        return [report], summary
+def _deviation_record(report: DeviationReport) -> dict:
+    best = report.best_deviation
+    fields = dict(vars(report), best_theta=best.theta, best_alpha=best.alpha,
+                  best_beta=best.beta)
+    return {column: fields[column] for column in _DEVIATION_COLUMNS}
 
-    if cmd == "nash-check":
-        reports = analysis.nash_check(
-            config.game_spec(),
-            config.strategy_profile(),
-            config.grid,
-            config.tolerance,
-        )
-        is_nash = all(r.is_nash_within_tol for r in reports)
-        worst = max(r.max_gain for r in reports)
-        verdict = (
-            f"max_gain<{config.tolerance:g}" if is_nash else f"max_gain={worst:.3g}"
-        )
-        return reports, f"is_nash={'true' if is_nash else 'false'}, {verdict}"
 
-    if cmd == "sweep-x":
-        rows = analysis.sweep_x(config.n, config.f, config.steps)
-    elif cmd == "sweep-f":
-        rows = analysis.sweep_f(config.n, config.x, config.steps)
-    elif cmd == "sweep-gamma":
-        rows = analysis.sweep_gamma(
-            config.n, config.steps, config.payoff_classical, config.payoff_quantum
-        )
-    else:
-        raise CliError(f"unknown command {cmd!r}")
+# Each runner returns (table records, summary line) for one command.
+def _classical(config: RunConfig):
+    value = game.classical_payoff(config.n)
+    rows = [{"n": config.n, "payoff": float(value)}]
+    return rows, f"classical payoff for n={config.n}: {value} = {float(value):.6g}"
+
+
+def _conjecture(config: RunConfig):
+    c, q = config.payoff_classical, config.payoff_quantum
+    if c is None:
+        c = float(game.classical_payoff(config.n))
+    if q is None:
+        q = 5 / 16
+    value = analysis.conjecture_eq14(config.gamma, c, q)
+    row = {"gamma": config.gamma, "payoff_classical": c, "payoff_quantum": q,
+           "payoff_conjectured": value}
+    return [row], f"conjectured payoff at gamma={config.gamma:.6g}: {value:.12g}"
+
+
+def _payoff(config: RunConfig):
+    spec = config.game_spec()
+    profile = config.strategy_profile()
+    rows = [
+        {"player": p, "payoff": game.expected_payoff(spec, profile, p)}
+        for p in range(1, config.n + 1)
+    ]
+    payoffs = ", ".join(f"{r['payoff']:.6g}" for r in rows)
+    return rows, f"per-player payoffs: {payoffs}"
+
+
+def _surface(config: RunConfig):
+    rows = analysis.payoff_surface(config.game_spec(), config.theta_steps,
+                                   config.alpha_steps)
+    top = max(r.payoff_simulated for r in rows)
+    summary = f"surface of {len(rows)} gridpoints, max payoff {top:.6g}"
+    return [_sweep_record(r) for r in rows], summary
+
+
+def _best_response(config: RunConfig):
+    report = analysis.best_response(config.game_spec(), config.strategy_profile(),
+                                    config.player, config.grid, config.tolerance)
+    summary = (
+        f"player {config.player}: best deviation payoff "
+        f"{report.best_deviation_payoff:.6g}, max_gain {report.max_gain:.3g}"
+    )
+    return [_deviation_record(report)], summary
+
+
+def _nash_check(config: RunConfig):
+    reports = analysis.nash_check(config.game_spec(), config.strategy_profile(),
+                                  config.grid, config.tolerance)
+    is_nash = all(r.is_nash_within_tol for r in reports)
+    worst = max(r.max_gain for r in reports)
+    verdict = f"max_gain<{config.tolerance:g}" if is_nash else f"max_gain={worst:.3g}"
+    summary = f"is_nash={'true' if is_nash else 'false'}, {verdict}"
+    return [_deviation_record(r) for r in reports], summary
+
+
+def _sweep(config: RunConfig, rows: List[SweepRow]):
     errors = [r.abs_error for r in rows if r.abs_error is not None]
     bound = f", max |error| {max(errors):.3g}" if errors else ""
-    return rows, f"{cmd} over {len(rows)} points{bound}"
+    summary = f"{config.command} over {len(rows)} points{bound}"
+    return [_sweep_record(r) for r in rows], summary
+
+
+# The recipe a command builds; the sweeps ignore --state.
+def _chosen_state(c: RunConfig) -> InitialStateRecipe:
+    return InitialStateRecipe(StateFamily(c.state), c.n, x=c.x, f=c.f, gamma=c.gamma)
+
+
+def _mixture(c: RunConfig) -> InitialStateRecipe:
+    return analysis.mixture_recipe(c.n, c.x, c.f)
+
+
+def _entangler(c: RunConfig) -> InitialStateRecipe:
+    return analysis.entangler_recipe(c.n, c.gamma)
+
+
+class _Command(NamedTuple):
+    runner: Callable[[RunConfig], Tuple[List[dict], str]]
+    needs_profile: bool
+    # None for the closed forms: they build no state, so any --n >= 2 runs
+    recipe: Optional[Callable[[RunConfig], InitialStateRecipe]]
+
+
+# Runners reach the engine through module attributes, so a tracer that
+# replaces those attributes sees every call.
+_COMMANDS = {
+    "payoff": _Command(_payoff, True, _chosen_state),
+    "surface": _Command(_surface, False, _chosen_state),
+    "best-response": _Command(_best_response, True, _chosen_state),
+    "nash-check": _Command(_nash_check, True, _chosen_state),
+    "sweep-x": _Command(lambda c: _sweep(c, analysis.sweep_x(c.n, c.f, c.steps)),
+                        False, _mixture),
+    "sweep-f": _Command(lambda c: _sweep(c, analysis.sweep_f(c.n, c.x, c.steps)),
+                        False, _mixture),
+    "sweep-gamma": _Command(lambda c: _sweep(c, analysis.sweep_gamma(
+        c.n, c.steps, c.payoff_classical, c.payoff_quantum)), False, _entangler),
+    "classical": _Command(_classical, False, None),
+    "conjecture": _Command(_conjecture, False, None),
+}
 
 
 def run(config: RunConfig) -> int:
@@ -443,7 +412,7 @@ def run(config: RunConfig) -> int:
     Exit codes: 0 on success, 1 for a rejected run, 3 when memory runs out.
     """
     try:
-        rows, summary = _run_command(config)
+        rows, summary = _COMMANDS[config.command].runner(config)
         print(summary)
         if config.output:
             emit_table(rows, config.format, config.output)

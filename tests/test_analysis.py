@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_oracle import minority_winners
-from qmg import analysis
+from qmg import analysis, game
 from qmg.analysis import (
     NASH_TOLERANCE,
     DeviationReport,
@@ -164,6 +164,18 @@ class TestNashCheck:
         )
         assert not any(r.is_nash_within_tol for r in reports)
         assert max(r.max_gain for r in reports) > 0.1
+
+    def test_initial_state_is_built_once(self, monkeypatch):
+        calls = []
+
+        def counted(recipe):
+            calls.append(recipe)
+            return build_pure(recipe)
+
+        monkeypatch.setattr(game, "build_pure", counted)
+        game._initial_state.cache_clear()
+        nash_check(ghz_spec(6), StrategyProfile.symmetric(ne_strategy(6), 6), 3, 1e-4)
+        assert len(calls) == 1
 
     def test_report_invariants(self):
         reports = nash_check(

@@ -1,10 +1,14 @@
 import json
 import math
+import pathlib
+import re
+import shlex
 
 import pytest
 
 from qmg import analysis
 from qmg.cli import (
+    _COMMANDS,
     CliError,
     RunConfig,
     emit_table,
@@ -77,6 +81,10 @@ class TestParseConfig:
     def test_config_file_unknown_key(self):
         with pytest.raises(CliError, match="unknown key"):
             parse_config(["classical"], config_text="volume = 11\n")
+        # the command comes from the command line only
+        with pytest.raises(CliError, match="unknown key 'command'"):
+            parse_config(["payoff", "--symmetric", "0,0,0"],
+                         config_text="command = nash-check\n")
 
     def test_round_trip(self):
         configs = [
@@ -209,6 +217,19 @@ class TestRun:
         assert len(path.read_text().splitlines()) == 26
 
 
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_every_command_writes_a_table(command, tmp_path):
+    # flags a command does not read are accepted and ignored
+    argv = [command, "--n", "4", "--grid", "3", "--steps", "3",
+            "--theta-steps", "2", "--alpha-steps", "2"]
+    if _COMMANDS[command].needs_profile:
+        argv += ["--symmetric", "pi/2,-pi/8,pi/8"]
+    path = tmp_path / "table.csv"
+    assert main(argv + ["--output", str(path)]) == 0
+    header, *rows = path.read_text().splitlines()
+    assert header and rows
+
+
 class TestCleanFailure:
     def test_n_above_dense_ceiling_rejected_before_any_state(self, capsys):
         # a 2^30 Bell product would be built before the state refused it
@@ -256,6 +277,11 @@ class TestCleanFailure:
              "payoff-quantum must be in [0, 1], got -0.5"),
             (["conjecture", "--n", "6", "--payoff-quantum", "nan"],
              "payoff-quantum must be in [0, 1], got nan"),
+            (["surface", "--n", "4", "--theta-steps", "1"],
+             "theta-steps must be >= 2, got 1"),
+            (["classical", "--format", "xml"], "format must be csv or json, got xml"),
+            (["payoff", "--state", "foo", "--symmetric", "0,0,0"],
+             "state must be one of ghz, bell, mixture, exp, w3, got foo"),
         ],
     )
     def test_domain_errors_are_clean(self, argv, message, capsys):
@@ -282,6 +308,28 @@ class TestCleanFailure:
         assert (capsys.readouterr().err
                 == "error: give --symmetric or --profile, not both\n")
 
+    @pytest.mark.parametrize(
+        "command", [name for name, row in _COMMANDS.items() if row.needs_profile]
+    )
+    def test_profile_commands_need_a_profile(self, command, capsys):
+        assert main([command, "--n", "4"]) == 2
+        assert (capsys.readouterr().err
+                == "error: command needs --symmetric or --profile\n")
+
     def test_qmg_threads_is_not_read(self, monkeypatch):
         monkeypatch.setenv("QMG_THREADS", "not-a-number")
         assert parse_config(["classical", "--n", "4"]).n == 4
+
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+README_COMMANDS = [
+    line
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    for line in block.splitlines()
+    if line.startswith("qmg ")
+]
+
+
+@pytest.mark.parametrize("line", README_COMMANDS)
+def test_readme_examples_parse(line):
+    parse_config(shlex.split(line)[1:])
