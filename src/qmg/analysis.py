@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,11 +22,10 @@ from .game import (
     GameSpec,
     StrategyParams,
     StrategyProfile,
-    _initial_state,
     classical_payoff,
     expected_payoff,
     expected_payoffs,
-    final_state,
+    final_amplitudes,
     minority_mask,
 )
 from .states import InitialStateRecipe, StateFamily
@@ -166,17 +165,9 @@ class _DeviationEvaluator:
 
     def __init__(self, spec: GameSpec, candidate: StrategyProfile, player: int):
         n = spec.n_players
-        if len(candidate) != n:
-            raise ValueError("profile length does not match player count")
-        if not 1 <= player <= n:
-            raise ValueError(f"player {player} out of range")
-        partial = final_state(
-            _initial_state(spec.recipe), candidate.replace(player, IDENTITY)
-        )
+        partial = final_amplitudes(spec, [candidate.replace(player, IDENTITY)])[0]
         q = player - 1
-        self._block = (
-            np.moveaxis(partial.amplitudes.reshape([2] * n), q, 0).reshape(2, -1)
-        )
+        self._block = np.moveaxis(partial.reshape([2] * n), q, 0).reshape(2, -1)
         mask = minority_mask(n, player)
         self._mask = np.moveaxis(mask.reshape([2] * n), q, 0).reshape(-1)
         rows = self._mask.reshape(2, -1)
@@ -406,6 +397,24 @@ def sweep_f(n: int = 6, x: float = 1.0, steps: int = 11) -> List[SweepRow]:
     return [_mixture_row(n, x, f) for f in _sweep_axis(1.0, steps)]
 
 
+def conjecture_endpoints(
+    n: int,
+    payoff_classical: Optional[float] = None,
+    payoff_quantum: Optional[float] = None,
+) -> Tuple[float, float]:
+    """The conjecture's payoffs at gamma = 0 and pi/2 for n players.
+
+    A value not given defaults to the classical payoff and to the
+    simulated entangler equilibrium payoff at gamma = pi/2; the latter
+    builds a 2^n state, so n must then be at most MAX_QUBITS.
+    """
+    if payoff_classical is None:
+        payoff_classical = float(classical_payoff(n))
+    if payoff_quantum is None:
+        payoff_quantum = _ne_payoff(entangler_recipe(n))
+    return payoff_classical, payoff_quantum
+
+
 def sweep_gamma(
     n: int = 6,
     steps: int = 11,
@@ -418,10 +427,9 @@ def sweep_gamma(
     expected to agree.
     """
     gammas = _sweep_axis(math.pi / 2, steps)
-    if payoff_classical is None:
-        payoff_classical = float(classical_payoff(n))
-    if payoff_quantum is None:
-        payoff_quantum = _ne_payoff(entangler_recipe(n))
+    payoff_classical, payoff_quantum = conjecture_endpoints(
+        n, payoff_classical, payoff_quantum
+    )
     return [
         _ne_row(
             entangler_recipe(n, gamma),

@@ -2,8 +2,9 @@
 
 `_COMMANDS` holds one row per subcommand: the runner that returns its
 table records and summary line, whether it needs a strategy profile,
-and the recipe of the state it builds (None for the closed forms, which
-build none). `_FLAG_SPEC` holds one entry per flag: its converter, its
+and the recipe of the state it builds (None when the run builds none:
+the classical closed form, or the conjecture given --payoff-quantum).
+`_FLAG_SPEC` holds one entry per flag: its converter, its
 domain (a predicate plus the phrase of the `<flag> must be <phrase>,
 got <value>` error) and its help. The parser, the validation and the
 run all read these two tables. Angles are accepted as decimal radians
@@ -167,9 +168,8 @@ def parse_config(args: Sequence[str], config_text: Optional[str] = None) -> RunC
 
     Explicit flags override config-file values.
     """
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(list(args))
+        ns = _PARSER.parse_args(list(args))
     except SystemExit:
         raise CliError("invalid command line") from None
 
@@ -213,13 +213,12 @@ def _validate(config: RunConfig) -> None:
         if command.needs_profile:
             # triggers profile-shape and angle-domain validation
             config.strategy_profile()
-        if command.recipe is not None:
+        # building the recipe triggers the family's qubit-count rules
+        if command.recipe is not None and command.recipe(config) is not None:
             if config.n > MAX_QUBITS:
                 raise CliError(
                     f"n must be <= {MAX_QUBITS} to build a state, got {config.n}"
                 )
-            # triggers the family's qubit-count rules
-            command.recipe(config)
     except ValueError as exc:
         raise CliError(str(exc)) from None
     if not 1 <= config.player <= config.n:
@@ -311,11 +310,8 @@ def _classical(config: RunConfig):
 
 
 def _conjecture(config: RunConfig):
-    c, q = config.payoff_classical, config.payoff_quantum
-    if c is None:
-        c = float(game.classical_payoff(config.n))
-    if q is None:
-        q = 5 / 16
+    c, q = analysis.conjecture_endpoints(config.n, config.payoff_classical,
+                                         config.payoff_quantum)
     value = analysis.conjecture_eq14(config.gamma, c, q)
     row = {"gamma": config.gamma, "payoff_classical": c, "payoff_quantum": q,
            "payoff_conjectured": value}
@@ -381,11 +377,17 @@ def _entangler(c: RunConfig) -> InitialStateRecipe:
     return analysis.entangler_recipe(c.n, c.gamma)
 
 
+# The conjecture simulates its quantum endpoint unless it is given.
+def _conjecture_state(c: RunConfig) -> Optional[InitialStateRecipe]:
+    return analysis.entangler_recipe(c.n) if c.payoff_quantum is None else None
+
+
 class _Command(NamedTuple):
     runner: Callable[[RunConfig], Tuple[List[dict], str]]
     needs_profile: bool
-    # None for the closed forms: they build no state, so any --n >= 2 runs
-    recipe: Optional[Callable[[RunConfig], InitialStateRecipe]]
+    # the run's state recipe; the field, or what it returns, is None when
+    # the run builds no state, and then any --n >= 2 runs
+    recipe: Optional[Callable[[RunConfig], Optional[InitialStateRecipe]]]
 
 
 # Runners reach the engine through module attributes, so a tracer that
@@ -402,8 +404,10 @@ _COMMANDS = {
     "sweep-gamma": _Command(lambda c: _sweep(c, analysis.sweep_gamma(
         c.n, c.steps, c.payoff_classical, c.payoff_quantum)), False, _entangler),
     "classical": _Command(_classical, False, None),
-    "conjecture": _Command(_conjecture, False, None),
+    "conjecture": _Command(_conjecture, False, _conjecture_state),
 }
+
+_PARSER = _build_parser()
 
 
 def run(config: RunConfig) -> int:

@@ -5,14 +5,15 @@ density matrix because the game adds it as an exact affine floor.
 `apply_locals` is the one kernel that applies local unitaries: it takes
 a batch of amplitude rows with one unitary per row and qubit, costs one
 (2, 2) @ (2, 2^(n-1)) BLAS product and one transpose copy per qubit, and
-checks every result row's norm at once.
+checks every result row's norm at once; that is the only check a final
+state gets. Payoffs are read from those rows by `game`, so this module
+has no expectation values.
 Qubit 0 is the most significant bit of the basis index, so for n=4 the
 basis label |1000> is index 8.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -71,9 +72,6 @@ class PureState:
             raise ValueError("amplitude vector must be finite and nonzero")
         return cls(n_qubits, amps / norm)
 
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
 
 @dataclass(frozen=True)
 class LocalUnitary:
@@ -120,19 +118,3 @@ def apply_locals(amplitudes: np.ndarray, unitaries: np.ndarray) -> np.ndarray:
     out.setflags(write=False)
     return out
 
-
-def diagonal_expectation(state: PureState, indices: Iterable[int]) -> float:
-    """<psi|P|psi> for the diagonal projector onto the given basis indices.
-
-    The sum runs in the iteration order of `indices`; the committed
-    tables depend on that order to the last bit. An intp array is used
-    without a copy.
-    """
-    if isinstance(indices, np.ndarray):
-        idx = np.asarray(indices, dtype=np.intp)
-    else:
-        idx = np.fromiter(indices, dtype=np.intp)
-    dim = 2**state.n_qubits
-    if idx.size and (idx.min() < 0 or idx.max() >= dim):
-        raise IndexError(f"basis index out of range for dimension {dim}")
-    return float(np.sum(state.probabilities()[idx]))

@@ -4,7 +4,9 @@ Each of N players holds one qubit and plays an SU(2) strategy operator
 on it. Players in the strict minority after measurement in the
 computational basis receive payoff 1; ties and unanimity pay nothing.
 Player i (1-based) acts on qubit i-1, the i-th most significant bit.
-`minority_mask` is the one form of that rule in the package.
+`minority_mask` is the one form of that rule in the package,
+`final_amplitudes` builds every final state, and `_payoff` turns each
+row of final probabilities into a payoff.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .core import LocalUnitary, PureState, apply_locals, diagonal_expectation
+from .core import LocalUnitary, PureState, apply_locals
 from .states import InitialStateRecipe, build_pure
 
 
@@ -56,6 +58,8 @@ class StrategyProfile:
 
     def replace(self, player: int, params: StrategyParams) -> "StrategyProfile":
         """New profile with 1-based player's slot swapped out."""
+        if not 1 <= player <= len(self):
+            raise ValueError(f"player {player} out of range for {len(self)} players")
         s = list(self.strategies)
         s[player - 1] = params
         return StrategyProfile(tuple(s))
@@ -139,15 +143,6 @@ def _unitaries(profile: StrategyProfile) -> np.ndarray:
     return np.array([mats[params] for params in profile.strategies])
 
 
-def final_state(initial: PureState, profile: StrategyProfile) -> PureState:
-    """Apply every player's strategy unitary to their own qubit."""
-    n = initial.n_qubits
-    if len(profile) != n:
-        raise ValueError(f"profile has {len(profile)} strategies for {n} qubits")
-    rows = apply_locals(initial.amplitudes[None], _unitaries(profile)[None])
-    return PureState(n, rows[0])
-
-
 # Callers vary the profile far more often than the recipe. The state is
 # frozen with read-only amplitudes, so one shared copy is safe. A miss
 # calls the module-level build_pure, so a tracer that wraps it sees it.
@@ -156,20 +151,38 @@ def _initial_state(recipe: InitialStateRecipe) -> PureState:
     return build_pure(recipe)
 
 
-# Every player's payoff under one profile reads the same final state;
-# a miss calls the module-level final_state, as above.
-@functools.lru_cache(maxsize=1)
-def _final_state(recipe: InitialStateRecipe, profile: StrategyProfile) -> PureState:
-    return final_state(_initial_state(recipe), profile)
+def final_amplitudes(spec: GameSpec, profiles: Sequence[StrategyProfile]) -> np.ndarray:
+    """Read-only (B, 2^N) final amplitudes, one row per profile.
 
-
-def _with_noise_floor(spec: GameSpec, pure: float, winning: np.ndarray) -> float:
-    """Payoff of the noisy start, given the payoff of its pure part.
-
-    The identity component of a noisy initial state is invariant under
-    the strategy unitaries, so the payoff separates exactly into
-    f * (pure payoff) + (1-f) * k / 2^N; only the pure part is simulated.
+    One `apply_locals` call applies every player's strategy unitary to
+    their own qubit of the recipe's memoised initial state.
     """
+    n = spec.n_players
+    if any(len(profile) != n for profile in profiles):
+        raise ValueError(f"every profile needs {n} strategies")
+    initial = _initial_state(spec.recipe).amplitudes
+    unitaries = np.array([_unitaries(profile) for profile in profiles])
+    return apply_locals(np.broadcast_to(initial, (len(profiles), 2**n)), unitaries)
+
+
+# Every player's payoff under one profile reads the same probability row;
+# a miss calls the module-level final_amplitudes, as above.
+@functools.lru_cache(maxsize=1)
+def _probabilities(spec: GameSpec, profile: StrategyProfile) -> np.ndarray:
+    probs = np.abs(final_amplitudes(spec, [profile])[0]) ** 2
+    probs.setflags(write=False)
+    return probs
+
+
+def _payoff(spec: GameSpec, probs: np.ndarray, winning: np.ndarray) -> float:
+    """Payoff from one row of final probabilities and the winning indices.
+
+    The row's winning probabilities are summed as one 1-D array, in the
+    projector's order. The identity component of a noisy initial state
+    is invariant under the strategy unitaries, so the payoff separates
+    exactly into f * (pure payoff) + (1-f) * k / 2^N.
+    """
+    pure = float(np.sum(probs[winning]))
     f = spec.recipe.f
     if f >= 1.0:
         return pure
@@ -179,8 +192,7 @@ def _with_noise_floor(spec: GameSpec, pure: float, winning: np.ndarray) -> float
 def expected_payoff(spec: GameSpec, profile: StrategyProfile, player: int) -> float:
     """Expected payoff Tr[rho_fin P_player] of the recipe's initial state."""
     winning = minority_projector(spec.n_players, player)
-    pure = diagonal_expectation(_final_state(spec.recipe, profile), winning)
-    return _with_noise_floor(spec, pure, winning)
+    return _payoff(spec, _probabilities(spec, profile), winning)
 
 
 def expected_payoffs(
@@ -191,21 +203,12 @@ def expected_payoffs(
     The profiles run through the kernel PAYOFF_CHUNK amplitudes at a
     time, so memory stays bounded however many there are.
     """
-    n = spec.n_players
-    if any(len(profile) != n for profile in profiles):
-        raise ValueError(f"every profile needs {n} strategies")
-    winning = minority_projector(n, player)
-    initial = _initial_state(spec.recipe).amplitudes
-    size = max(1, PAYOFF_CHUNK // 2**n)
+    winning = minority_projector(spec.n_players, player)
+    size = max(1, PAYOFF_CHUNK // 2**spec.n_players)
     payoffs = []
     for start in range(0, len(profiles), size):
-        chunk = profiles[start:start + size]
-        unitaries = np.array([_unitaries(profile) for profile in chunk])
-        rows = apply_locals(np.broadcast_to(initial, (len(chunk), 2**n)), unitaries)
-        for probs in np.abs(rows) ** 2:
-            # one 1-D sum per row in the projector's order, as diagonal_expectation
-            pure = float(np.sum(probs[winning]))
-            payoffs.append(_with_noise_floor(spec, pure, winning))
+        rows = final_amplitudes(spec, profiles[start:start + size])
+        payoffs += [_payoff(spec, probs, winning) for probs in np.abs(rows) ** 2]
     return payoffs
 
 

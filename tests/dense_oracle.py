@@ -5,7 +5,9 @@ f|psi><psi| + (1-f)I/2^n and adds the identity part as an exact floor.
 This module evolves the full 2^n x 2^n density matrix instead, so the
 tests can check that split against a brute-force computation. It also
 holds the per-outcome minority rule that `game.minority_mask` is pinned
-to, and the per-qubit apply that `core.apply_locals` matches bit for bit.
+to, and the per-qubit apply that `core.apply_locals` matches bit for bit,
+with `final_state`, its loop over the players, as the reference for
+`game.final_amplitudes`.
 """
 from __future__ import annotations
 
@@ -62,6 +64,18 @@ def apply_local(state: PureState, u: LocalUnitary, qubit_index: int) -> PureStat
     psi = np.moveaxis(state.amplitudes.reshape([2] * n), qubit_index, 0).reshape(2, -1)
     amps = np.moveaxis((u.entries @ psi).reshape([2] * n), 0, qubit_index)
     return PureState(n, amps.reshape(-1))
+
+
+def final_state(initial: PureState, profile: StrategyProfile) -> PureState:
+    """Apply every player's strategy unitary to their own qubit, in turn."""
+    if len(profile) != initial.n_qubits:
+        raise ValueError(
+            f"profile has {len(profile)} strategies for {initial.n_qubits} qubits"
+        )
+    state = initial
+    for qubit, params in enumerate(profile.strategies):
+        state = apply_local(state, strategy_unitary(params), qubit)
+    return state
 
 
 @dataclass(frozen=True)

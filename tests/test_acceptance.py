@@ -32,12 +32,12 @@ from qmg.game import (
     StrategyProfile,
     classical_payoff,
     expected_payoff,
-    final_state,
+    final_amplitudes,
     max_symmetric_payoff,
     minority_projector,
     strategy_unitary,
 )
-from qmg.states import InitialStateRecipe, StateFamily, build_pure
+from qmg.states import InitialStateRecipe, StateFamily
 
 PI = math.pi
 NE6 = StrategyProfile.symmetric(ne_strategy(6), 6)
@@ -196,10 +196,10 @@ def test_criterion_10_property_suites():
 
     # norm/trace preservation through the full pipeline
     for n in (4, 6):
-        psi = build_pure(InitialStateRecipe(StateFamily.GHZ, n))
+        spec = GameSpec(n, InitialStateRecipe(StateFamily.GHZ, n))
         profile = StrategyProfile(tuple(rand_params() for _ in range(n)))
-        out = final_state(psi, profile)
-        assert abs(np.linalg.norm(out.amplitudes) - 1) < 1e-12
+        out = final_amplitudes(spec, [profile])[0]
+        assert abs(np.linalg.norm(out) - 1) < 1e-12
     rho = build_initial(InitialStateRecipe(StateFamily.GHZ, 4, f=0.5))
     rho_out = dense_final_state(rho, StrategyProfile(tuple(rand_params() for _ in range(4))))
     assert abs(np.trace(rho_out.matrix) - 1) < 1e-12
@@ -242,7 +242,7 @@ def test_criterion_10_property_suites():
         for _ in range(100):
             profile = StrategyProfile(tuple(rand_params() for _ in range(n)))
             total = sum(expected_payoff(spec, profile, p) for p in range(1, n + 1))
-            probs = np.abs(final_state(build_pure(recipe), profile).amplitudes) ** 2
+            probs = np.abs(final_amplitudes(spec, [profile])[0]) ** 2
             assert abs(total - probs @ weights) < 1e-10
 
     report("10. property suites (SU(2), norms, noise split, Kronecker, conservation)", True)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_oracle import minority_winners
+from dense_oracle import final_state, minority_winners
 from qmg import analysis, game
 from qmg.analysis import (
     NASH_TOLERANCE,
@@ -33,7 +33,6 @@ from qmg.game import (
     StrategyProfile,
     classical_payoff,
     expected_payoff,
-    final_state,
 )
 from qmg.states import InitialStateRecipe, StateFamily, build_pure
 

@@ -66,6 +66,11 @@ class TestParseConfig:
         with pytest.raises(CliError):
             parse_config(["meow"])
 
+    def test_invalid_line_leaves_the_shared_parser_usable(self, capsys):
+        with pytest.raises(CliError):
+            parse_config(["payoff", "--n"])
+        assert parse_config(["classical", "--n", "4"]) == RunConfig("classical", n=4)
+
     def test_profile_length_checked(self):
         with pytest.raises(CliError, match="profile"):
             parse_config(["payoff", "--n", "4", "--profile", "0,0,0;0,0,0"])
@@ -201,6 +206,12 @@ class TestRun:
         assert code == 0
         assert "0.3125" in capsys.readouterr().out
 
+    def test_conjecture_defaults_to_the_simulated_quantum_payoff(self, capsys):
+        # at gamma = pi/2 the conjecture is the n-player entangler equilibrium
+        assert main(["conjecture", "--n", "4", "--gamma", "pi/2"]) == 0
+        value = float(capsys.readouterr().out.split()[-1])
+        assert abs(value - 0.25) < 1e-12
+
     def test_best_response_runs(self, capsys):
         code = main(["best-response", "--n", "4", "--state", "ghz",
                      "--symmetric", "pi/2,-pi/8,pi/8", "--grid", "7",
@@ -241,6 +252,13 @@ class TestCleanFailure:
         assert parse_config(["payoff", "--n", "12", "--symmetric", "0,0,0"]).n == 12
         with pytest.raises(CliError, match="n must be <= 12"):
             parse_config(["payoff", "--n", "13", "--symmetric", "0,0,0"])
+
+    def test_conjecture_past_the_ceiling_needs_its_quantum_payoff(self, capsys):
+        assert main(["conjecture", "--n", "20"]) == 2
+        assert capsys.readouterr().err == (
+            "error: n must be <= 12 to build a state, got 20\n"
+        )
+        assert main(["conjecture", "--n", "20", "--payoff-quantum", "0.4"]) == 0
 
     def test_stateless_commands_keep_large_n(self, capsys):
         assert main(["classical", "--n", "13"]) == 0

@@ -14,6 +14,7 @@ from dense_oracle import (
     build_initial,
     dense_expectation,
     dense_final_state,
+    final_state,
     make_noisy,
     minority_winners,
 )
@@ -28,7 +29,7 @@ from qmg.game import (
     classical_payoff,
     expected_payoff,
     expected_payoffs,
-    final_state,
+    final_amplitudes,
     max_symmetric_payoff,
     minority_mask,
     minority_projector,
@@ -103,6 +104,11 @@ def payoff_cases(draw):
     """A game and the 1-based player whose payoff is asked for."""
     recipe, profile = draw(games())
     return recipe, profile, draw(st.integers(1, recipe.n_qubits))
+
+
+def final_row(recipe, profile):
+    """The package's final amplitudes of one profile."""
+    return final_amplitudes(GameSpec(recipe.n_qubits, recipe), [profile])[0]
 
 
 def dense_payoff(recipe, profile, player):
@@ -203,30 +209,30 @@ class TestMinorityRule:
 
 class TestFinalState:
     def test_identity_profile(self):
-        psi = build_pure(InitialStateRecipe(StateFamily.GHZ, 4))
-        out = final_state(psi, StrategyProfile.symmetric(IDENTITY, 4))
-        assert np.allclose(out.amplitudes, psi.amplitudes)
+        recipe = InitialStateRecipe(StateFamily.GHZ, 4)
+        out = final_row(recipe, StrategyProfile.symmetric(IDENTITY, 4))
+        assert np.allclose(out, build_pure(recipe).amplitudes)
 
     def test_all_bitflips_fix_ghz_up_to_phase(self):
-        psi = build_pure(InitialStateRecipe(StateFamily.GHZ, 4))
+        recipe = InitialStateRecipe(StateFamily.GHZ, 4)
         flip = StrategyParams(PI, 0, 0)
-        out = final_state(psi, StrategyProfile.symmetric(flip, 4))
-        overlap = abs(np.vdot(out.amplitudes, psi.amplitudes))
+        out = final_row(recipe, StrategyProfile.symmetric(flip, 4))
+        overlap = abs(np.vdot(out, build_pure(recipe).amplitudes))
         assert abs(overlap - 1) < 1e-12
 
     def test_player_order_irrelevant(self):
-        psi = build_pure(InitialStateRecipe(StateFamily.W3_PRODUCT, 6))
+        recipe = InitialStateRecipe(StateFamily.W3_PRODUCT, 6)
         profile = random_profile(6)
-        forward = final_state(psi, profile)
-        state = psi
+        forward = final_row(recipe, profile)
+        state = build_pure(recipe)
         for q in reversed(range(6)):
             state = apply_local(state, strategy_unitary(profile[q]), q)
-        assert np.max(np.abs(forward.amplitudes - state.amplitudes)) < 1e-12
+        assert np.max(np.abs(forward - state.amplitudes)) < 1e-12
 
     def test_length_mismatch(self):
-        psi = build_pure(InitialStateRecipe(StateFamily.GHZ, 4))
+        spec = GameSpec(4, InitialStateRecipe(StateFamily.GHZ, 4))
         with pytest.raises(ValueError):
-            final_state(psi, StrategyProfile.symmetric(IDENTITY, 3))
+            final_amplitudes(spec, [StrategyProfile.symmetric(IDENTITY, 3)])
 
 
 class TestPayoffPath:
@@ -234,11 +240,8 @@ class TestPayoffPath:
     @settings(max_examples=100, deadline=None)
     def test_final_state_bit_identical_to_sequential_apply_local(self, case):
         recipe, profile = case
-        psi = build_pure(recipe)
-        state = psi
-        for q, params in enumerate(profile.strategies):
-            state = apply_local(state, strategy_unitary(params), q)
-        assert np.array_equal(final_state(psi, profile).amplitudes, state.amplitudes)
+        state = final_state(build_pure(recipe), profile)
+        assert np.array_equal(final_row(recipe, profile), state.amplitudes)
 
     @given(st.lists(payoff_cases(), min_size=2, max_size=4))
     @settings(max_examples=30, deadline=None)
@@ -386,7 +389,7 @@ class TestFinalStateMemo:
     @settings(max_examples=40, deadline=None)
     def test_interleaved_calls_give_the_unmemoised_payoffs(self, cases, rnd):
         def fresh(recipe, profile, player):
-            game._final_state.cache_clear()
+            game._probabilities.cache_clear()
             return expected_payoff(GameSpec(recipe.n_qubits, recipe), profile, player)
 
         want = [fresh(*case) for case in cases]
@@ -398,22 +401,31 @@ class TestFinalStateMemo:
             assert got == want[i]
 
     def test_one_final_state_per_profile(self, monkeypatch):
-        # a memo miss reaches the module-level final_state the tracer wraps
+        # a memo miss reaches the module-level final_amplitudes the tracer wraps
         built = []
-        build = game.final_state
+        build = game.final_amplitudes
 
-        def counted(initial, profile):
-            built.append(profile)
-            return build(initial, profile)
+        def counted(spec, profiles):
+            built.append(list(profiles))
+            return build(spec, profiles)
 
-        monkeypatch.setattr(game, "final_state", counted)
-        game._final_state.cache_clear()
+        monkeypatch.setattr(game, "final_amplitudes", counted)
+        game._probabilities.cache_clear()
         spec = GameSpec(4, InitialStateRecipe(StateFamily.GHZ, 4))
         first, second = random_profile(4), random_profile(4)
         for profile in (first, first, second):
             for player in range(1, 5):
                 expected_payoff(spec, profile, player)
-        assert built == [first, second]
+        assert built == [[first], [second]]
+
+    def test_memoised_row_is_read_only(self):
+        spec = GameSpec(4, InitialStateRecipe(StateFamily.GHZ, 4))
+        profile = random_profile(4)
+        expected_payoff(spec, profile, 1)
+        probs = game._probabilities(spec, profile)
+        assert probs is game._probabilities(spec, profile)
+        with pytest.raises(ValueError):
+            probs[0] = 0
 
 
 class TestInvariants:
@@ -513,6 +525,11 @@ class TestExpectedPayoff:
             probs = np.abs(final_state(build_pure(recipe), profile).amplitudes) ** 2
             assert abs(total - probs @ weights) < 1e-10
 
+    def test_profile_length_is_checked(self):
+        spec = GameSpec(4, InitialStateRecipe(StateFamily.GHZ, 4))
+        with pytest.raises(ValueError):
+            expected_payoff(spec, random_profile(3), 1)
+
     def test_classical_equivalence_on_unentangled_state(self):
         for n in (4, 6):
             recipe = InitialStateRecipe(StateFamily.EXPONENTIAL_ENTANGLER, n, gamma=0.0)
@@ -546,6 +563,13 @@ class TestBaselines:
         assert max_symmetric_payoff(6) == Fraction(1, 3)
         assert max_symmetric_payoff(4) == Fraction(1, 4)
         assert max_symmetric_payoff(2) == 0
+
+
+class TestStrategyProfile:
+    @pytest.mark.parametrize("player", [0, -1, 5])
+    def test_replace_rejects_players_out_of_range(self, player):
+        with pytest.raises(ValueError):
+            random_profile(4).replace(player, IDENTITY)
 
 
 class TestGameSpec:
