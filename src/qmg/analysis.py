@@ -1,8 +1,9 @@
 """Game-theoretic analysis on top of the engine.
 
-Best-response search (coarse grid in chunks of whole theta planes plus
-coordinate-wise refinement on the deviator's 2x2 Gram form, finished by
-the exact top eigenvector; its memory is bounded by the chunk),
+Best-response search on the deviator's 2x2 Gram form: a coarse grid
+screened on (theta, alpha - beta), with only the points that can win
+scored exactly, then coordinate-wise refinement, finished by the exact
+top eigenvector; its memory grows with one theta plane, never the grid),
 Nash-equilibrium verification via the unilateral-deviation inequality,
 Pareto comparison, the closed-form 6-player payoff formulas, the
 N-player entangler-payoff conjecture, and parameter sweeps that produce
@@ -33,11 +34,17 @@ from .states import InitialStateRecipe, StateFamily
 NASH_TOLERANCE = 1e-4
 REFINEMENT_MIN_STEP = 1e-6
 # Coarse-grid points evaluated at once; bounds best-response memory
-# for any grid. A grid of 25 (15625 points) is one chunk.
+# for any grid. A grid of 25 is one chunk for the screen (1225 points)
+# and for its survivors (at most 15625).
 GRID_CHUNK = 2**15
 # The exact optimum replaces the refined grid point only when it pays
 # more by this margin, so flat optima keep their grid point.
 EXACT_OPTIMUM_MARGIN = 1e-12
+# A grid point is scored exactly when its (theta, alpha - beta) screen
+# value is this close to the screen's maximum. The screen differs from
+# the exact score by rounding only (at most 4.4e-16 measured), so the
+# margin keeps every point that can be the grid maximum.
+GRID_SCREEN_MARGIN = 1e-9
 
 PARETO_MARGIN = 1e-10
 
@@ -215,24 +222,45 @@ _THETA_BOX = (0.0, math.pi)
 _ANGLE_BOX = (-math.pi, math.pi)
 
 
-def _grid_chunks(steps: int):
-    """The (theta, alpha, beta) grid as meshgrids, in ravel order.
+def _grid_argmax(ev: _DeviationEvaluator, steps: int) -> Tuple[np.ndarray, float]:
+    """First maximum of `ev.payoffs` over the (theta, alpha, beta) grid.
 
-    Each chunk holds as many whole theta planes as fit in GRID_CHUNK
-    points; when one plane does not fit, each chunk holds whole
-    (theta, alpha) rows instead, so memory stays bounded at any grid.
+    The Gram-form payoff depends on alpha and beta only through
+    alpha - beta, so a screen first scores the g * (2g - 1) distinct
+    (theta, alpha - beta) pairs at beta = 0. Only the grid points whose
+    screen value is within GRID_SCREEN_MARGIN of the screen's maximum
+    are then scored by `ev.payoffs`, in ravel order: every point that
+    can win is kept, so the point and its value are those of the full
+    grid. Both steps take whole theta planes, as many as fit in
+    GRID_CHUNK points, so memory grows with one plane (g^2), never with
+    the whole grid (g^3).
     """
     thetas = np.linspace(*_THETA_BOX, steps)
     angles = np.linspace(*_ANGLE_BOX, steps)
-    planes = GRID_CHUNK // steps**2
-    if planes:
-        for i in range(0, steps, planes):
-            yield np.meshgrid(thetas[i:i + planes], angles, angles, indexing="ij")
-        return
-    rows = max(1, GRID_CHUNK // steps)
-    for i in range(steps):
-        for j in range(0, steps, rows):
-            yield np.meshgrid(thetas[i:i + 1], angles[j:j + rows], angles, indexing="ij")
+    diffs = np.arange(1 - steps, steps) * (2 * math.pi / (steps - 1))
+    planes = max(1, GRID_CHUNK // diffs.size)
+    screen = np.concatenate([
+        ev.payoffs(np.repeat(t, diffs.size), np.tile(diffs, t.size), 0.0)
+        for t in (thetas[i:i + planes] for i in range(0, steps, planes))
+    ]).reshape(steps, diffs.size)
+    keep = screen >= screen.max() - GRID_SCREEN_MARGIN
+    # the screen column of each (alpha_i, beta_j): i - j + steps - 1
+    column = np.subtract.outer(np.arange(steps), np.arange(steps)) + steps - 1
+
+    best_val = -math.inf
+    planes = max(1, GRID_CHUNK // steps**2)
+    for p in range(0, steps, planes):
+        if not keep[p:p + planes].any():
+            continue
+        points = np.flatnonzero(keep[p:p + planes, column]) + p * steps**2
+        for s in range(0, points.size, GRID_CHUNK):
+            t, i, j = np.unravel_index(points[s:s + GRID_CHUNK], (steps,) * 3)
+            vals = ev.payoffs(thetas[t], angles[i], angles[j])
+            k = int(np.argmax(vals))
+            if vals[k] > best_val:  # strict: the first maximum wins across chunks
+                best_val = float(vals[k])
+                best = np.array([thetas[t[k]], angles[i[k]], angles[j[k]]])
+    return best, best_val
 
 
 def best_response(
@@ -244,10 +272,12 @@ def best_response(
 ) -> DeviationReport:
     """Search the full (theta, alpha, beta) box for the player's best deviation.
 
-    Coarse grid first, evaluated in chunks from `_grid_chunks`, then
-    coordinate-wise interval shrinking around the running optimum until
-    every step is below 1e-6, all on the 2x2 Gram form, so memory is
-    bounded by the chunk, whatever the grid. The exact optimum
+    Coarse grid first: `_grid_argmax` screens it on (theta, alpha - beta)
+    and scores only the survivors exactly, so it picks the point the full
+    grid picks at O(g^2) cost plus the survivors. Then coordinate-wise
+    interval shrinking around the running optimum until every step is
+    below 1e-6, all on the 2x2 Gram form, so memory grows with one
+    theta plane of the grid, never with the whole grid. The exact optimum
     from the top eigenvector then replaces the refined point if it pays
     more. Both reported payoffs come from the dense product at their
     single point.
@@ -258,14 +288,7 @@ def best_response(
     inc = candidate[player - 1]
     equilibrium_payoff = ev.dense_payoff(inc.theta, inc.alpha, inc.beta)
 
-    best_val = -math.inf
-    for chunk in _grid_chunks(grid_resolution):
-        t, a, b = (axis.ravel() for axis in chunk)
-        vals = ev.payoffs(t, a, b)
-        k = int(np.argmax(vals))
-        if vals[k] > best_val:  # strict: the first maximum wins across chunks
-            best_val = float(vals[k])
-            best = np.array([t[k], a[k], b[k]])
+    best, best_val = _grid_argmax(ev, grid_resolution)
 
     boxes = (_THETA_BOX, _ANGLE_BOX, _ANGLE_BOX)
     steps = np.array([b[1] - b[0] for b in boxes]) / (grid_resolution - 1)

@@ -19,7 +19,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .core import LocalUnitary, PureState, apply_locals
+from .core import LocalUnitary, PureState, _check_qubit_count, apply_locals
 from .states import InitialStateRecipe, build_pure
 
 
@@ -121,9 +121,11 @@ def minority_mask(n: int, player: int) -> np.ndarray:
     """Boolean mask over the 2^n basis indices where the player wins.
 
     A player wins in the strict minority; ties and unanimity pay nothing.
+    n is checked against MAX_QUBITS before the 2^n outcomes are built.
     """
     if not 1 <= player <= n:
         raise ValueError(f"player {player} out of range for {n} players")
+    _check_qubit_count(n)
     outcomes = np.arange(2**n)
     twice_ones = 2 * sum((outcomes >> k) & 1 for k in range(n))
     bit = (outcomes >> (n - player)) & 1

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PureState
+from .core import PureState, _check_qubit_count
 
 
 class StateFamily(enum.Enum):
@@ -121,8 +121,13 @@ def make_w3_product(n: int) -> PureState:
 
 
 def build_pure(recipe: InitialStateRecipe) -> PureState:
-    """The pure state a recipe describes, before any noise is added."""
+    """The pure state a recipe describes, before any noise is added.
+
+    The qubit count is checked before any family builder runs, so a
+    recipe beyond MAX_QUBITS fails without building its 2^n vector.
+    """
     n = recipe.n_qubits
+    _check_qubit_count(n)
     if recipe.family is StateFamily.GHZ:
         return make_ghz(n)
     if recipe.family is StateFamily.BELL_PRODUCT:

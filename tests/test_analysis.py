@@ -13,6 +13,7 @@ from qmg.analysis import (
     DeviationReport,
     ParetoResult,
     best_response,
+    conjecture_endpoints,
     conjecture_eq14,
     entangler_ne_strategy,
     nash_check,
@@ -250,6 +251,15 @@ class TestSweeps:
         with pytest.raises(ValueError):
             sweep_x(steps=1)
 
+    def test_conjecture_endpoints_beyond_max_qubits(self):
+        # the simulated default needs a 2^30 state; a given one needs none
+        with pytest.raises(ValueError, match="n_qubits"):
+            conjecture_endpoints(30)
+        assert conjecture_endpoints(30, payoff_quantum=0.4) == (
+            float(classical_payoff(30)),
+            0.4,
+        )
+
 
 class TestFalseNashRegression:
     # A grid search can stall here at the incumbent's own payoff
@@ -277,30 +287,33 @@ class TestFalseNashRegression:
         assert not report.is_nash_within_tol
 
 
-def _recipes():
-    """Every family at n <= 6, with noise f < 1 on the mixture."""
+def _recipes(max_n=6):
+    """Every family at n <= max_n, with noise f < 1 on the mixture."""
+    even = list(range(2, max_n + 1, 2))
     return st.one_of(
-        st.builds(InitialStateRecipe, st.just(StateFamily.GHZ), st.integers(2, 6)),
+        st.builds(InitialStateRecipe, st.just(StateFamily.GHZ), st.integers(2, max_n)),
         st.builds(
             InitialStateRecipe,
             st.just(StateFamily.BELL_PRODUCT),
-            st.sampled_from([2, 4, 6]),
+            st.sampled_from(even),
         ),
         st.builds(
             InitialStateRecipe,
             st.just(StateFamily.GHZ_BELL_MIXTURE),
-            st.sampled_from([2, 4, 6]),
+            st.sampled_from(even),
             x=st.floats(0, 1, allow_nan=False),
             f=st.floats(0, 0.99, allow_nan=False),
         ),
         st.builds(
             InitialStateRecipe,
             st.just(StateFamily.EXPONENTIAL_ENTANGLER),
-            st.integers(2, 6),
+            st.integers(2, max_n),
             gamma=st.floats(0, PI / 2, allow_nan=False),
         ),
         st.builds(
-            InitialStateRecipe, st.just(StateFamily.W3_PRODUCT), st.sampled_from([3, 6])
+            InitialStateRecipe,
+            st.just(StateFamily.W3_PRODUCT),
+            st.sampled_from(list(range(3, max_n + 1, 3))),
         ),
     )
 
@@ -314,9 +327,9 @@ def _random_points(rng, size):
 
 
 @st.composite
-def _deviation_cases(draw):
+def _deviation_cases(draw, max_n=6):
     """(spec, random candidate profile, deviating player, numpy rng)."""
-    recipe = draw(_recipes())
+    recipe = draw(_recipes(max_n))
     n = recipe.n_qubits
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     profile = StrategyProfile(
@@ -387,12 +400,73 @@ class TestGramFormAgainstDenseOracle:
         assert abs(report.best_deviation_payoff - exact) < 1e-12
 
 
+def _full_grid(ev, steps):
+    """Every (theta, alpha, beta) grid point in ravel order, as a (3, g^3)
+    array, with its `ev.payoffs` score."""
+    thetas = np.linspace(0, PI, steps)
+    angles = np.linspace(-PI, PI, steps)
+    grid = np.meshgrid(thetas, angles, angles, indexing="ij")
+    points = np.stack([axis.ravel() for axis in grid])
+    return points, ev.payoffs(*points)
+
+
+def _full_grid_argmax(ev, steps):
+    """The exhaustive grid search: first maximum in ravel order."""
+    points, vals = _full_grid(ev, steps)
+    k = int(np.argmax(vals))
+    return points[:, k], float(vals[k])
+
+
+class TestGridScreen:
+    @given(_deviation_cases(max_n=8), st.sampled_from([2, 3, 5, 9, 25]))
+    @settings(max_examples=80, deadline=None)
+    def test_screen_picks_what_the_full_grid_picks(self, case, steps):
+        spec, profile, player, _ = case
+        ev = _DeviationEvaluator(spec, profile, player)
+        best, value = analysis._grid_argmax(ev, steps)
+        ref_best, ref_value = _full_grid_argmax(ev, steps)
+        assert np.array_equal(best, ref_best)
+        assert value == ref_value
+
+    @given(_deviation_cases(max_n=8))
+    @settings(max_examples=60, deadline=None)
+    def test_payoff_depends_on_alpha_minus_beta_only(self, case):
+        # the screen rests on this; a Gram form that breaks it fails here
+        spec, profile, player, rng = case
+        ev = _DeviationEvaluator(spec, profile, player)
+        theta, alpha, beta = _random_points(rng, 64)
+        diff = ev.payoffs(theta, alpha - beta, np.zeros_like(beta))
+        assert np.max(np.abs(ev.payoffs(theta, alpha, beta) - diff)) < 1e-14
+
+    @pytest.mark.parametrize("player", range(1, 7))
+    def test_ghz6_equilibrium_keeps_the_tied_point(self, player):
+        # 26 grid points tie within rounding; nash_check_ghz6.csv pins the
+        # one the exhaustive search picks, a phase-equivalent copy of M
+        ev = _DeviationEvaluator(
+            ghz_spec(6), StrategyProfile.symmetric(ne_strategy(6), 6), player
+        )
+        _, vals = _full_grid(ev, 25)
+        assert np.count_nonzero(vals >= vals.max() - 1e-12) == 26
+        best, value = analysis._grid_argmax(ev, 25)
+        assert np.allclose(best, [PI / 2, -3 * PI / 4, -7 * PI / 12], atol=1e-15)
+        assert value == vals.max()
+
+    @pytest.mark.parametrize("steps", [2, 5, 25])
+    def test_all_ties_keep_the_first_point(self, steps):
+        # at n = 2 nobody ever wins: every point survives the screen
+        ev = _DeviationEvaluator(ghz_spec(2), StrategyProfile.symmetric(IDENTITY, 2), 1)
+        best, value = analysis._grid_argmax(ev, steps)
+        assert best.tolist() == [0.0, -PI, -PI]
+        assert value == 0.0
+
+
 def test_best_response_memory_does_not_grow_with_grid():
     # a (grid^3, 2, 2^(n-1)) array here would take 64000 * 2^12 * 16 B = 4.2 GB
-    # at grid 40, and one unchunked grid-100 batch peaks near 160 MB
+    # at grid 40, and one unchunked grid-100 batch peaks near 160 MB; at
+    # grid 400 any grid^3 index or meshgrid array takes 512 MB
     n = 12
     candidate = StrategyProfile.symmetric(ne_strategy(n), n)
-    for grid in (40, 100):
+    for grid in (40, 100, 400):
         tracemalloc.start()
         try:
             best_response(ghz_spec(n), candidate, 1, grid_resolution=grid)
@@ -428,3 +502,8 @@ def test_grid_chunks_keep_the_first_maximum(chunk, monkeypatch):
     whole = [best_response(*run, grid_resolution=5) for run in runs]
     monkeypatch.setattr(analysis, "GRID_CHUNK", chunk)
     assert [best_response(*run, grid_resolution=5) for run in runs] == whole
+    for run in runs:
+        ev = _DeviationEvaluator(*run)
+        best, value = analysis._grid_argmax(ev, 5)
+        ref_best, ref_value = _full_grid_argmax(ev, 5)
+        assert np.array_equal(best, ref_best) and value == ref_value

@@ -185,6 +185,11 @@ class TestMinorityRule:
         with pytest.raises(ValueError):
             minority_projector(4, 5)
 
+    def test_too_many_players_fail_before_building(self):
+        # 2^30 outcomes would take 8 GiB of indices; the check comes first
+        with pytest.raises(ValueError, match="n_qubits"):
+            minority_mask(30, 1)
+
     @pytest.mark.parametrize("n", range(2, 10))
     def test_mask_matches_minority_winners(self, n):
         for player in range(1, n + 1):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -229,6 +230,19 @@ class TestRecipeAndDispatch:
         rho = build_initial(recipe)
         expected = make_noisy(make_ghz_bell_mixture(6, 0.5), 0.8)
         assert np.max(np.abs(rho.matrix - expected.matrix)) < 1e-12
+
+    @pytest.mark.parametrize("family", list(StateFamily))
+    def test_too_many_qubits_fail_before_building(self, family):
+        # a 2^30 vector would take 16 GiB; the check must come first
+        recipe = InitialStateRecipe(family, 30)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="n_qubits"):
+                build_pure(recipe)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_entangler_dispatch_gamma_zero(self):
         recipe = InitialStateRecipe(StateFamily.EXPONENTIAL_ENTANGLER, 4, gamma=0.0)
