@@ -2,8 +2,8 @@
 
 Best-response search on the deviator's 2x2 Gram form: a coarse grid
 screened on (theta, alpha - beta), with only the points that can win
-scored exactly, then coordinate-wise refinement, finished by the exact
-top eigenvector; its memory grows with one theta plane, never the grid),
+scored exactly (its memory grows with one theta plane, never the grid),
+then coordinate-wise refinement, finished by the exact top eigenvector,
 Nash-equilibrium verification via the unilateral-deviation inequality,
 Pareto comparison, the closed-form 6-player payoff formulas, the
 N-player entangler-payoff conjecture, and parameter sweeps that produce

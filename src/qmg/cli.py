@@ -96,11 +96,12 @@ class RunConfig:
 
     def strategy_profile(self) -> StrategyProfile:
         if self.profile is not None:
-            if len(self.profile) != self.n:
+            strategies = tuple(StrategyParams(*t) for t in self.profile)
+            if len(strategies) != self.n:
                 raise CliError(
-                    f"profile has {len(self.profile)} strategies for n={self.n}"
+                    f"profile has {len(strategies)} strategies for n={self.n}"
                 )
-            return StrategyProfile(tuple(StrategyParams(*t) for t in self.profile))
+            return StrategyProfile(strategies)
         if self.symmetric is None:
             raise CliError("command needs --symmetric or --profile")
         return StrategyProfile.symmetric(StrategyParams(*self.symmetric), self.n)
@@ -210,8 +211,10 @@ def _validate(config: RunConfig) -> None:
         raise CliError("give --symmetric or --profile, not both")
     command = _COMMANDS[config.command]
     try:
-        if command.needs_profile:
-            # triggers profile-shape and angle-domain validation
+        # triggers angle-domain and profile-shape validation, also for a
+        # profile given to a command that does not play one
+        given = config.symmetric is not None or config.profile is not None
+        if command.needs_profile or given:
             config.strategy_profile()
         # building the recipe triggers the family's qubit-count rules
         if command.recipe is not None and command.recipe(config) is not None:

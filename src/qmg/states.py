@@ -1,11 +1,12 @@
-"""Constructors for the initial-state families used by the game.
+"""The initial-state families used by the game, one table row each.
 
 Families: GHZ cat states, products of symmetric Bell pairs, the
 x-weighted GHZ/Bell superposition, the exponential entangler state at
-angle gamma, and products of three-qubit W states. Every constructor
-returns a pure state; a recipe's fidelity f < 1 stands for the noisy
-start f|psi><psi| + (1-f)I/2^n, which the game adds as an exact floor
-on top of the pure payoff.
+angle gamma, and products of three-qubit W states. Each is a sum of at
+most three product terms c * v^(n/block) over blocks of one to three
+qubits: `_FAMILIES` lists them and `build_pure` is the one builder.
+Every state is pure; a recipe's fidelity f < 1 stands for the noisy
+start f|psi><psi| + (1-f)I/2^n, which the game adds as an exact floor.
 """
 from __future__ import annotations
 
@@ -24,6 +25,43 @@ class StateFamily(enum.Enum):
     GHZ_BELL_MIXTURE = "mixture"
     EXPONENTIAL_ENTANGLER = "exp"
     W3_PRODUCT = "w3"
+
+
+_KET0, _KET1 = np.eye(2, dtype=complex)
+_KET00, _KET11 = np.eye(4, dtype=complex)[[0, 3]]
+_PAIR = np.array([0, 1, 1, 0], dtype=complex) / math.sqrt(2)
+_W3 = np.array([0, 1, 1, 0, 1, 0, 0, 0], dtype=complex) / math.sqrt(3)
+_SQRT_HALF = 1 / math.sqrt(2)
+
+# A row: (block, message for an n_qubits that is no multiple of block,
+# terms(recipe) as (coefficient, block vector) pairs, renormalise). Only the
+# mixture is divided by its computed norm: the committed tables carry the
+# bits of that division, and dividing any other family by its norm moves bits.
+_FAMILIES = {
+    StateFamily.GHZ: (1, None, lambda r: [(_SQRT_HALF, _KET0), (_SQRT_HALF, _KET1)], False),
+    StateFamily.BELL_PRODUCT: (2, "bell requires even n_qubits", lambda r: [(1, _PAIR)], False),
+    # the cat terms carry x/sqrt(2) each, so the norm is 1 for every x
+    StateFamily.GHZ_BELL_MIXTURE: (
+        2,
+        "mixture requires even n_qubits",
+        lambda r: [
+            (math.sqrt(1 - r.x**2), _PAIR),
+            (r.x / math.sqrt(2), _KET00),
+            (r.x / math.sqrt(2), _KET11),
+        ],
+        True,
+    ),
+    # exp(i gamma/2 X^n)|0...0> in closed form, exact because (X^n)^2 = I
+    StateFamily.EXPONENTIAL_ENTANGLER: (
+        1,
+        None,
+        lambda r: [(math.cos(r.gamma / 2), _KET0), (1j * math.sin(r.gamma / 2), _KET1)],
+        False,
+    ),
+    StateFamily.W3_PRODUCT: (
+        3, "w3 product requires n_qubits divisible by 3", lambda r: [(1, _W3)], False
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -49,93 +87,30 @@ class InitialStateRecipe:
             raise ValueError(f"f must be in [0, 1], got {self.f}")
         if not 0.0 <= self.gamma <= math.pi / 2:
             raise ValueError(f"gamma must be in [0, pi/2], got {self.gamma}")
-        if self.family in (StateFamily.BELL_PRODUCT, StateFamily.GHZ_BELL_MIXTURE):
-            if self.n_qubits % 2:
-                raise ValueError(f"{self.family.value} requires even n_qubits")
-        if self.family is StateFamily.W3_PRODUCT and self.n_qubits % 3:
-            raise ValueError("w3 product requires n_qubits divisible by 3")
+        block, n_error, _, _ = _FAMILIES[self.family]
+        if self.n_qubits % block:
+            raise ValueError(n_error)
 
 
-def make_ghz(n: int) -> PureState:
-    """(|0...0> + |1...1>)/sqrt(2)."""
-    if n < 2:
-        raise ValueError("GHZ state needs n >= 2")
-    amps = np.zeros(2**n, dtype=complex)
-    amps[0] = amps[-1] = 1 / math.sqrt(2)
-    return PureState(n, amps)
-
-
-def make_bell_product(n: int) -> PureState:
-    """((|01> + |10>)/sqrt(2))^(n/2)."""
-    if n < 2 or n % 2:
-        raise ValueError("Bell product needs even n >= 2")
-    pair = np.array([0, 1, 1, 0], dtype=complex) / math.sqrt(2)
-    amps = np.array([1.0], dtype=complex)
-    for _ in range(n // 2):
-        amps = np.kron(amps, pair)
-    return PureState(n, amps)
-
-
-def make_ghz_bell_mixture(n: int, x: float) -> PureState:
-    """Superposition of the GHZ cat terms (weight x) with the Bell product.
-
-    The cat term enters as (x/sqrt(2))(|0...0> + |1...1>) so the total
-    norm is exactly 1 for every x; we renormalize defensively anyway.
-    """
-    if n < 2 or n % 2:
-        raise ValueError("mixture needs even n >= 2")
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x must be in [0, 1], got {x}")
-    amps = math.sqrt(1 - x**2) * make_bell_product(n).amplitudes.copy()
-    amps[0] += x / math.sqrt(2)
-    amps[-1] += x / math.sqrt(2)
-    return PureState.from_amplitudes(n, amps)
-
-
-def make_exponential(n: int, gamma: float) -> PureState:
-    """cos(gamma/2)|0...0> + i sin(gamma/2)|1...1>.
-
-    Closed form of exp(i gamma/2 X^n)|0...0>; exact because X^n
-    squares to the identity.
-    """
-    if n < 2:
-        raise ValueError("entangler state needs n >= 2")
-    if not 0.0 <= gamma <= math.pi / 2:
-        raise ValueError(f"gamma must be in [0, pi/2], got {gamma}")
-    amps = np.zeros(2**n, dtype=complex)
-    amps[0] = math.cos(gamma / 2)
-    amps[-1] = 1j * math.sin(gamma / 2)
-    return PureState(n, amps)
-
-
-def make_w3_product(n: int) -> PureState:
-    """|W3>^(n/3) with |W3> = (|001> + |010> + |100>)/sqrt(3)."""
-    if n < 3 or n % 3:
-        raise ValueError("W3 product needs n divisible by 3")
-    w3 = np.zeros(8, dtype=complex)
-    w3[[1, 2, 4]] = 1 / math.sqrt(3)
-    amps = np.array([1.0], dtype=complex)
-    for _ in range(n // 3):
-        amps = np.kron(amps, w3)
-    return PureState(n, amps)
+def _tensor_power(v: np.ndarray, k: int) -> np.ndarray:
+    """v^(k), multiplied left to right; the tables depend on that order."""
+    out = v
+    for _ in range(k - 1):
+        out = np.multiply.outer(out, v).ravel()
+    return out
 
 
 def build_pure(recipe: InitialStateRecipe) -> PureState:
     """The pure state a recipe describes, before any noise is added.
 
-    The qubit count is checked before any family builder runs, so a
-    recipe beyond MAX_QUBITS fails without building its 2^n vector.
+    The qubit count is checked before any term is built, so a recipe
+    beyond MAX_QUBITS fails without building its 2^n vector.
     """
     n = recipe.n_qubits
     _check_qubit_count(n)
-    if recipe.family is StateFamily.GHZ:
-        return make_ghz(n)
-    if recipe.family is StateFamily.BELL_PRODUCT:
-        return make_bell_product(n)
-    if recipe.family is StateFamily.GHZ_BELL_MIXTURE:
-        return make_ghz_bell_mixture(n, recipe.x)
-    if recipe.family is StateFamily.EXPONENTIAL_ENTANGLER:
-        return make_exponential(n, recipe.gamma)
-    if recipe.family is StateFamily.W3_PRODUCT:
-        return make_w3_product(n)
-    raise ValueError(f"unknown family {recipe.family!r}")
+    block, _, terms, renormalise = _FAMILIES[recipe.family]
+    powers = [c * _tensor_power(v, n // block) for c, v in terms(recipe)]
+    amps = sum(powers[1:], powers[0])
+    if renormalise:
+        return PureState.from_amplitudes(n, amps)
+    return PureState(n, amps)

@@ -300,6 +300,11 @@ class TestCleanFailure:
             (["classical", "--format", "xml"], "format must be csv or json, got xml"),
             (["payoff", "--state", "foo", "--symmetric", "0,0,0"],
              "state must be one of ghz, bell, mixture, exp, w3, got foo"),
+            (["classical", "--n", "4", "--symmetric", "9,0,0"],
+             "theta must be in [0, pi], got 9.0"),
+            (["surface", "--n", "4", "--theta-steps", "2", "--alpha-steps", "2",
+              "--profile", "9,0,0"],
+             "theta must be in [0, pi], got 9.0"),
         ],
     )
     def test_domain_errors_are_clean(self, argv, message, capsys):

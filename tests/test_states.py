@@ -1,4 +1,7 @@
+import hashlib
+import json
 import math
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -7,16 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_oracle import build_initial, make_noisy
-from qmg.states import (
-    InitialStateRecipe,
-    StateFamily,
-    build_pure,
-    make_bell_product,
-    make_exponential,
-    make_ghz,
-    make_ghz_bell_mixture,
-    make_w3_product,
-)
+from qmg.states import InitialStateRecipe, StateFamily, build_pure
+
+DIGESTS = pathlib.Path(__file__).with_name("state_digests.json")
+
+
+def pure(family, n, **params):
+    """The pure state of the recipe (family, n, params)."""
+    return build_pure(InitialStateRecipe(family, n, **params))
 
 
 def taylor_expm(matrix, terms=60):
@@ -31,31 +32,31 @@ def taylor_expm(matrix, terms=60):
 
 class TestGhz:
     def test_n2(self):
-        psi = make_ghz(2)
+        psi = pure(StateFamily.GHZ, 2)
         assert np.allclose(psi.amplitudes[[0, 3]], 1 / math.sqrt(2))
         assert np.allclose(psi.amplitudes[[1, 2]], 0)
 
     def test_n6(self):
-        psi = make_ghz(6)
+        psi = pure(StateFamily.GHZ, 6)
         assert abs(psi.amplitudes[0] - 1 / math.sqrt(2)) < 1e-12
         assert abs(psi.amplitudes[63] - 1 / math.sqrt(2)) < 1e-12
 
     def test_self_overlap(self):
-        psi = make_ghz(4)
+        psi = pure(StateFamily.GHZ, 4)
         assert abs(np.vdot(psi.amplitudes, psi.amplitudes) - 1) < 1e-12
 
     def test_rejects_small_n(self):
-        with pytest.raises(ValueError):
-            make_ghz(1)
+        with pytest.raises(ValueError, match="n_qubits must be >= 2"):
+            InitialStateRecipe(StateFamily.GHZ, 1)
 
 
 class TestBellProduct:
     def test_n2(self):
-        psi = make_bell_product(2)
+        psi = pure(StateFamily.BELL_PRODUCT, 2)
         assert np.allclose(psi.amplitudes[[1, 2]], 1 / math.sqrt(2))
 
     def test_n4(self):
-        psi = make_bell_product(4)
+        psi = pure(StateFamily.BELL_PRODUCT, 4)
         nonzero = np.nonzero(np.abs(psi.amplitudes) > 1e-12)[0]
         assert set(nonzero) == {5, 6, 9, 10}
         assert np.allclose(psi.amplitudes[nonzero], 0.5)
@@ -67,28 +68,30 @@ class TestBellProduct:
             for b in (1, 2):
                 for c in (1, 2):
                     expected[(a << 4) | (b << 2) | c] = 1 / (2 * math.sqrt(2))
-        psi = make_bell_product(6)
+        psi = pure(StateFamily.BELL_PRODUCT, 6)
         assert np.max(np.abs(psi.amplitudes - expected)) < 1e-12
 
     def test_rejects_odd(self):
-        with pytest.raises(ValueError):
-            make_bell_product(3)
+        with pytest.raises(ValueError, match="bell requires even n_qubits"):
+            InitialStateRecipe(StateFamily.BELL_PRODUCT, 3)
 
 
 class TestGhzBellMixture:
     def test_x1_is_ghz(self):
         assert np.allclose(
-            make_ghz_bell_mixture(6, 1.0).amplitudes, make_ghz(6).amplitudes
+            pure(StateFamily.GHZ_BELL_MIXTURE, 6, x=1.0).amplitudes,
+            pure(StateFamily.GHZ, 6).amplitudes,
         )
 
     def test_x0_is_bell_product(self):
         assert np.allclose(
-            make_ghz_bell_mixture(6, 0.0).amplitudes, make_bell_product(6).amplitudes
+            pure(StateFamily.GHZ_BELL_MIXTURE, 6, x=0.0).amplitudes,
+            pure(StateFamily.BELL_PRODUCT, 6).amplitudes,
         )
 
     def test_intermediate_amplitudes_n4(self):
         x = 1 / math.sqrt(2)
-        psi = make_ghz_bell_mixture(4, x)
+        psi = pure(StateFamily.GHZ_BELL_MIXTURE, 4, x=x)
         assert abs(psi.amplitudes[0] - 0.5) < 1e-12
         assert abs(psi.amplitudes[15] - 0.5) < 1e-12
         # Bell terms carry sqrt(1-x^2) times the product amplitude 1/2
@@ -96,30 +99,30 @@ class TestGhzBellMixture:
 
     def test_unit_norm_without_renormalization_kick(self):
         for x in np.linspace(0, 1, 21):
-            psi = make_ghz_bell_mixture(6, float(x))
+            psi = pure(StateFamily.GHZ_BELL_MIXTURE, 6, x=float(x))
             assert abs(np.linalg.norm(psi.amplitudes) - 1) < 1e-12
 
     def test_continuity_in_x(self):
-        prev = make_ghz_bell_mixture(6, 0.5).amplitudes
+        prev = pure(StateFamily.GHZ_BELL_MIXTURE, 6, x=0.5).amplitudes
         step = 1e-4
-        nxt = make_ghz_bell_mixture(6, 0.5 + step).amplitudes
+        nxt = pure(StateFamily.GHZ_BELL_MIXTURE, 6, x=0.5 + step).amplitudes
         assert np.max(np.abs(nxt - prev)) < 1e-3
 
     def test_domain_checks(self):
-        with pytest.raises(ValueError):
-            make_ghz_bell_mixture(4, 1.2)
-        with pytest.raises(ValueError):
-            make_ghz_bell_mixture(5, 0.5)
+        with pytest.raises(ValueError, match=r"x must be in \[0, 1\], got 1.2"):
+            InitialStateRecipe(StateFamily.GHZ_BELL_MIXTURE, 4, x=1.2)
+        with pytest.raises(ValueError, match="mixture requires even n_qubits"):
+            InitialStateRecipe(StateFamily.GHZ_BELL_MIXTURE, 5, x=0.5)
 
 
 class TestNoisy:
     def test_f1_is_projector(self):
-        psi = make_ghz(2)
+        psi = pure(StateFamily.GHZ, 2)
         rho = make_noisy(psi, 1.0).matrix
         assert np.allclose(rho, np.outer(psi.amplitudes, psi.amplitudes.conj()))
 
     def test_f0_is_maximally_mixed(self):
-        rho = make_noisy(make_ghz(3), 0.0).matrix
+        rho = make_noisy(pure(StateFamily.GHZ, 3), 0.0).matrix
         assert np.allclose(rho, np.eye(8) / 8)
 
     def test_half_noise_diagonal(self):
@@ -142,21 +145,21 @@ class TestNoisy:
 
     def test_rejects_bad_f(self):
         with pytest.raises(ValueError):
-            make_noisy(make_ghz(2), -0.1)
+            make_noisy(pure(StateFamily.GHZ, 2), -0.1)
 
 
 class TestExponential:
     def test_gamma_zero_is_ground(self):
-        psi = make_exponential(4, 0.0)
+        psi = pure(StateFamily.EXPONENTIAL_ENTANGLER, 4, gamma=0.0)
         assert abs(psi.amplitudes[0] - 1) < 1e-12
 
     def test_gamma_max(self):
-        psi = make_exponential(4, math.pi / 2)
+        psi = pure(StateFamily.EXPONENTIAL_ENTANGLER, 4, gamma=math.pi / 2)
         assert abs(psi.amplitudes[0] - 1 / math.sqrt(2)) < 1e-12
         assert abs(psi.amplitudes[15] - 1j / math.sqrt(2)) < 1e-12
 
     def test_gamma_third(self):
-        psi = make_exponential(2, math.pi / 3)
+        psi = pure(StateFamily.EXPONENTIAL_ENTANGLER, 2, gamma=math.pi / 3)
         assert abs(psi.amplitudes[0] - math.sqrt(3) / 2) < 1e-12
         assert abs(psi.amplitudes[3] - 0.5j) < 1e-12
 
@@ -171,37 +174,38 @@ class TestExponential:
             ground = np.zeros(2**n, dtype=complex)
             ground[0] = 1.0
             expected = j @ ground
-            got = make_exponential(n, gamma).amplitudes
+            got = pure(StateFamily.EXPONENTIAL_ENTANGLER, n, gamma=gamma).amplitudes
             assert np.max(np.abs(got - expected)) < 1e-10
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            make_exponential(4, 2.0)
+        with pytest.raises(ValueError, match=r"gamma must be in \[0, pi/2\], got 2.0"):
+            InitialStateRecipe(StateFamily.EXPONENTIAL_ENTANGLER, 4, gamma=2.0)
 
 
 class TestW3Product:
     def test_single_w3(self):
-        psi = make_w3_product(3)
+        psi = pure(StateFamily.W3_PRODUCT, 3)
         nonzero = np.nonzero(np.abs(psi.amplitudes) > 1e-12)[0]
         assert set(nonzero) == {1, 2, 4}
         assert np.allclose(psi.amplitudes[nonzero], 1 / math.sqrt(3))
 
     def test_two_factors_nine_terms(self):
-        psi = make_w3_product(6)
+        psi = pure(StateFamily.W3_PRODUCT, 6)
         nonzero = np.nonzero(np.abs(psi.amplitudes) > 1e-12)[0]
         assert len(nonzero) == 9
         assert np.allclose(psi.amplitudes[nonzero], 1 / 3)
 
     def test_every_term_has_two_ones(self):
-        psi = make_w3_product(6)
+        psi = pure(StateFamily.W3_PRODUCT, 6)
         for b in np.nonzero(np.abs(psi.amplitudes) > 1e-12)[0]:
             assert int(b).bit_count() == 2
             # exactly one 1-bit per triple of qubits
             assert (int(b) >> 3).bit_count() == 1
 
     def test_rejects_bad_n(self):
-        with pytest.raises(ValueError):
-            make_w3_product(4)
+        message = "w3 product requires n_qubits divisible by 3"
+        with pytest.raises(ValueError, match=message):
+            InitialStateRecipe(StateFamily.W3_PRODUCT, 4)
 
 
 class TestRecipeAndDispatch:
@@ -223,12 +227,12 @@ class TestRecipeAndDispatch:
 
     def test_ghz_dispatch(self):
         state = build_initial(InitialStateRecipe(StateFamily.GHZ, 6))
-        assert np.allclose(state.amplitudes, make_ghz(6).amplitudes)
+        assert np.allclose(state.amplitudes, pure(StateFamily.GHZ, 6).amplitudes)
 
     def test_noisy_dispatch_composes(self):
         recipe = InitialStateRecipe(StateFamily.GHZ_BELL_MIXTURE, 6, x=0.5, f=0.8)
         rho = build_initial(recipe)
-        expected = make_noisy(make_ghz_bell_mixture(6, 0.5), 0.8)
+        expected = make_noisy(pure(StateFamily.GHZ_BELL_MIXTURE, 6, x=0.5), 0.8)
         assert np.max(np.abs(rho.matrix - expected.matrix)) < 1e-12
 
     @pytest.mark.parametrize("family", list(StateFamily))
@@ -261,3 +265,45 @@ class TestRecipeAndDispatch:
         recipe = InitialStateRecipe(family, n, x=x, gamma=gamma)
         psi = build_pure(recipe)
         assert abs(np.linalg.norm(psi.amplitudes) - 1) < 1e-12
+
+
+def state_digests():
+    """SHA-256 of the amplitude bytes `build_pure` returns, per family and N.
+
+    One digest per family and N = 2..12 hashes every recipe in order:
+    the mixture over the 101-point x grid and the x values of sweep_x,
+    sweep_f and the crossover scan, the entangler over 11 gamma values.
+    The committed tables depend on the last bits of these states, so
+    state_digests.json holds json.dumps(state_digests(), indent=1,
+    sort_keys=True) as computed by the `build_pure` that made those tables.
+    """
+    grids = (
+        np.linspace(0, 1, 101),
+        np.linspace(0, 1, 11),
+        np.arange(0, 1 + 0.01 / 2, 0.01),
+        [0.5, 1.0],
+    )
+    xs = sorted({float(x) for grid in grids for x in grid})
+    gammas = [float(g) for g in np.linspace(0, math.pi / 2, 11)]
+    params = {
+        StateFamily.GHZ_BELL_MIXTURE: [{"x": x} for x in xs],
+        StateFamily.EXPONENTIAL_ENTANGLER: [{"gamma": g} for g in gammas],
+    }
+    digests = {}
+    for family in StateFamily:
+        for n in range(2, 13):
+            try:
+                recipes = [
+                    InitialStateRecipe(family, n, **p) for p in params.get(family, [{}])
+                ]
+            except ValueError:
+                continue  # n is not a multiple of the family's block
+            h = hashlib.sha256()
+            for recipe in recipes:
+                h.update(build_pure(recipe).amplitudes.tobytes())
+            digests[f"{family.value}-{n}"] = h.hexdigest()
+    return digests
+
+
+def test_pure_states_match_recorded_digests():
+    assert state_digests() == json.loads(DIGESTS.read_text())
