@@ -4,17 +4,17 @@ Best-response search on the deviator's 2x2 Gram form: a coarse grid
 screened on (theta, alpha - beta), with only the points that can win
 scored exactly (its memory grows with one theta plane, never the grid),
 then coordinate-wise refinement, finished by the exact top eigenvector,
-Nash-equilibrium verification via the unilateral-deviation inequality,
-Pareto comparison, the closed-form 6-player payoff formulas, the
-N-player entangler-payoff conjecture, and parameter sweeps that produce
-figure-ready tables.
+Nash-equilibrium verification via the unilateral-deviation inequality
+(a symmetric profile costs one best-response search; the other players'
+reports are copies with `player` set), the closed-form 6-player payoff
+formula, the N-player entangler-payoff conjecture, and parameter sweeps
+that produce figure-ready tables.
 """
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -46,8 +46,6 @@ EXACT_OPTIMUM_MARGIN = 1e-12
 # margin keeps every point that can be the grid maximum.
 GRID_SCREEN_MARGIN = 1e-9
 
-PARETO_MARGIN = 1e-10
-
 
 def ne_strategy(n: int) -> StrategyParams:
     """The known symmetric equilibrium strategy M(pi/2, -pi/2n, pi/2n)."""
@@ -63,13 +61,6 @@ def entangler_ne_strategy(n: int) -> StrategyParams:
     equilibrium payoff exactly.
     """
     return StrategyParams(math.pi / 2, -math.pi / (4 * n), math.pi / (4 * n))
-
-
-def payoff_formula_eq8(x: float) -> float:
-    """6-player noiseless equilibrium payoff: 1/4 + x^2/16."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x must be in [0, 1], got {x}")
-    return 0.25 + x**2 / 16
 
 
 def payoff_formula_eq9(x: float, f: float) -> float:
@@ -121,29 +112,6 @@ class SweepRow:
     payoff_simulated: float = 0.0
     payoff_analytic: Optional[float] = None
     abs_error: Optional[float] = None
-
-
-class ParetoResult(enum.Enum):
-    A_DOMINATES = "ADominates"
-    B_DOMINATES = "BDominates"
-    EQUAL = "Equal"
-    INCOMPARABLE = "Incomparable"
-
-
-def pareto_compare(payoffs_a: Sequence[float], payoffs_b: Sequence[float]) -> ParetoResult:
-    """Componentwise dominance with a small strictness margin."""
-    a = np.asarray(payoffs_a, dtype=float)
-    b = np.asarray(payoffs_b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError("payoff vectors differ in length")
-    diff = a - b
-    if np.all(np.abs(diff) <= PARETO_MARGIN):
-        return ParetoResult.EQUAL
-    if np.all(diff >= -PARETO_MARGIN):
-        return ParetoResult.A_DOMINATES
-    if np.all(diff <= PARETO_MARGIN):
-        return ParetoResult.B_DOMINATES
-    return ParetoResult.INCOMPARABLE
 
 
 def _su2_batch(thetas: np.ndarray, alphas: np.ndarray, betas: np.ndarray) -> np.ndarray:
@@ -334,10 +302,27 @@ def nash_check(
     grid_resolution: int = 25,
     tolerance: float = NASH_TOLERANCE,
 ) -> List[DeviationReport]:
-    """Best-response search for every player; NE iff no player gains."""
+    """Best-response search for every player; NE iff no player gains.
+
+    A symmetric profile (every player on one strategy) is searched once,
+    for player 1; every other player's report is a copy with `player`
+    set. That is exact: every state family is invariant under a group of
+    qubit permutations that carries any qubit to any other (GHZ, the
+    entangler and the identity noise floor under all of them; Bell, the
+    mixture and W3 under permutations within a block and swaps of whole
+    blocks), U^(x)n commutes with every permutation, and the minority
+    payoff is symmetric under relabelling the players. So a permutation
+    taking player 1 to player j maps each deviation of player 1 to the
+    same deviation of player j at the same payoff. Any other profile is
+    searched player by player.
+    """
+    players = range(1, spec.n_players + 1)
+    if len(set(candidate.strategies)) == 1:
+        report = best_response(spec, candidate, 1, grid_resolution, tolerance)
+        return [replace(report, player=player) for player in players]
     return [
         best_response(spec, candidate, player, grid_resolution, tolerance)
-        for player in range(1, spec.n_players + 1)
+        for player in players
     ]
 
 

@@ -7,12 +7,13 @@ tests can check that split against a brute-force computation. It also
 holds the per-outcome minority rule that `game.minority_mask` is pinned
 to, and the per-qubit apply that `core.apply_locals` matches bit for bit,
 with `final_state`, its loop over the players, as the reference for
-`game.final_amplitudes`.
+`game.final_amplitudes`, and `nash_check_per_player`, one best-response
+search per player, as the reference for `analysis.nash_check`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, List, Union
 
 import numpy as np
 
@@ -23,7 +24,8 @@ from qmg.core import (
     _check_qubit_count,
     _frozen_array,
 )
-from qmg.game import StrategyProfile, strategy_unitary
+from qmg.analysis import NASH_TOLERANCE, DeviationReport, best_response
+from qmg.game import GameSpec, StrategyProfile, strategy_unitary
 from qmg.states import InitialStateRecipe, build_pure
 
 
@@ -144,3 +146,16 @@ def dense_final_state(rho: MixedState, profile: StrategyProfile) -> MixedState:
 def dense_expectation(rho: MixedState, indices: Iterable[int]) -> float:
     """Tr[rho P] for the diagonal projector onto the given basis indices."""
     return float(np.sum(rho.diagonal()[np.fromiter(indices, dtype=np.intp)]))
+
+
+def nash_check_per_player(
+    spec: GameSpec,
+    candidate: StrategyProfile,
+    grid_resolution: int = 25,
+    tolerance: float = NASH_TOLERANCE,
+) -> List[DeviationReport]:
+    """`analysis.nash_check` without the orbit shortcut: every player searched."""
+    return [
+        best_response(spec, candidate, player, grid_resolution, tolerance)
+        for player in range(1, spec.n_players + 1)
+    ]

@@ -7,13 +7,11 @@ import numpy as np
 import pytest
 
 from qmg.analysis import (
-    ParetoResult,
     best_response,
     conjecture_eq14,
     entangler_ne_strategy,
     nash_check,
     ne_strategy,
-    pareto_compare,
     payoff_formula_eq9,
     sweep_gamma,
 )
@@ -25,6 +23,7 @@ from dense_oracle import (
     dense_final_state,
     minority_winners,
 )
+from paper_checks import ParetoResult, pareto_compare
 from qmg.game import (
     IDENTITY,
     GameSpec,

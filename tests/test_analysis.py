@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -6,20 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_oracle import final_state, minority_winners
+from dense_oracle import final_state, minority_winners, nash_check_per_player
+from paper_checks import ParetoResult, pareto_compare, payoff_formula_eq8
 from qmg import analysis, game
 from qmg.analysis import (
     NASH_TOLERANCE,
     DeviationReport,
-    ParetoResult,
     best_response,
     conjecture_endpoints,
     conjecture_eq14,
     entangler_ne_strategy,
     nash_check,
     ne_strategy,
-    pareto_compare,
-    payoff_formula_eq8,
     payoff_formula_eq9,
     payoff_surface,
     sweep_f,
@@ -398,6 +397,75 @@ class TestGramFormAgainstDenseOracle:
         report = best_response(spec, profile, player, grid_resolution=3)
         exact = _exact_best_payoff(spec, profile, player)
         assert abs(report.best_deviation_payoff - exact) < 1e-12
+
+
+# every family once, with noise f < 1 on the mixture
+_FAMILY_SPECS = [
+    GameSpec(6, InitialStateRecipe(StateFamily.GHZ, 6)),
+    GameSpec(6, InitialStateRecipe(StateFamily.BELL_PRODUCT, 6)),
+    GameSpec(6, InitialStateRecipe(StateFamily.GHZ_BELL_MIXTURE, 6, x=0.5, f=0.9)),
+    GameSpec(6, InitialStateRecipe(StateFamily.EXPONENTIAL_ENTANGLER, 6, gamma=0.7)),
+    GameSpec(6, InitialStateRecipe(StateFamily.W3_PRODUCT, 6)),
+]
+
+_strategies = st.builds(
+    StrategyParams,
+    st.floats(0, PI, allow_nan=False),
+    st.floats(-PI, PI, allow_nan=False),
+    st.floats(-PI, PI, allow_nan=False),
+)
+
+
+def _assert_matches_per_player_search(reports, reference):
+    assert [r.player for r in reports] == [r.player for r in reference]
+    for r, ref in zip(reports, reference):
+        assert abs(r.max_gain - ref.max_gain) < 1e-12
+        assert abs(r.best_deviation_payoff - ref.best_deviation_payoff) < 1e-12
+        assert abs(r.equilibrium_payoff - ref.equilibrium_payoff) < 1e-12
+        assert r.is_nash_within_tol == ref.is_nash_within_tol
+
+
+class TestNashCheckOrbits:
+    @pytest.mark.parametrize("spec", _FAMILY_SPECS, ids=lambda s: s.recipe.family.value)
+    @pytest.mark.parametrize(
+        "strategy",
+        [ne_strategy(6), StrategyParams(1.1, 0.4, -2.3)],
+        ids=["equilibrium", "random"],
+    )
+    def test_symmetric_profile_searches_once(self, spec, strategy, monkeypatch):
+        candidate = StrategyProfile.symmetric(strategy, 6)
+        reference = nash_check_per_player(spec, candidate, 9)
+        searched = []
+
+        def counted(*args):
+            searched.append(args[2])
+            return best_response(*args)
+
+        monkeypatch.setattr(analysis, "best_response", counted)
+        reports = nash_check(spec, candidate, 9)
+        assert searched == [1]
+        assert all(r == dataclasses.replace(reports[0], player=r.player) for r in reports)
+        _assert_matches_per_player_search(reports, reference)
+
+    @given(_recipes(max_n=8), _strategies)
+    @settings(max_examples=25, deadline=None)
+    def test_symmetric_reports_match_the_per_player_search(self, recipe, strategy):
+        spec = GameSpec(recipe.n_qubits, recipe)
+        candidate = StrategyProfile.symmetric(strategy, recipe.n_qubits)
+        _assert_matches_per_player_search(
+            nash_check(spec, candidate, 5), nash_check_per_player(spec, candidate, 5)
+        )
+
+    @given(_deviation_cases())
+    @settings(max_examples=20, deadline=None)
+    def test_other_profiles_are_searched_per_player(self, case):
+        spec, profile, _, _ = case
+        assert nash_check(spec, profile, 5) == nash_check_per_player(spec, profile, 5)
+
+    @pytest.mark.parametrize("spec", _FAMILY_SPECS, ids=lambda s: s.recipe.family.value)
+    def test_one_player_off_the_symmetric_strategy(self, spec):
+        candidate = StrategyProfile.symmetric(ne_strategy(6), 6).replace(4, IDENTITY)
+        assert nash_check(spec, candidate, 5) == nash_check_per_player(spec, candidate, 5)
 
 
 def _full_grid(ev, steps):

@@ -276,35 +276,51 @@ class TestCleanFailure:
         assert run(config) == 3
         assert capsys.readouterr().err == "error: out of memory: cannot allocate\n"
 
+    # explicit ids, each the name its case already had: a case added
+    # anywhere renames no other test
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["payoff", "--n", "5", "--state", "bell", "--symmetric", "0,0,0"],
-             "bell requires even n_qubits"),
-            (["payoff", "--n", "4", "--state", "w3", "--symmetric", "0,0,0"],
-             "w3 product requires n_qubits divisible by 3"),
-            (["payoff", "--n", "4", "--symmetric", "4,0,0"],
-             "theta must be in [0, pi], got 4.0"),
-            (["payoff", "--n", "4", "--symmetric", "0,0,0", "--tolerance", "nan"],
-             "tolerance must be finite and positive, got nan"),
-            (["payoff", "--n", "4", "--symmetric", "0,0,0", "--tolerance", "inf"],
-             "tolerance must be finite and positive, got inf"),
-            (["conjecture", "--n", "6", "--payoff-classical", "2"],
-             "payoff-classical must be in [0, 1], got 2.0"),
-            (["sweep-gamma", "--n", "4", "--steps", "3", "--payoff-quantum", "-0.5"],
-             "payoff-quantum must be in [0, 1], got -0.5"),
-            (["conjecture", "--n", "6", "--payoff-quantum", "nan"],
-             "payoff-quantum must be in [0, 1], got nan"),
-            (["surface", "--n", "4", "--theta-steps", "1"],
-             "theta-steps must be >= 2, got 1"),
-            (["classical", "--format", "xml"], "format must be csv or json, got xml"),
-            (["payoff", "--state", "foo", "--symmetric", "0,0,0"],
-             "state must be one of ghz, bell, mixture, exp, w3, got foo"),
-            (["classical", "--n", "4", "--symmetric", "9,0,0"],
-             "theta must be in [0, pi], got 9.0"),
-            (["surface", "--n", "4", "--theta-steps", "2", "--alpha-steps", "2",
-              "--profile", "9,0,0"],
-             "theta must be in [0, pi], got 9.0"),
+            pytest.param(["payoff", "--n", "5", "--state", "bell", "--symmetric", "0,0,0"],
+                         "bell requires even n_qubits",
+                         id="argv0-bell requires even n_qubits"),
+            pytest.param(["payoff", "--n", "4", "--state", "w3", "--symmetric", "0,0,0"],
+                         "w3 product requires n_qubits divisible by 3",
+                         id="argv1-w3 product requires n_qubits divisible by 3"),
+            pytest.param(["payoff", "--n", "4", "--symmetric", "4,0,0"],
+                         "theta must be in [0, pi], got 4.0",
+                         id="argv2-theta must be in [0, pi], got 4.0"),
+            pytest.param(["payoff", "--n", "4", "--symmetric", "0,0,0", "--tolerance", "nan"],
+                         "tolerance must be finite and positive, got nan",
+                         id="argv3-tolerance must be finite and positive, got nan"),
+            pytest.param(["payoff", "--n", "4", "--symmetric", "0,0,0", "--tolerance", "inf"],
+                         "tolerance must be finite and positive, got inf",
+                         id="argv4-tolerance must be finite and positive, got inf"),
+            pytest.param(["conjecture", "--n", "6", "--payoff-classical", "2"],
+                         "payoff-classical must be in [0, 1], got 2.0",
+                         id="argv5-payoff-classical must be in [0, 1], got 2.0"),
+            pytest.param(["sweep-gamma", "--n", "4", "--steps", "3", "--payoff-quantum", "-0.5"],
+                         "payoff-quantum must be in [0, 1], got -0.5",
+                         id="argv6-payoff-quantum must be in [0, 1], got -0.5"),
+            pytest.param(["conjecture", "--n", "6", "--payoff-quantum", "nan"],
+                         "payoff-quantum must be in [0, 1], got nan",
+                         id="argv7-payoff-quantum must be in [0, 1], got nan"),
+            pytest.param(["surface", "--n", "4", "--theta-steps", "1"],
+                         "theta-steps must be >= 2, got 1",
+                         id="argv8-theta-steps must be >= 2, got 1"),
+            pytest.param(["classical", "--format", "xml"],
+                         "format must be csv or json, got xml",
+                         id="argv9-format must be csv or json, got xml"),
+            pytest.param(["payoff", "--state", "foo", "--symmetric", "0,0,0"],
+                         "state must be one of ghz, bell, mixture, exp, w3, got foo",
+                         id="argv10-state must be one of ghz, bell, mixture, exp, w3, got foo"),
+            pytest.param(["classical", "--n", "4", "--symmetric", "9,0,0"],
+                         "theta must be in [0, pi], got 9.0",
+                         id="argv11-theta must be in [0, pi], got 9.0"),
+            pytest.param(["surface", "--n", "4", "--theta-steps", "2", "--alpha-steps", "2",
+                          "--profile", "9,0,0"],
+                         "theta must be in [0, pi], got 9.0",
+                         id="argv12-theta must be in [0, pi], got 9.0"),
         ],
     )
     def test_domain_errors_are_clean(self, argv, message, capsys):
@@ -314,11 +330,13 @@ class TestCleanFailure:
     @pytest.mark.parametrize(
         "argv, code, err",
         [
-            (["sweep-x", "--n", "4", "--state", "w3"], 0, ""),
-            (["sweep-f", "--n", "4", "--state", "w3"], 0, ""),
-            (["sweep-gamma", "--n", "5", "--state", "bell"], 0, ""),
-            (["sweep-x", "--n", "5"], 2, "error: mixture requires even n_qubits\n"),
-            (["sweep-f", "--n", "5"], 2, "error: mixture requires even n_qubits\n"),
+            pytest.param(["sweep-x", "--n", "4", "--state", "w3"], 0, "", id="argv0-0-"),
+            pytest.param(["sweep-f", "--n", "4", "--state", "w3"], 0, "", id="argv1-0-"),
+            pytest.param(["sweep-gamma", "--n", "5", "--state", "bell"], 0, "", id="argv2-0-"),
+            pytest.param(["sweep-x", "--n", "5"], 2, "error: mixture requires even n_qubits\n",
+                         id="argv3-2-error: mixture requires even n_qubits\n"),
+            pytest.param(["sweep-f", "--n", "5"], 2, "error: mixture requires even n_qubits\n",
+                         id="argv4-2-error: mixture requires even n_qubits\n"),
         ],
     )
     def test_sweeps_validate_the_family_they_build(self, argv, code, err, capsys):

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import pathlib
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_oracle import build_initial, make_noisy
-from qmg.states import InitialStateRecipe, StateFamily, build_pure
+from qmg.states import _FAMILIES, InitialStateRecipe, StateFamily, build_pure
 
 DIGESTS = pathlib.Path(__file__).with_name("state_digests.json")
 
@@ -265,6 +266,37 @@ class TestRecipeAndDispatch:
         recipe = InitialStateRecipe(family, n, x=x, gamma=gamma)
         psi = build_pure(recipe)
         assert abs(np.linalg.norm(psi.amplitudes) - 1) < 1e-12
+
+
+class TestPlayerSymmetry:
+    """`analysis.nash_check` copies one player's report to every player of
+    a symmetric profile. That is exact only while every family's state is
+    invariant under qubit permutations that carry any qubit to any other:
+    permutations within a block, and swaps of whole blocks."""
+
+    @pytest.mark.parametrize("family", list(StateFamily))
+    def test_block_vectors_are_symmetric_in_their_qubits(self, family):
+        block, _, terms, _ = _FAMILIES[family]
+        recipe = InitialStateRecipe(family, 6, x=0.6, gamma=0.7)
+        for _, v in terms(recipe):
+            t = v.reshape([2] * block)
+            for perm in itertools.permutations(range(block)):
+                assert np.array_equal(np.transpose(t, perm), t)
+
+    @pytest.mark.parametrize("family", list(StateFamily))
+    def test_every_qubit_can_be_carried_to_the_first(self, family):
+        block = _FAMILIES[family][0]
+        n = 6
+        t = pure(family, n, x=0.6, gamma=0.7).amplitudes.reshape([2] * n)
+        for j in range(n):
+            b, r = divmod(j, block)
+            axes = list(range(n))
+            axes[:block], axes[b * block:(b + 1) * block] = (
+                axes[b * block:(b + 1) * block], axes[:block]
+            )
+            axes[:block] = axes[r:block] + axes[:r]  # in-block rotation
+            assert axes[0] == j
+            assert np.allclose(np.transpose(t, axes), t, rtol=0, atol=1e-15)
 
 
 def state_digests():
