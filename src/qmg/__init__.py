@@ -1,6 +1,5 @@
 """Quantum minority game simulator and analysis toolkit."""
 
-from .core import LocalUnitary, PureState
 from .game import (
     GameSpec,
     StrategyParams,
@@ -14,8 +13,6 @@ from .states import InitialStateRecipe, StateFamily
 __all__ = [
     "GameSpec",
     "InitialStateRecipe",
-    "LocalUnitary",
-    "PureState",
     "StateFamily",
     "StrategyParams",
     "StrategyProfile",

@@ -4,22 +4,24 @@ Each of N players holds one qubit and plays an SU(2) strategy operator
 on it. Players in the strict minority after measurement in the
 computational basis receive payoff 1; ties and unanimity pay nothing.
 Player i (1-based) acts on qubit i-1, the i-th most significant bit.
-`minority_mask` is the one form of that rule in the package,
-`final_amplitudes` builds every final state, and `_payoff` turns each
-row of final probabilities into a payoff.
+`strategy_unitary` gives a strategy's matrix as a read-only (2, 2)
+array, `minority_mask` is the one form of that rule in the package,
+`final_amplitudes` builds every final state from the memoised initial
+state, and `_payoff` turns each row of final probabilities into a
+payoff.
 """
 from __future__ import annotations
 
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import List, Sequence
 
 import numpy as np
 
-from .core import LocalUnitary, PureState, _check_qubit_count, apply_locals
+from .core import _check_qubit_count, apply_locals
 from .states import InitialStateRecipe, build_pure
 
 
@@ -87,20 +89,31 @@ class GameSpec:
             )
 
 
-def strategy_unitary(p: StrategyParams) -> LocalUnitary:
-    """The SU(2) strategy matrix M(theta, alpha, beta)."""
+# Construction-time tolerance; test oracles use a looser 1e-10.
+CONSTRUCTION_TOL = 1e-12
+
+
+def strategy_unitary(p: StrategyParams) -> np.ndarray:
+    """The SU(2) strategy matrix M(theta, alpha, beta), a read-only (2, 2) array."""
     c = math.cos(p.theta / 2)
     s = math.sin(p.theta / 2)
     ea = cmath.exp(1j * p.alpha)
     eb = cmath.exp(1j * p.beta)
-    m = np.array(
-        [
-            [ea * c, 1j * eb * s],
-            [1j * s / eb, c / ea],
-        ],
-        dtype=complex,
-    )
-    return LocalUnitary(m)
+    return _unitary_matrix(ea * c, 1j * eb * s, 1j * s / eb, c / ea)
+
+
+def _unitary_matrix(m00: complex, m01: complex, m10: complex, m11: complex) -> np.ndarray:
+    """Read-only [[m00, m01], [m10, m11]] once its entries are finite and U U^dagger = I."""
+    if not all(map(cmath.isfinite, (m00, m01, m10, m11))):
+        raise ValueError("non-finite entries")
+    # the entries of U U^dagger - I: two diagonal, one off-diagonal (twice)
+    errors = (abs(m00) ** 2 + abs(m01) ** 2 - 1, abs(m10) ** 2 + abs(m11) ** 2 - 1,
+              m00 * m10.conjugate() + m01 * m11.conjugate())
+    if max(map(abs, errors)) > CONSTRUCTION_TOL:
+        raise ValueError("matrix is not unitary")
+    m = np.array([[m00, m01], [m10, m11]], dtype=complex)
+    m.setflags(write=False)
+    return m
 
 
 @functools.lru_cache(maxsize=128)  # every (n, player) with n <= MAX_QUBITS
@@ -140,16 +153,22 @@ PAYOFF_CHUNK = 2**12
 
 
 def _unitaries(profile: StrategyProfile) -> np.ndarray:
-    """(n, 2, 2) strategy matrices, one checked matrix per distinct strategy."""
-    mats = {params: strategy_unitary(params).entries for params in set(profile.strategies)}
-    return np.array([mats[params] for params in profile.strategies])
+    """(n, 2, 2) strategy matrices, one matrix per distinct strategy object.
+
+    Keyed by identity, not by value: a symmetric profile holds one object
+    n times, and hashing every frozen strategy would cost more than
+    building the one matrix.
+    """
+    distinct = {id(params): params for params in profile.strategies}
+    mats = {key: strategy_unitary(params) for key, params in distinct.items()}
+    return np.array([mats[id(params)] for params in profile.strategies])
 
 
 # Callers vary the profile far more often than the recipe. The state is
-# frozen with read-only amplitudes, so one shared copy is safe. A miss
-# calls the module-level build_pure, so a tracer that wraps it sees it.
+# read-only, so one shared copy is safe. A miss calls the module-level
+# build_pure, so a tracer that wraps it sees it.
 @functools.lru_cache(maxsize=1)
-def _initial_state(recipe: InitialStateRecipe) -> PureState:
+def _initial_state(recipe: InitialStateRecipe) -> np.ndarray:
     return build_pure(recipe)
 
 
@@ -162,7 +181,10 @@ def final_amplitudes(spec: GameSpec, profiles: Sequence[StrategyProfile]) -> np.
     n = spec.n_players
     if any(len(profile) != n for profile in profiles):
         raise ValueError(f"every profile needs {n} strategies")
-    initial = _initial_state(spec.recipe).amplitudes
+    recipe = spec.recipe
+    if recipe.f != 1.0:  # build_pure never reads f: a sweep over f builds once
+        recipe = replace(recipe, f=1.0)
+    initial = _initial_state(recipe)
     unitaries = np.array([_unitaries(profile) for profile in profiles])
     return apply_locals(np.broadcast_to(initial, (len(profiles), 2**n)), unitaries)
 

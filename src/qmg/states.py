@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PureState, _check_qubit_count
+from .core import _check_qubit_count, _check_unit_rows
 
 
 class StateFamily(enum.Enum):
@@ -100,9 +100,10 @@ def _tensor_power(v: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def build_pure(recipe: InitialStateRecipe) -> PureState:
+def build_pure(recipe: InitialStateRecipe) -> np.ndarray:
     """The pure state a recipe describes, before any noise is added.
 
+    Returns a read-only (2^n,) amplitude vector with a checked unit norm.
     The qubit count is checked before any term is built, so a recipe
     beyond MAX_QUBITS fails without building its 2^n vector.
     """
@@ -112,5 +113,7 @@ def build_pure(recipe: InitialStateRecipe) -> PureState:
     powers = [c * _tensor_power(v, n // block) for c, v in terms(recipe)]
     amps = sum(powers[1:], powers[0])
     if renormalise:
-        return PureState.from_amplitudes(n, amps)
-    return PureState(n, amps)
+        amps = amps / np.linalg.norm(amps)
+    _check_unit_rows(amps[None])
+    amps.setflags(write=False)
+    return amps

@@ -8,7 +8,9 @@ holds the per-outcome minority rule that `game.minority_mask` is pinned
 to, and the per-qubit apply that `core.apply_locals` matches bit for bit,
 with `final_state`, its loop over the players, as the reference for
 `game.final_amplitudes`, and `nash_check_per_player`, one best-response
-search per player, as the reference for `analysis.nash_check`.
+search per player, as the reference for `analysis.nash_check`. A pure
+state here is what `states.build_pure` returns: a read-only,
+norm-checked array of 2^n amplitudes.
 """
 from __future__ import annotations
 
@@ -17,15 +19,9 @@ from typing import Iterable, List, Union
 
 import numpy as np
 
-from qmg.core import (
-    CONSTRUCTION_TOL,
-    LocalUnitary,
-    PureState,
-    _check_qubit_count,
-    _frozen_array,
-)
+from qmg.core import _check_qubit_count, _check_unit_rows
 from qmg.analysis import NASH_TOLERANCE, DeviationReport, best_response
-from qmg.game import GameSpec, StrategyProfile, strategy_unitary
+from qmg.game import CONSTRUCTION_TOL, GameSpec, StrategyProfile, strategy_unitary
 from qmg.states import InitialStateRecipe, build_pure
 
 
@@ -52,6 +48,29 @@ def minority_winners(outcome: int, n_players: int) -> frozenset:
     )
 
 
+def qubit_count(amps: np.ndarray) -> int:
+    """n for a vector of 2^n amplitudes."""
+    n = len(amps).bit_length() - 1
+    if len(amps) != 2**n:
+        raise ValueError(f"{len(amps)} amplitudes is no power of 2")
+    return n
+
+
+def pure_state(amps) -> np.ndarray:
+    """A read-only copy of a unit-norm amplitude vector, checked as build_pure checks."""
+    amps = np.array(amps, dtype=complex)
+    _check_qubit_count(qubit_count(amps))
+    _check_unit_rows(amps[None])
+    amps.setflags(write=False)
+    return amps
+
+
+def normalized(amps) -> np.ndarray:
+    """`pure_state` of an amplitude vector divided by its norm."""
+    amps = np.asarray(amps, dtype=complex)
+    return pure_state(amps / np.linalg.norm(amps))
+
+
 def _check_qubit_index(n_qubits: int, qubit_index: int) -> None:
     if not 0 <= qubit_index < n_qubits:
         raise IndexError(
@@ -59,20 +78,20 @@ def _check_qubit_index(n_qubits: int, qubit_index: int) -> None:
         )
 
 
-def apply_local(state: PureState, u: LocalUnitary, qubit_index: int) -> PureState:
-    """Apply u to one qubit of a pure state, validating the result."""
-    n = state.n_qubits
+def apply_local(state: np.ndarray, u: np.ndarray, qubit_index: int) -> np.ndarray:
+    """Apply the (2, 2) u to one qubit of a pure state, validating the result."""
+    n = qubit_count(state)
     _check_qubit_index(n, qubit_index)
-    psi = np.moveaxis(state.amplitudes.reshape([2] * n), qubit_index, 0).reshape(2, -1)
-    amps = np.moveaxis((u.entries @ psi).reshape([2] * n), 0, qubit_index)
-    return PureState(n, amps.reshape(-1))
+    psi = np.moveaxis(state.reshape([2] * n), qubit_index, 0).reshape(2, -1)
+    amps = np.moveaxis((u @ psi).reshape([2] * n), 0, qubit_index)
+    return pure_state(amps.reshape(-1))
 
 
-def final_state(initial: PureState, profile: StrategyProfile) -> PureState:
+def final_state(initial: np.ndarray, profile: StrategyProfile) -> np.ndarray:
     """Apply every player's strategy unitary to their own qubit, in turn."""
-    if len(profile) != initial.n_qubits:
+    if len(profile) != qubit_count(initial):
         raise ValueError(
-            f"profile has {len(profile)} strategies for {initial.n_qubits} qubits"
+            f"profile has {len(profile)} strategies for {len(initial)} amplitudes"
         )
     state = initial
     for qubit, params in enumerate(profile.strategies):
@@ -90,7 +109,10 @@ class MixedState:
     def __post_init__(self):
         _check_qubit_count(self.n_qubits)
         dim = 2**self.n_qubits
-        rho = _frozen_array(self.matrix, (dim, dim))
+        rho = np.array(self.matrix, dtype=complex)
+        if rho.shape != (dim, dim) or not np.all(np.isfinite(rho)):
+            raise ValueError(f"expected a finite ({dim}, {dim}) matrix")
+        rho.setflags(write=False)
         if np.max(np.abs(rho - rho.conj().T)) > CONSTRUCTION_TOL:
             raise ValueError("density matrix not Hermitian")
         tr = np.trace(rho).real
@@ -99,36 +121,35 @@ class MixedState:
         object.__setattr__(self, "matrix", rho)
 
     @classmethod
-    def from_pure(cls, state: PureState) -> "MixedState":
-        rho = np.outer(state.amplitudes, state.amplitudes.conj())
-        return cls(state.n_qubits, rho)
+    def from_pure(cls, state: np.ndarray) -> "MixedState":
+        return cls(qubit_count(state), np.outer(state, state.conj()))
 
     def diagonal(self) -> np.ndarray:
         return np.real(np.diag(self.matrix))
 
 
-def apply_local_mixed(state: MixedState, u: LocalUnitary, qubit_index: int) -> MixedState:
+def apply_local_mixed(state: MixedState, u: np.ndarray, qubit_index: int) -> MixedState:
     """Conjugate a density matrix by a single-qubit unitary: rho -> U rho U†."""
     n = state.n_qubits
     _check_qubit_index(n, qubit_index)
     rho = state.matrix.reshape([2] * (2 * n))
     rho = np.moveaxis(rho, (qubit_index, n + qubit_index), (0, 1)).reshape(2, 2, -1)
-    rho = np.einsum("ab,bdx,cd->acx", u.entries, rho, u.entries.conj())
+    rho = np.einsum("ab,bdx,cd->acx", u, rho, u.conj())
     rho = np.moveaxis(rho.reshape([2] * (2 * n)), (0, 1), (qubit_index, n + qubit_index))
     return MixedState(n, rho.reshape(2**n, 2**n))
 
 
-def make_noisy(state: PureState, f: float) -> MixedState:
+def make_noisy(state: np.ndarray, f: float) -> MixedState:
     """f |psi><psi| + (1-f)/2^n * I."""
     if not 0.0 <= f <= 1.0:
         raise ValueError(f"f must be in [0, 1], got {f}")
-    dim = 2**state.n_qubits
-    rho = f * np.outer(state.amplitudes, state.amplitudes.conj())
+    dim = len(state)
+    rho = f * np.outer(state, state.conj())
     rho += (1 - f) / dim * np.eye(dim)
-    return MixedState(state.n_qubits, rho)
+    return MixedState(qubit_count(state), rho)
 
 
-def build_initial(recipe: InitialStateRecipe) -> Union[PureState, MixedState]:
+def build_initial(recipe: InitialStateRecipe) -> Union[np.ndarray, MixedState]:
     """Dispatch a recipe to its constructor; mixed only when f < 1."""
     psi = build_pure(recipe)
     if recipe.f < 1.0:

@@ -22,6 +22,7 @@ from dense_oracle import (
     dense_expectation,
     dense_final_state,
     minority_winners,
+    pure_state,
 )
 from paper_checks import ParetoResult, pareto_compare
 from qmg.game import (
@@ -189,7 +190,7 @@ def test_criterion_10_property_suites():
 
     # SU(2) membership, 1000 random triples
     for _ in range(1000):
-        u = strategy_unitary(rand_params()).entries
+        u = strategy_unitary(rand_params())
         assert np.max(np.abs(u @ u.conj().T - np.eye(2))) < 1e-12
         assert abs(np.linalg.det(u) - 1) < 1e-12
 
@@ -222,15 +223,13 @@ def test_criterion_10_property_suites():
         for _ in range(10):
             amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
             amps /= np.linalg.norm(amps)
-            from qmg.core import PureState
-
-            psi = PureState(n, amps)
+            psi = pure_state(amps)
             u = strategy_unitary(rand_params())
             q = int(rng.integers(n))
             ops = [np.eye(2, dtype=complex)] * n
-            ops[q] = u.entries
+            ops[q] = u
             oracle = reduce(np.kron, ops) @ amps
-            got = apply_local(psi, u, q).amplitudes
+            got = apply_local(psi, u, q)
             assert np.max(np.abs(got - oracle)) < 1e-10
 
     # payoff conservation, 100 random profiles at N=4 and N=6

@@ -235,6 +235,20 @@ class TestSweeps:
         assert max(r.abs_error for r in rows) < 1e-9
         assert abs(rows[0].payoff_simulated - 3 / 16) < 1e-9
 
+    def test_sweep_f_builds_its_state_once(self, monkeypatch):
+        # build_pure never reads f, so the memo ignores it
+        calls = []
+
+        def counted(recipe):
+            calls.append(recipe)
+            return build_pure(recipe)
+
+        monkeypatch.setattr(game, "build_pure", counted)
+        game._initial_state.cache_clear()
+        rows = sweep_f(n=6, x=0.5, steps=11)
+        assert len(rows) == 11 and len(calls) == 1
+        assert calls[0].f == 1.0
+
     def test_sweep_gamma_endpoints(self):
         rows = sweep_gamma(n=6, steps=11, payoff_classical=3 / 16, payoff_quantum=5 / 16)
         assert abs(rows[0].payoff_simulated - 3 / 16) < 1e-9
@@ -346,7 +360,7 @@ def _exact_best_payoff(spec, profile, player):
     """
     n = spec.n_players
     psi = final_state(build_pure(spec.recipe), profile.replace(player, IDENTITY))
-    block = np.moveaxis(psi.amplitudes.reshape([2] * n), player - 1, 0).reshape(2, -1)
+    block = np.moveaxis(psi.reshape([2] * n), player - 1, 0).reshape(2, -1)
     mask = np.array([player in minority_winners(b, n) for b in range(2**n)])
     rows = np.moveaxis(mask.reshape([2] * n), player - 1, 0).reshape(2, -1)
     g0, g1 = ((block * r) @ block.conj().T for r in rows)

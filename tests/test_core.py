@@ -6,9 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_oracle import MixedState, apply_local, apply_local_mixed, dense_expectation
+from dense_oracle import (
+    MixedState,
+    apply_local,
+    apply_local_mixed,
+    dense_expectation,
+    normalized,
+    pure_state,
+    qubit_count,
+)
 from qmg import game
-from qmg.core import LocalUnitary, PureState, apply_locals
+from qmg.core import MAX_QUBITS, _check_unit_rows, apply_locals
 from qmg.game import GameSpec, StrategyParams, strategy_unitary
 from qmg.states import InitialStateRecipe, StateFamily
 
@@ -17,7 +25,7 @@ RNG = np.random.default_rng(7)
 
 def random_state(n):
     amps = RNG.normal(size=2**n) + 1j * RNG.normal(size=2**n)
-    return PureState.from_amplitudes(n, amps)
+    return normalized(amps)
 
 
 def random_unitary():
@@ -29,33 +37,54 @@ def random_unitary():
 def basis(n, index):
     amps = np.zeros(2**n, dtype=complex)
     amps[index] = 1.0
-    return PureState(n, amps)
+    return pure_state(amps)
 
 
 def kron_apply(state, u, qubit):
     """Brute-force oracle: materialize the full I x ... x u x ... x I."""
-    ops = [np.eye(2, dtype=complex)] * state.n_qubits
-    ops[qubit] = u.entries
+    ops = [np.eye(2, dtype=complex)] * qubit_count(state)
+    ops[qubit] = u
     full = reduce(np.kron, ops)
-    return full @ state.amplitudes
+    return full @ state
 
 
 class TestPureState:
+    """`_check_unit_rows`, the check every initial state and final row passes."""
+
     def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError):
-            PureState(2, np.array([1.0, 1.0, 0, 0]))
-
-    def test_from_amplitudes_normalizes(self):
-        psi = PureState.from_amplitudes(1, [3.0, 4.0])
-        assert np.allclose(psi.amplitudes, [0.6, 0.8])
-
-    def test_rejects_wrong_length(self):
-        with pytest.raises(ValueError):
-            PureState(2, np.array([1.0, 0, 0]))
+        with pytest.raises(ValueError, match="not normalized"):
+            _check_unit_rows(np.array([[1.0, 1.0, 0, 0]], dtype=complex))
+        rows = np.array([[1, 0], [0.6, 0.8j], [0.6, 0.8 + 1e-8]], dtype=complex)
+        with pytest.raises(ValueError, match=r"\|psi\| = 1\.0000000"):
+            _check_unit_rows(rows)
+        _check_unit_rows(rows[:2])
 
     def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            PureState.from_amplitudes(1, [1.0, float("nan")])
+        for bad in (float("nan"), float("inf"), complex(0, float("inf"))):
+            rows = np.array([[1, 0], [bad, 0]], dtype=complex)
+            with pytest.raises(ValueError, match="not normalized"):
+                _check_unit_rows(rows)
+
+    def test_threshold_is_1e_9(self):
+        for off in (-9.9e-10, 9.9e-10):
+            _check_unit_rows(np.array([[1 + off, 0]], dtype=complex))
+        for off in (-1.1e-9, 1.1e-9):
+            with pytest.raises(ValueError, match="not normalized"):
+                _check_unit_rows(np.array([[0, 1j * (1 + off)]], dtype=complex))
+
+    @given(st.integers(1, MAX_QUBITS), st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_norms_agree_with_linalg_norm(self, n, seed):
+        # a row passes exactly when np.linalg.norm puts it within 1e-9 of 1
+        rng = np.random.default_rng(seed)
+        rows = rng.normal(size=(3, 2**n)) + 1j * rng.normal(size=(3, 2**n))
+        rows /= np.linalg.norm(rows, axis=1)[:, None]
+        rows[1] *= 1 + rng.uniform(-3e-9, 3e-9)
+        if np.all(np.abs(np.linalg.norm(rows, axis=1) - 1) <= 1e-9):
+            _check_unit_rows(rows)
+        else:
+            with pytest.raises(ValueError, match="not normalized"):
+                _check_unit_rows(rows)
 
 
 class TestMixedState:
@@ -75,32 +104,26 @@ class TestMixedState:
         assert np.allclose(rho @ rho, rho)
 
 
-class TestLocalUnitary:
-    def test_rejects_nonunitary(self):
-        with pytest.raises(ValueError):
-            LocalUnitary(np.array([[1, 1], [0, 1]], dtype=complex))
-
-
 class TestApplyLocal:
     def test_identity_is_noop(self):
         psi = random_state(3)
-        out = apply_local(psi, LocalUnitary(np.eye(2, dtype=complex)), 1)
-        assert np.allclose(out.amplitudes, psi.amplitudes)
+        out = apply_local(psi, np.eye(2, dtype=complex), 1)
+        assert np.allclose(out, psi)
 
     def test_bitflip_on_msb(self):
         # M(pi,0,0) is i*sigma_x; qubit 0 is the most significant bit
         out = apply_local(basis(4, 0), strategy_unitary(StrategyParams(math.pi, 0, 0)), 0)
-        assert abs(out.amplitudes[8] - 1j) < 1e-12
-        assert np.sum(np.abs(out.amplitudes) > 1e-12) == 1
+        assert abs(out[8] - 1j) < 1e-12
+        assert np.sum(np.abs(out) > 1e-12) == 1
 
     def test_half_rotation(self):
         out = apply_local(basis(1, 0), strategy_unitary(StrategyParams(math.pi / 2, 0, 0)), 0)
         expected = np.array([1, 1j]) / math.sqrt(2)
-        assert np.allclose(out.amplitudes, expected, atol=1e-12)
+        assert np.allclose(out, expected, atol=1e-12)
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
-            apply_local(basis(2, 0), LocalUnitary(np.eye(2, dtype=complex)), 2)
+            apply_local(basis(2, 0), np.eye(2, dtype=complex), 2)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_kronecker_oracle(self, n):
@@ -108,7 +131,7 @@ class TestApplyLocal:
             psi = random_state(n)
             u = random_unitary()
             q = int(RNG.integers(n))
-            got = apply_local(psi, u, q).amplitudes
+            got = apply_local(psi, u, q)
             assert np.max(np.abs(got - kron_apply(psi, u, q))) < 1e-10
 
     def test_disjoint_qubits_commute(self):
@@ -116,80 +139,75 @@ class TestApplyLocal:
         u, v = random_unitary(), random_unitary()
         ab = apply_local(apply_local(psi, u, 1), v, 3)
         ba = apply_local(apply_local(psi, v, 3), u, 1)
-        assert np.max(np.abs(ab.amplitudes - ba.amplitudes)) < 1e-12
+        assert np.max(np.abs(ab - ba)) < 1e-12
 
     def test_norm_preserved_1000_random_pairs(self):
         for _ in range(1000):
             n = int(RNG.integers(1, 5))
             psi = apply_local(random_state(n), random_unitary(), int(RNG.integers(n)))
-            assert abs(np.linalg.norm(psi.amplitudes) - 1) < 1e-12
+            assert abs(np.linalg.norm(psi) - 1) < 1e-12
 
 
 def sequential(psi, us):
     """The oracle: one validated apply_local per qubit, in qubit order."""
     for q, u in enumerate(us):
         psi = apply_local(psi, u, q)
-    return psi.amplitudes
-
-
-def entries(rows):
-    """(B, n, 2, 2) kernel operand from B lists of n LocalUnitary."""
-    return np.array([[u.entries for u in row] for row in rows])
+    return psi
 
 
 class TestApplyLocals:
-    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 9, 10, 11, 12])
     def test_bit_identical_to_sequential_apply_local(self, n):
         for rows in (1, 3):
             states = [random_state(n) for _ in range(rows)]
             us = [[random_unitary() for _ in range(n)] for _ in range(rows)]
-            out = apply_locals(np.array([psi.amplitudes for psi in states]), entries(us))
+            out = apply_locals(np.array(states), np.array(us))
             assert out.shape == (rows, 2**n)
             for got, psi, row in zip(out, states, us):
                 assert np.array_equal(got, sequential(psi, row))
 
-    @given(st.integers(1, 8), st.sampled_from([1, 3]), st.integers(0, 2**32 - 1))
+    @given(st.integers(1, MAX_QUBITS), st.sampled_from([1, 3]), st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_random_batches_match_the_oracle(self, n, rows, seed):
         rng = np.random.default_rng(seed)
         amps = rng.normal(size=(rows, 2**n)) + 1j * rng.normal(size=(rows, 2**n))
-        states = [PureState.from_amplitudes(n, a) for a in amps]
+        states = [normalized(a) for a in amps]
         thetas = rng.uniform(0, math.pi, size=(rows, n))
         phases = rng.uniform(-math.pi, math.pi, size=(rows, n, 2))
         us = [
             [strategy_unitary(StrategyParams(t, *ab)) for t, ab in zip(ts, abs_)]
             for ts, abs_ in zip(thetas, phases)
         ]
-        out = apply_locals(np.array([psi.amplitudes for psi in states]), entries(us))
+        out = apply_locals(np.array(states), np.array(us))
         for got, psi, row in zip(out, states, us):
             assert np.array_equal(got, sequential(psi, row))
 
     def test_length_mismatch(self):
-        amps = random_state(3).amplitudes[None]
+        amps = random_state(3)[None]
         with pytest.raises(ValueError):
-            apply_locals(amps, entries([[random_unitary()] * 2]))
+            apply_locals(amps, np.array([[random_unitary()] * 2]))
         with pytest.raises(ValueError):
-            apply_locals(np.repeat(amps, 2, axis=0), entries([[random_unitary()] * 3]))
+            apply_locals(np.repeat(amps, 2, axis=0), np.array([[random_unitary()] * 3]))
         with pytest.raises(ValueError):
-            apply_locals(amps[0], entries([[random_unitary()] * 3])[0])
+            apply_locals(amps[0], np.array([[random_unitary()] * 3])[0])
 
     def test_result_is_read_only(self):
         psi = random_state(2)
-        out = apply_locals(psi.amplitudes[None], entries([[random_unitary()] * 2]))
+        out = apply_locals(psi[None], np.array([[random_unitary()] * 2]))
         with pytest.raises(ValueError):
             out[0, 0] = 0
 
     def test_broadcast_operands_give_the_materialised_bits(self):
         psi = random_state(6)
         row = [random_unitary() for _ in range(6)]
-        amps, us = psi.amplitudes[None], entries([row])
+        amps, us = psi[None], np.array([row])
         want = apply_locals(np.repeat(amps, 3, axis=0), np.repeat(us, 3, axis=0))
         got = apply_locals(np.broadcast_to(amps, (3, 64)), np.broadcast_to(us, (3, 6, 2, 2)))
         assert np.array_equal(got, want)
         assert np.array_equal(got[0], sequential(psi, row))
 
     def test_every_row_is_norm_checked(self):
-        amps = np.repeat(random_state(2).amplitudes[None], 3, axis=0)
+        amps = np.repeat(random_state(2)[None], 3, axis=0)
         us = np.array([[np.eye(2)] * 2] * 3, dtype=complex)
         us[2, 1] *= 1.001  # not unitary: only the last row loses its norm
         with pytest.raises(ValueError, match="not normalized"):
@@ -202,7 +220,7 @@ class TestApplyLocals:
 class TestApplyLocalMixed:
     def test_identity_is_noop(self):
         rho = MixedState.from_pure(random_state(2))
-        out = apply_local_mixed(rho, LocalUnitary(np.eye(2, dtype=complex)), 0)
+        out = apply_local_mixed(rho, np.eye(2, dtype=complex), 0)
         assert np.allclose(out.matrix, rho.matrix)
 
     def test_consistent_with_pure_path(self):
@@ -228,9 +246,9 @@ class TestApplyLocalMixed:
 
 def diagonal_expectation(state, indices):
     """<psi|P|psi> as a noiseless game reads it: `game._payoff` at f = 1."""
-    n = state.n_qubits
+    n = qubit_count(state)
     spec = GameSpec(n, InitialStateRecipe(StateFamily.GHZ, n))
-    probs = np.abs(state.amplitudes) ** 2
+    probs = np.abs(state) ** 2
     return game._payoff(spec, probs, np.fromiter(indices, dtype=np.intp))
 
 
@@ -252,7 +270,7 @@ class TestDiagonalExpectation:
         seed = data.draw(st.integers(0, 2**32 - 1))
         rng = np.random.default_rng(seed)
         amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-        psi = PureState.from_amplitudes(n, amps)
+        psi = normalized(amps)
         indices = data.draw(st.sets(st.integers(0, 2**n - 1)))
         if indices:
             value = diagonal_expectation(psi, indices)

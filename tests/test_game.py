@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import math
 from fractions import Fraction
@@ -120,10 +121,10 @@ def dense_payoff(recipe, profile, player):
 class TestStrategyUnitary:
     def test_identity(self):
         u = strategy_unitary(StrategyParams(0, 0, 0))
-        assert np.allclose(u.entries, np.eye(2))
+        assert np.allclose(u, np.eye(2))
 
     def test_ne_strategy_entries(self):
-        u = strategy_unitary(StrategyParams(PI / 2, -PI / 12, PI / 12)).entries
+        u = strategy_unitary(StrategyParams(PI / 2, -PI / 12, PI / 12))
         c = math.cos(PI / 4)
         assert abs(abs(u[0, 0]) - c) < 1e-12
         assert abs(abs(u[0, 1]) - c) < 1e-12
@@ -131,9 +132,49 @@ class TestStrategyUnitary:
         assert abs(u[0, 1] - 1j * np.exp(1j * PI / 12) * c) < 1e-12
 
     def test_pareto_strategy_entries(self):
-        u = strategy_unitary(StrategyParams(PI / 4, 0, 0)).entries
+        u = strategy_unitary(StrategyParams(PI / 4, 0, 0))
         c, s = math.cos(PI / 8), math.sin(PI / 8)
         assert np.allclose(u, [[c, 1j * s], [1j * s, c]])
+
+    @given(theta_angle, angle, angle)
+    @settings(max_examples=200, deadline=None)
+    def test_read_only_matrix_with_the_scalar_bits(self, theta, alpha, beta):
+        # the committed tables carry these bits: Python's complex arithmetic,
+        # not numpy's (`analysis._su2_batch` differs in the last bit)
+        c, s = math.cos(theta / 2), math.sin(theta / 2)
+        ea, eb = cmath.exp(1j * alpha), cmath.exp(1j * beta)
+        want = np.array([[ea * c, 1j * eb * s], [1j * s / eb, c / ea]], dtype=complex)
+        u = strategy_unitary(StrategyParams(theta, alpha, beta))
+        assert u.shape == (2, 2) and u.dtype == complex
+        assert not u.flags.writeable
+        assert u.tobytes() == want.tobytes()
+
+    def test_rejects_nonunitary(self):
+        with pytest.raises(ValueError, match="not unitary"):
+            game._unitary_matrix(1, 1, 0, 1)
+        with pytest.raises(ValueError, match="not unitary"):
+            game._unitary_matrix(1 + 2 * game.CONSTRUCTION_TOL, 0, 0, 1)
+        u = game._unitary_matrix(1 + game.CONSTRUCTION_TOL / 4, 0, 0, 1j)
+        assert u.tolist() == [[1 + game.CONSTRUCTION_TOL / 4, 0], [0, 1j]]
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0, float("-inf"))])
+    def test_rejects_nonfinite(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            game._unitary_matrix(1, 0, 0, bad)
+
+    def test_one_matrix_per_distinct_strategy(self, monkeypatch):
+        calls = []
+
+        def counted(params):
+            calls.append(params)
+            return strategy_unitary(params)
+
+        monkeypatch.setattr(game, "strategy_unitary", counted)
+        p, q = random_params(), random_params()
+        mats = game._unitaries(StrategyProfile((p, q, p, p)))
+        assert calls == [p, q]
+        want = np.array([strategy_unitary(s) for s in (p, q, p, p)])
+        assert mats.tobytes() == want.tobytes()
 
     def test_domain_validation(self):
         with pytest.raises(ValueError):
@@ -143,14 +184,14 @@ class TestStrategyUnitary:
 
     def test_su2_membership_1000_random_triples(self):
         for _ in range(1000):
-            u = strategy_unitary(random_params()).entries
+            u = strategy_unitary(random_params())
             assert np.max(np.abs(u @ u.conj().T - np.eye(2))) < 1e-12
             assert abs(np.linalg.det(u) - 1) < 1e-12
 
     @given(theta_angle, angle, angle)
     @settings(max_examples=200, deadline=None)
     def test_su2_membership_property(self, theta, alpha, beta):
-        u = strategy_unitary(StrategyParams(theta, alpha, beta)).entries
+        u = strategy_unitary(StrategyParams(theta, alpha, beta))
         assert np.max(np.abs(u @ u.conj().T - np.eye(2))) < 1e-12
         assert abs(np.linalg.det(u) - 1) < 1e-12
 
@@ -216,13 +257,13 @@ class TestFinalState:
     def test_identity_profile(self):
         recipe = InitialStateRecipe(StateFamily.GHZ, 4)
         out = final_row(recipe, StrategyProfile.symmetric(IDENTITY, 4))
-        assert np.allclose(out, build_pure(recipe).amplitudes)
+        assert np.allclose(out, build_pure(recipe))
 
     def test_all_bitflips_fix_ghz_up_to_phase(self):
         recipe = InitialStateRecipe(StateFamily.GHZ, 4)
         flip = StrategyParams(PI, 0, 0)
         out = final_row(recipe, StrategyProfile.symmetric(flip, 4))
-        overlap = abs(np.vdot(out, build_pure(recipe).amplitudes))
+        overlap = abs(np.vdot(out, build_pure(recipe)))
         assert abs(overlap - 1) < 1e-12
 
     def test_player_order_irrelevant(self):
@@ -232,7 +273,7 @@ class TestFinalState:
         state = build_pure(recipe)
         for q in reversed(range(6)):
             state = apply_local(state, strategy_unitary(profile[q]), q)
-        assert np.max(np.abs(forward - state.amplitudes)) < 1e-12
+        assert np.max(np.abs(forward - state)) < 1e-12
 
     def test_length_mismatch(self):
         spec = GameSpec(4, InitialStateRecipe(StateFamily.GHZ, 4))
@@ -246,7 +287,7 @@ class TestPayoffPath:
     def test_final_state_bit_identical_to_sequential_apply_local(self, case):
         recipe, profile = case
         state = final_state(build_pure(recipe), profile)
-        assert np.array_equal(final_row(recipe, profile), state.amplitudes)
+        assert np.array_equal(final_row(recipe, profile), state)
 
     @given(st.lists(payoff_cases(), min_size=2, max_size=4))
     @settings(max_examples=30, deadline=None)
@@ -263,7 +304,7 @@ class TestPayoffPath:
         psi = game._initial_state(recipe)
         assert psi is game._initial_state(recipe)
         with pytest.raises(ValueError):
-            psi.amplitudes[0] = 0
+            psi[0] = 0
         winning = minority_projector(4, 1)
         with pytest.raises(ValueError):
             winning[0] = 0
@@ -341,14 +382,14 @@ class TestBatchedPayoffs:
         psi = build_pure(recipe)
         profiles = [data.draw(profiles_for(n)) for _ in range(rows)]
         out = apply_locals(
-            np.repeat(psi.amplitudes[None], rows, axis=0),
+            np.repeat(psi[None], rows, axis=0),
             np.array([game._unitaries(profile) for profile in profiles]),
         )
         for got, profile in zip(out, profiles):
             state = psi
             for q, params in enumerate(profile.strategies):
                 state = apply_local(state, strategy_unitary(params), q)
-            assert np.array_equal(got, state.amplitudes)
+            assert np.array_equal(got, state)
 
     @given(batches())
     @settings(max_examples=60, deadline=None)
@@ -527,7 +568,7 @@ class TestExpectedPayoff:
             total = sum(
                 expected_payoff(spec, profile, p) for p in range(1, n + 1)
             )
-            probs = np.abs(final_state(build_pure(recipe), profile).amplitudes) ** 2
+            probs = np.abs(final_state(build_pure(recipe), profile)) ** 2
             assert abs(total - probs @ weights) < 1e-10
 
     def test_profile_length_is_checked(self):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_oracle import build_initial, make_noisy
+from dense_oracle import build_initial, make_noisy, normalized, pure_state
 from qmg.states import _FAMILIES, InitialStateRecipe, StateFamily, build_pure
 
 DIGESTS = pathlib.Path(__file__).with_name("state_digests.json")
@@ -34,17 +34,17 @@ def taylor_expm(matrix, terms=60):
 class TestGhz:
     def test_n2(self):
         psi = pure(StateFamily.GHZ, 2)
-        assert np.allclose(psi.amplitudes[[0, 3]], 1 / math.sqrt(2))
-        assert np.allclose(psi.amplitudes[[1, 2]], 0)
+        assert np.allclose(psi[[0, 3]], 1 / math.sqrt(2))
+        assert np.allclose(psi[[1, 2]], 0)
 
     def test_n6(self):
         psi = pure(StateFamily.GHZ, 6)
-        assert abs(psi.amplitudes[0] - 1 / math.sqrt(2)) < 1e-12
-        assert abs(psi.amplitudes[63] - 1 / math.sqrt(2)) < 1e-12
+        assert abs(psi[0] - 1 / math.sqrt(2)) < 1e-12
+        assert abs(psi[63] - 1 / math.sqrt(2)) < 1e-12
 
     def test_self_overlap(self):
         psi = pure(StateFamily.GHZ, 4)
-        assert abs(np.vdot(psi.amplitudes, psi.amplitudes) - 1) < 1e-12
+        assert abs(np.vdot(psi, psi) - 1) < 1e-12
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError, match="n_qubits must be >= 2"):
@@ -54,13 +54,13 @@ class TestGhz:
 class TestBellProduct:
     def test_n2(self):
         psi = pure(StateFamily.BELL_PRODUCT, 2)
-        assert np.allclose(psi.amplitudes[[1, 2]], 1 / math.sqrt(2))
+        assert np.allclose(psi[[1, 2]], 1 / math.sqrt(2))
 
     def test_n4(self):
         psi = pure(StateFamily.BELL_PRODUCT, 4)
-        nonzero = np.nonzero(np.abs(psi.amplitudes) > 1e-12)[0]
+        nonzero = np.nonzero(np.abs(psi) > 1e-12)[0]
         assert set(nonzero) == {5, 6, 9, 10}
-        assert np.allclose(psi.amplitudes[nonzero], 0.5)
+        assert np.allclose(psi[nonzero], 0.5)
 
     def test_n6_matches_tensor_expansion(self):
         # independent oracle: expand (|01>+|10>)/sqrt(2) term by term
@@ -70,7 +70,7 @@ class TestBellProduct:
                 for c in (1, 2):
                     expected[(a << 4) | (b << 2) | c] = 1 / (2 * math.sqrt(2))
         psi = pure(StateFamily.BELL_PRODUCT, 6)
-        assert np.max(np.abs(psi.amplitudes - expected)) < 1e-12
+        assert np.max(np.abs(psi - expected)) < 1e-12
 
     def test_rejects_odd(self):
         with pytest.raises(ValueError, match="bell requires even n_qubits"):
@@ -80,33 +80,33 @@ class TestBellProduct:
 class TestGhzBellMixture:
     def test_x1_is_ghz(self):
         assert np.allclose(
-            pure(StateFamily.GHZ_BELL_MIXTURE, 6, x=1.0).amplitudes,
-            pure(StateFamily.GHZ, 6).amplitudes,
+            pure(StateFamily.GHZ_BELL_MIXTURE, 6, x=1.0),
+            pure(StateFamily.GHZ, 6),
         )
 
     def test_x0_is_bell_product(self):
         assert np.allclose(
-            pure(StateFamily.GHZ_BELL_MIXTURE, 6, x=0.0).amplitudes,
-            pure(StateFamily.BELL_PRODUCT, 6).amplitudes,
+            pure(StateFamily.GHZ_BELL_MIXTURE, 6, x=0.0),
+            pure(StateFamily.BELL_PRODUCT, 6),
         )
 
     def test_intermediate_amplitudes_n4(self):
         x = 1 / math.sqrt(2)
         psi = pure(StateFamily.GHZ_BELL_MIXTURE, 4, x=x)
-        assert abs(psi.amplitudes[0] - 0.5) < 1e-12
-        assert abs(psi.amplitudes[15] - 0.5) < 1e-12
+        assert abs(psi[0] - 0.5) < 1e-12
+        assert abs(psi[15] - 0.5) < 1e-12
         # Bell terms carry sqrt(1-x^2) times the product amplitude 1/2
-        assert abs(psi.amplitudes[5] - 0.5 * math.sqrt(0.5)) < 1e-12
+        assert abs(psi[5] - 0.5 * math.sqrt(0.5)) < 1e-12
 
     def test_unit_norm_without_renormalization_kick(self):
         for x in np.linspace(0, 1, 21):
             psi = pure(StateFamily.GHZ_BELL_MIXTURE, 6, x=float(x))
-            assert abs(np.linalg.norm(psi.amplitudes) - 1) < 1e-12
+            assert abs(np.linalg.norm(psi) - 1) < 1e-12
 
     def test_continuity_in_x(self):
-        prev = pure(StateFamily.GHZ_BELL_MIXTURE, 6, x=0.5).amplitudes
+        prev = pure(StateFamily.GHZ_BELL_MIXTURE, 6, x=0.5)
         step = 1e-4
-        nxt = pure(StateFamily.GHZ_BELL_MIXTURE, 6, x=0.5 + step).amplitudes
+        nxt = pure(StateFamily.GHZ_BELL_MIXTURE, 6, x=0.5 + step)
         assert np.max(np.abs(nxt - prev)) < 1e-3
 
     def test_domain_checks(self):
@@ -120,7 +120,7 @@ class TestNoisy:
     def test_f1_is_projector(self):
         psi = pure(StateFamily.GHZ, 2)
         rho = make_noisy(psi, 1.0).matrix
-        assert np.allclose(rho, np.outer(psi.amplitudes, psi.amplitudes.conj()))
+        assert np.allclose(rho, np.outer(psi, psi.conj()))
 
     def test_f0_is_maximally_mixed(self):
         rho = make_noisy(pure(StateFamily.GHZ, 3), 0.0).matrix
@@ -129,19 +129,15 @@ class TestNoisy:
     def test_half_noise_diagonal(self):
         amps = np.zeros(4)
         amps[0] = 1.0
-        from qmg.core import PureState
-
-        rho = make_noisy(PureState(2, amps), 0.5)
+        rho = make_noisy(pure_state(amps), 0.5)
         assert np.allclose(rho.diagonal(), [0.625, 0.125, 0.125, 0.125])
 
     def test_diagonal_formula_random_state(self):
         rng = np.random.default_rng(3)
-        from qmg.core import PureState
-
-        psi = PureState.from_amplitudes(3, rng.normal(size=8) + 1j * rng.normal(size=8))
+        psi = normalized(rng.normal(size=8) + 1j * rng.normal(size=8))
         f = 0.7
         rho = make_noisy(psi, f)
-        expected = f * np.abs(psi.amplitudes) ** 2 + (1 - f) / 8
+        expected = f * np.abs(psi) ** 2 + (1 - f) / 8
         assert np.max(np.abs(rho.diagonal() - expected)) < 1e-12
 
     def test_rejects_bad_f(self):
@@ -152,17 +148,17 @@ class TestNoisy:
 class TestExponential:
     def test_gamma_zero_is_ground(self):
         psi = pure(StateFamily.EXPONENTIAL_ENTANGLER, 4, gamma=0.0)
-        assert abs(psi.amplitudes[0] - 1) < 1e-12
+        assert abs(psi[0] - 1) < 1e-12
 
     def test_gamma_max(self):
         psi = pure(StateFamily.EXPONENTIAL_ENTANGLER, 4, gamma=math.pi / 2)
-        assert abs(psi.amplitudes[0] - 1 / math.sqrt(2)) < 1e-12
-        assert abs(psi.amplitudes[15] - 1j / math.sqrt(2)) < 1e-12
+        assert abs(psi[0] - 1 / math.sqrt(2)) < 1e-12
+        assert abs(psi[15] - 1j / math.sqrt(2)) < 1e-12
 
     def test_gamma_third(self):
         psi = pure(StateFamily.EXPONENTIAL_ENTANGLER, 2, gamma=math.pi / 3)
-        assert abs(psi.amplitudes[0] - math.sqrt(3) / 2) < 1e-12
-        assert abs(psi.amplitudes[3] - 0.5j) < 1e-12
+        assert abs(psi[0] - math.sqrt(3) / 2) < 1e-12
+        assert abs(psi[3] - 0.5j) < 1e-12
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_matches_matrix_exponential_oracle(self, n):
@@ -175,7 +171,7 @@ class TestExponential:
             ground = np.zeros(2**n, dtype=complex)
             ground[0] = 1.0
             expected = j @ ground
-            got = pure(StateFamily.EXPONENTIAL_ENTANGLER, n, gamma=gamma).amplitudes
+            got = pure(StateFamily.EXPONENTIAL_ENTANGLER, n, gamma=gamma)
             assert np.max(np.abs(got - expected)) < 1e-10
 
     def test_rejects_out_of_range(self):
@@ -186,19 +182,19 @@ class TestExponential:
 class TestW3Product:
     def test_single_w3(self):
         psi = pure(StateFamily.W3_PRODUCT, 3)
-        nonzero = np.nonzero(np.abs(psi.amplitudes) > 1e-12)[0]
+        nonzero = np.nonzero(np.abs(psi) > 1e-12)[0]
         assert set(nonzero) == {1, 2, 4}
-        assert np.allclose(psi.amplitudes[nonzero], 1 / math.sqrt(3))
+        assert np.allclose(psi[nonzero], 1 / math.sqrt(3))
 
     def test_two_factors_nine_terms(self):
         psi = pure(StateFamily.W3_PRODUCT, 6)
-        nonzero = np.nonzero(np.abs(psi.amplitudes) > 1e-12)[0]
+        nonzero = np.nonzero(np.abs(psi) > 1e-12)[0]
         assert len(nonzero) == 9
-        assert np.allclose(psi.amplitudes[nonzero], 1 / 3)
+        assert np.allclose(psi[nonzero], 1 / 3)
 
     def test_every_term_has_two_ones(self):
         psi = pure(StateFamily.W3_PRODUCT, 6)
-        for b in np.nonzero(np.abs(psi.amplitudes) > 1e-12)[0]:
+        for b in np.nonzero(np.abs(psi) > 1e-12)[0]:
             assert int(b).bit_count() == 2
             # exactly one 1-bit per triple of qubits
             assert (int(b) >> 3).bit_count() == 1
@@ -228,7 +224,7 @@ class TestRecipeAndDispatch:
 
     def test_ghz_dispatch(self):
         state = build_initial(InitialStateRecipe(StateFamily.GHZ, 6))
-        assert np.allclose(state.amplitudes, pure(StateFamily.GHZ, 6).amplitudes)
+        assert np.allclose(state, pure(StateFamily.GHZ, 6))
 
     def test_noisy_dispatch_composes(self):
         recipe = InitialStateRecipe(StateFamily.GHZ_BELL_MIXTURE, 6, x=0.5, f=0.8)
@@ -252,7 +248,7 @@ class TestRecipeAndDispatch:
     def test_entangler_dispatch_gamma_zero(self):
         recipe = InitialStateRecipe(StateFamily.EXPONENTIAL_ENTANGLER, 4, gamma=0.0)
         state = build_initial(recipe)
-        assert abs(state.amplitudes[0] - 1) < 1e-12
+        assert abs(state[0] - 1) < 1e-12
 
     @given(
         st.sampled_from(list(StateFamily)),
@@ -265,7 +261,25 @@ class TestRecipeAndDispatch:
         n = {StateFamily.W3_PRODUCT: 3 * size}.get(family, 2 * size + 2)
         recipe = InitialStateRecipe(family, n, x=x, gamma=gamma)
         psi = build_pure(recipe)
-        assert abs(np.linalg.norm(psi.amplitudes) - 1) < 1e-12
+        assert abs(np.linalg.norm(psi) - 1) < 1e-12
+
+    @pytest.mark.parametrize("family", list(StateFamily))
+    def test_returns_a_read_only_vector(self, family):
+        n = {StateFamily.W3_PRODUCT: 6}.get(family, 4)
+        psi = build_pure(InitialStateRecipe(family, n, x=0.5))
+        assert psi.shape == (2**n,) and psi.dtype == complex
+        with pytest.raises(ValueError):
+            psi[0] = 0
+
+    @pytest.mark.parametrize("c", [1.0, 0.5, float("nan")])
+    def test_norm_is_checked(self, monkeypatch, c):
+        # GHZ with coefficient c on each term: norm |c| sqrt(2), not 1
+        block, n_error, _, renormalise = _FAMILIES[StateFamily.GHZ]
+        ket0, ket1 = np.eye(2, dtype=complex)
+        row = (block, n_error, lambda r: [(c, ket0), (c, ket1)], renormalise)
+        monkeypatch.setitem(_FAMILIES, StateFamily.GHZ, row)
+        with pytest.raises(ValueError, match="not normalized"):
+            build_pure(InitialStateRecipe(StateFamily.GHZ, 4))
 
 
 class TestPlayerSymmetry:
@@ -287,7 +301,7 @@ class TestPlayerSymmetry:
     def test_every_qubit_can_be_carried_to_the_first(self, family):
         block = _FAMILIES[family][0]
         n = 6
-        t = pure(family, n, x=0.6, gamma=0.7).amplitudes.reshape([2] * n)
+        t = pure(family, n, x=0.6, gamma=0.7).reshape([2] * n)
         for j in range(n):
             b, r = divmod(j, block)
             axes = list(range(n))
@@ -332,7 +346,7 @@ def state_digests():
                 continue  # n is not a multiple of the family's block
             h = hashlib.sha256()
             for recipe in recipes:
-                h.update(build_pure(recipe).amplitudes.tobytes())
+                h.update(build_pure(recipe).tobytes())
             digests[f"{family.value}-{n}"] = h.hexdigest()
     return digests
 
