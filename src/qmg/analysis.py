@@ -1,20 +1,26 @@
 """Game-theoretic analysis on top of the engine.
 
-Best-response search on the deviator's 2x2 Gram form: a coarse grid
-screened on (theta, alpha - beta), with only the points that can win
-scored exactly (its memory grows with one theta plane, never the grid),
-then coordinate-wise refinement, finished by the exact top eigenvector,
-Nash-equilibrium verification via the unilateral-deviation inequality
-(a symmetric profile costs one best-response search; the other players'
-reports are copies with `player` set), the closed-form 6-player payoff
-formula, the N-player entangler-payoff conjecture, and parameter sweeps
-that produce figure-ready tables.
+Best-response search on each deviator's 2x2 Gram form, one search for
+a list of players run in lockstep: a coarse grid screened on
+(theta, alpha - beta) for every player at once, with only the points
+that can win scored exactly, player by player (memory grows with one
+theta plane per player, never the grid), then coordinate-wise
+refinement whose steps every player shares, finished by the exact top
+eigenvectors from one stacked `eigh`. `best_response` is its one-player
+case. Nash-equilibrium verification via the unilateral-deviation
+inequality makes one such search: for player 1 alone when the profile
+is symmetric (the other players' reports are copies with `player`
+set), for every player otherwise. Also the closed-form 6-player payoff
+formula, the N-player entangler-payoff conjecture, and parameter
+sweeps that produce figure-ready tables.
 """
 from __future__ import annotations
 
+import itertools
 import math
+import numbers
 from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,7 +32,7 @@ from .game import (
     classical_payoff,
     expected_payoff,
     expected_payoffs,
-    final_amplitudes,
+    final_amplitude_chunks,
     minority_mask,
 )
 from .states import InitialStateRecipe, StateFamily
@@ -129,56 +135,82 @@ def _su2_batch(thetas: np.ndarray, alphas: np.ndarray, betas: np.ndarray) -> np.
 
 
 class _DeviationEvaluator:
-    """Payoffs of one player deviating while the rest stay fixed.
+    """Payoffs of each listed player deviating while the rest stay fixed.
 
-    The other players' unitaries are applied once up front, leaving the
-    2 x 2^(n-1) block b with the deviator's qubit first. For a deviation
-    with rows m_0, m_1 the pure payoff is sum_r m_r G_r m_r^dagger with
-    the 2x2 Gram matrices G_r = (b * mask_r) b^dagger, so each candidate
-    costs O(1) once G is built; the noise floor stays affine on top.
+    For the k-th listed player the other players' unitaries are applied
+    once up front, leaving the 2 x 2^(n-1) block b_k with that player's
+    qubit first. Moving a player's qubit to the front turns its minority
+    mask into player 1's, so one mask serves every player. For a
+    deviation with rows m_0, m_1 the pure payoff is
+    sum_r m_r G_kr m_r^dagger with the 2x2 Gram matrices
+    G_kr = (b_k * mask_r) b_k^dagger, so each candidate costs O(1) once
+    G is built; the noise floor stays affine on top. The partial states
+    come from `final_amplitude_chunks`, so memory stays bounded.
     """
 
-    def __init__(self, spec: GameSpec, candidate: StrategyProfile, player: int):
+    def __init__(self, spec: GameSpec, candidate: StrategyProfile, players: Sequence[int]):
         n = spec.n_players
-        partial = final_amplitudes(spec, [candidate.replace(player, IDENTITY)])[0]
-        q = player - 1
-        self._block = np.moveaxis(partial.reshape([2] * n), q, 0).reshape(2, -1)
-        mask = minority_mask(n, player)
-        self._mask = np.moveaxis(mask.reshape([2] * n), q, 0).reshape(-1)
-        rows = self._mask.reshape(2, -1)
-        self._gram = np.stack([(self._block * r) @ self._block.conj().T for r in rows])
+        self.players = list(players)
+        partials = [candidate.replace(player, IDENTITY) for player in self.players]
+        rows = itertools.chain.from_iterable(final_amplitude_chunks(spec, partials))
+        self._blocks = np.empty((len(partials), 2, 2 ** (n - 1)), dtype=complex)
+        for block, player, row in zip(self._blocks, self.players, rows):
+            block.reshape([2] * n)[...] = np.moveaxis(row.reshape([2] * n), player - 1, 0)
+        self._mask = minority_mask(n, 1)
+        halves = self._mask.reshape(2, -1)
+        grams = []
+        for block in self._blocks:
+            adjoint = block.conj().T
+            grams.append([(block * r) @ adjoint for r in halves])
+        self._gram = np.array(grams)
         self._f = spec.recipe.f
-        self._mixed_floor = (1 - self._f) * np.count_nonzero(mask) / 2**n
+        self._mixed_floor = (1 - self._f) * np.count_nonzero(self._mask) / 2**n
 
-    def payoffs(self, thetas, alphas, betas) -> np.ndarray:
-        """Payoffs at a batch of deviations, from the Gram form."""
-        mats = _su2_batch(
-            np.atleast_1d(np.asarray(thetas, dtype=float)),
-            np.atleast_1d(np.asarray(alphas, dtype=float)),
-            np.atleast_1d(np.asarray(betas, dtype=float)),
-        )
-        pure = np.einsum("grc,rcd,grd->g", mats, self._gram, mats.conj()).real
-        return self._f * pure + self._mixed_floor
+    def payoffs(self, thetas, alphas, betas, selected=slice(None)) -> np.ndarray:
+        """(P, G) payoffs from the Gram form: row k holds the k-th selected
+        player's payoffs at the deviations in row k of the angle arrays.
 
-    def dense_payoff(self, theta: float, alpha: float, beta: float) -> float:
-        """Payoff at one deviation from the full 2 x 2^(n-1) product."""
-        m = _su2_batch(np.array([theta]), np.array([alpha]), np.array([beta]))[0]
-        probs = np.abs(m @ self._block).ravel() ** 2
-        return float(self._f * probs[self._mask].sum() + self._mixed_floor)
+        `selected` is a slice of the listed players. Angle arrays with a
+        single row give every selected player the same G deviations.
+        """
+        # 1-D angle arrays: numpy's per-call overhead is lower than on 2-D ones
+        mats = _su2_batch(thetas.ravel(), alphas.ravel(), betas.ravel())
+        mats = mats.reshape(len(thetas), -1, 2, 2)
+        gram = self._gram[selected]
+        # in place, so the complex einsum result is the only (P, G) temporary
+        payoffs = self._f * np.einsum("pgrc,prcd,pgrd->pg", mats, gram, mats.conj()).real
+        payoffs += self._mixed_floor
+        return payoffs
 
-    def exact_optimum(self) -> np.ndarray:
-        """(theta, alpha, beta) of the exact best deviation.
+    def dense_payoffs(self, thetas, alphas, betas) -> np.ndarray:
+        """(P, D) payoffs at (P, D) angle arrays, from the full products.
+
+        Each deviation's 2 x 2^(n-1) product with its player's block is
+        squared and summed over the winning outcomes as its own 1-D array.
+        """
+        mats = _su2_batch(thetas.ravel(), alphas.ravel(), betas.ravel())
+        mats = mats.reshape(len(thetas), -1, 2, 2)
+        pure = [
+            [row.ravel()[self._mask].sum() for row in np.abs(m @ block) ** 2]
+            for m, block in zip(mats, self._blocks)
+        ]
+        return self._f * np.array(pure) + self._mixed_floor
+
+    def exact_optima(self) -> np.ndarray:
+        """(P, 3) array of each listed player's exact best (theta, alpha, beta).
 
         Unitarity turns the pure payoff into Tr G_1 + m_0 (G_0 - G_1)
         m_0^dagger, which the top eigenvector x of G_0 - G_1 maximises
-        as m_0 = x^dagger.
+        as m_0 = x^dagger. One stacked `eigh` serves every player.
         """
-        _, vecs = np.linalg.eigh(self._gram[0] - self._gram[1])
-        x0, x1 = vecs[:, -1]
-        theta = 2 * math.atan2(abs(x1), abs(x0))
-        alpha = -np.angle(x0)
-        beta = -np.angle(x1) - math.pi / 2
-        return np.array([theta, _wrap_angle(alpha), _wrap_angle(beta)])
+        _, vecs = np.linalg.eigh(self._gram[:, 0] - self._gram[:, 1])
+        optima = []
+        for x0, x1 in vecs[:, :, -1]:
+            theta = 2 * math.atan2(abs(x1), abs(x0))
+            alpha = -np.angle(x0)
+            beta = -np.angle(x1) - math.pi / 2
+            optima.append([theta, _wrap_angle(alpha), _wrap_angle(beta)])
+        return np.array(optima)
 
 
 def _wrap_angle(v: float) -> float:
@@ -190,45 +222,169 @@ _THETA_BOX = (0.0, math.pi)
 _ANGLE_BOX = (-math.pi, math.pi)
 
 
-def _grid_argmax(ev: _DeviationEvaluator, steps: int) -> Tuple[np.ndarray, float]:
-    """First maximum of `ev.payoffs` over the (theta, alpha, beta) grid.
+def _scores(ev: _DeviationEvaluator, thetas, alphas, betas) -> np.ndarray:
+    """`ev.payoffs` of every listed player, with as many players per call
+    as fit in GRID_CHUNK points (at least one player per call)."""
+    group = max(1, GRID_CHUNK // thetas.shape[1])
+    if group >= len(ev.players):
+        return ev.payoffs(thetas, alphas, betas)
+
+    def rows(a, k):
+        return a if len(a) == 1 else a[k:k + group]
+
+    return np.concatenate([
+        ev.payoffs(rows(thetas, k), rows(alphas, k), rows(betas, k), slice(k, k + group))
+        for k in range(0, len(ev.players), group)
+    ])
+
+
+def _spaced(lo: np.ndarray, hi: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Row r is np.linspace(lo[r], hi[r], num), bit for bit, given the
+    float array k = 0, 1, ..., num - 1.
+
+    It computes what np.linspace computes, k * step + lo with the last
+    point set to hi, but row by row: given arrays, np.linspace takes its
+    zero-step branch, (k / (num - 1)) * delta, for every row as soon as
+    one row's step is zero. It also skips np.linspace's per-call set-up,
+    which the refinement would pay at every step.
+    """
+    delta = hi - lo
+    step = delta / k[-1]
+    y = step[:, None] * k
+    if not step.all():
+        zero = step == 0
+        y[zero] = delta[zero, None] * (k / k[-1])
+    y += lo[:, None]
+    y[:, -1] = hi
+    return y
+
+
+def _grid_argmax(ev: _DeviationEvaluator, steps: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Each listed player's first maximum of `ev.payoffs` over the
+    (theta, alpha, beta) grid: a (P, 3) array of points and their (P,) values.
 
     The Gram-form payoff depends on alpha and beta only through
     alpha - beta, so a screen first scores the g * (2g - 1) distinct
-    (theta, alpha - beta) pairs at beta = 0. Only the grid points whose
-    screen value is within GRID_SCREEN_MARGIN of the screen's maximum
-    are then scored by `ev.payoffs`, in ravel order: every point that
-    can win is kept, so the point and its value are those of the full
-    grid. Both steps take whole theta planes, as many as fit in
-    GRID_CHUNK points, so memory grows with one plane (g^2), never with
-    the whole grid (g^3).
+    (theta, alpha - beta) pairs at beta = 0, for every player at once.
+    Only the grid points whose screen value is within
+    GRID_SCREEN_MARGIN of that player's screen maximum are then scored
+    by `ev.payoffs`, player by player in ravel order: every point that
+    can win is kept, so each player's point and value are those of the
+    full grid, and a strict `>` keeps each player's first maximum. Both
+    steps take whole theta planes, as many as fit in GRID_CHUNK points
+    (at least one), so memory grows with one plane (g^2) per player,
+    never with the whole grid (g^3).
     """
+    n_players = len(ev.players)
     thetas = np.linspace(*_THETA_BOX, steps)
     angles = np.linspace(*_ANGLE_BOX, steps)
     diffs = np.arange(1 - steps, steps) * (2 * math.pi / (steps - 1))
-    planes = max(1, GRID_CHUNK // diffs.size)
+    planes = max(1, GRID_CHUNK // (n_players * diffs.size))
     screen = np.concatenate([
-        ev.payoffs(np.repeat(t, diffs.size), np.tile(diffs, t.size), 0.0)
+        _scores(
+            ev, np.repeat(t, diffs.size)[None], np.tile(diffs, t.size)[None], np.zeros((1, 1))
+        ).reshape(n_players, t.size, diffs.size)
         for t in (thetas[i:i + planes] for i in range(0, steps, planes))
-    ]).reshape(steps, diffs.size)
-    keep = screen >= screen.max() - GRID_SCREEN_MARGIN
+    ], axis=1)
+    keep = screen >= screen.max(axis=(1, 2), keepdims=True) - GRID_SCREEN_MARGIN
     # the screen column of each (alpha_i, beta_j): i - j + steps - 1
     column = np.subtract.outer(np.arange(steps), np.arange(steps)) + steps - 1
 
-    best_val = -math.inf
+    best = np.zeros((n_players, 3))
+    best_val = np.full(n_players, -math.inf)
     planes = max(1, GRID_CHUNK // steps**2)
-    for p in range(0, steps, planes):
-        if not keep[p:p + planes].any():
-            continue
-        points = np.flatnonzero(keep[p:p + planes, column]) + p * steps**2
-        for s in range(0, points.size, GRID_CHUNK):
-            t, i, j = np.unravel_index(points[s:s + GRID_CHUNK], (steps,) * 3)
-            vals = ev.payoffs(thetas[t], angles[i], angles[j])
-            k = int(np.argmax(vals))
-            if vals[k] > best_val:  # strict: the first maximum wins across chunks
-                best_val = float(vals[k])
-                best = np.array([thetas[t[k]], angles[i[k]], angles[j[k]]])
+    for k, player_keep in enumerate(keep):
+        for p in range(0, steps, planes):
+            if not player_keep[p:p + planes].any():
+                continue
+            points = np.flatnonzero(player_keep[p:p + planes, column]) + p * steps**2
+            for s in range(0, points.size, GRID_CHUNK):
+                t, i, j = np.unravel_index(points[s:s + GRID_CHUNK], (steps,) * 3)
+                vals = ev.payoffs(
+                    thetas[t][None], angles[i][None], angles[j][None], slice(k, k + 1)
+                )[0]
+                m = int(vals.argmax())
+                if vals[m] > best_val[k]:  # strict: the first maximum wins across chunks
+                    best_val[k] = vals[m]
+                    best[k] = thetas[t[m]], angles[i[m]], angles[j[m]]
     return best, best_val
+
+
+def _best_responses(
+    spec: GameSpec,
+    candidate: StrategyProfile,
+    players: Sequence[int],
+    grid_resolution: int,
+    tolerance: float,
+) -> List[DeviationReport]:
+    """One report per listed player, from one search that runs them in lockstep.
+
+    Raises ValueError unless grid_resolution is an int >= 2 and
+    tolerance is finite and positive (the CLI's rule).
+
+    Coarse grid first: `_grid_argmax` screens it on (theta, alpha - beta)
+    and scores only the survivors exactly, so each player gets the point
+    the full grid picks, at O(g^2) cost plus the survivors. Then
+    coordinate-wise interval shrinking around each player's running
+    optimum until every step is below 1e-6; the steps depend only on the
+    grid, so every player takes the same steps and rounds, and each step
+    is one batch of 11 points per player. All of it runs on the 2x2 Gram
+    form, so memory grows with one theta plane of the grid per player,
+    never with the whole grid. Each player's exact optimum from the top
+    eigenvector then replaces the refined point if it pays more. Both
+    reported payoffs come from the dense product at their single point.
+    """
+    if not isinstance(grid_resolution, numbers.Integral) or grid_resolution < 2:
+        raise ValueError(f"grid_resolution must be an int >= 2, got {grid_resolution!r}")
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {tolerance!r}")
+    ev = _DeviationEvaluator(spec, candidate, players)
+
+    best, best_val = _grid_argmax(ev, grid_resolution)
+
+    boxes = (_THETA_BOX, _ANGLE_BOX, _ANGLE_BOX)
+    steps = [(top - bottom) / (grid_resolution - 1) for bottom, top in boxes]
+    ticks = np.arange(11, dtype=float)
+    rounds = 0
+    while max(steps) > REFINEMENT_MIN_STEP:
+        rounds += 1
+        for coord, (bottom, top) in enumerate(boxes):
+            lo = np.maximum(best[:, coord] - steps[coord], bottom)
+            hi = np.minimum(best[:, coord] + steps[coord], top)
+            scan = _spaced(lo, hi, ticks)
+            args = best.T[:, :, None].repeat(ticks.size, axis=2)
+            args[coord] = scan
+            vals = _scores(ev, *args)
+            for k, j in enumerate(vals.argmax(axis=1).tolist()):
+                if vals[k, j] > best_val[k]:  # strict: a tie keeps the running optimum
+                    best_val[k] = vals[k, j]
+                    best[k, coord] = scan[k, j]
+            steps[coord] /= 5
+    exact = ev.exact_optima()
+    better = _scores(ev, *exact.T[:, :, None].copy())[:, 0] > best_val + EXACT_OPTIMUM_MARGIN
+    best[better] = exact[better]
+
+    best = np.clip(best, *zip(*boxes))
+    incumbents = [(s.theta, s.alpha, s.beta) for s in (candidate[p - 1] for p in players)]
+    # (3, P, 2) angles: each player's incumbent, then its best deviation
+    points = np.stack([incumbents, best], axis=2).transpose(1, 0, 2).copy()
+    reports = []
+    for player, deviation, (equilibrium_payoff, best_payoff) in zip(
+        players, best.tolist(), ev.dense_payoffs(*points).tolist()
+    ):
+        gain = best_payoff - equilibrium_payoff
+        reports.append(DeviationReport(
+            player=player,
+            candidate=candidate,
+            best_deviation=StrategyParams(*deviation),
+            best_deviation_payoff=best_payoff,
+            equilibrium_payoff=equilibrium_payoff,
+            max_gain=gain,
+            is_nash_within_tol=gain <= tolerance,
+            grid_resolution=grid_resolution,
+            refinement_steps=rounds,
+        ))
+    return reports
 
 
 def best_response(
@@ -240,60 +396,11 @@ def best_response(
 ) -> DeviationReport:
     """Search the full (theta, alpha, beta) box for the player's best deviation.
 
-    Coarse grid first: `_grid_argmax` screens it on (theta, alpha - beta)
-    and scores only the survivors exactly, so it picks the point the full
-    grid picks at O(g^2) cost plus the survivors. Then coordinate-wise
-    interval shrinking around the running optimum until every step is
-    below 1e-6, all on the 2x2 Gram form, so memory grows with one
-    theta plane of the grid, never with the whole grid. The exact optimum
-    from the top eigenvector then replaces the refined point if it pays
-    more. Both reported payoffs come from the dense product at their
-    single point.
+    The one-player case of the lockstep search `_best_responses`, which
+    raises ValueError unless grid_resolution is an int >= 2 and
+    tolerance is finite and positive.
     """
-    if grid_resolution < 2:
-        raise ValueError("grid_resolution must be >= 2")
-    ev = _DeviationEvaluator(spec, candidate, player)
-    inc = candidate[player - 1]
-    equilibrium_payoff = ev.dense_payoff(inc.theta, inc.alpha, inc.beta)
-
-    best, best_val = _grid_argmax(ev, grid_resolution)
-
-    boxes = (_THETA_BOX, _ANGLE_BOX, _ANGLE_BOX)
-    steps = np.array([b[1] - b[0] for b in boxes]) / (grid_resolution - 1)
-    rounds = 0
-    while steps.max() > REFINEMENT_MIN_STEP:
-        rounds += 1
-        for coord in range(3):
-            lo = max(boxes[coord][0], best[coord] - steps[coord])
-            hi = min(boxes[coord][1], best[coord] + steps[coord])
-            scan = np.linspace(lo, hi, 11)
-            args = [np.full_like(scan, best[c]) for c in range(3)]
-            args[coord] = scan
-            vals = ev.payoffs(*args)
-            j = int(np.argmax(vals))
-            if vals[j] > best_val:
-                best_val = float(vals[j])
-                best[coord] = scan[j]
-            steps[coord] /= 5
-    exact = ev.exact_optimum()
-    if ev.payoffs(*exact)[0] > best_val + EXACT_OPTIMUM_MARGIN:
-        best = exact
-
-    theta = float(np.clip(best[0], *_THETA_BOX))
-    alpha, beta = (float(np.clip(v, *_ANGLE_BOX)) for v in best[1:])
-    best_val = ev.dense_payoff(theta, alpha, beta)
-    gain = best_val - equilibrium_payoff
-    return DeviationReport(
-        player=player,
-        candidate=candidate,
-        best_deviation=StrategyParams(theta, alpha, beta),
-        best_deviation_payoff=best_val,
-        equilibrium_payoff=equilibrium_payoff,
-        max_gain=gain,
-        is_nash_within_tol=gain <= tolerance,
-        grid_resolution=grid_resolution,
-        refinement_steps=rounds,
-    )
+    return _best_responses(spec, candidate, [player], grid_resolution, tolerance)[0]
 
 
 def nash_check(
@@ -304,8 +411,10 @@ def nash_check(
 ) -> List[DeviationReport]:
     """Best-response search for every player; NE iff no player gains.
 
-    A symmetric profile (every player on one strategy) is searched once,
-    for player 1; every other player's report is a copy with `player`
+    One lockstep `_best_responses` search serves every player, and
+    validates grid_resolution and tolerance as `best_response` does. A
+    symmetric profile (every player on one strategy) is searched for
+    player 1 alone; every other player's report is a copy with `player`
     set. That is exact: every state family is invariant under a group of
     qubit permutations that carries any qubit to any other (GHZ, the
     entangler and the identity noise floor under all of them; Bell, the
@@ -314,16 +423,14 @@ def nash_check(
     payoff is symmetric under relabelling the players. So a permutation
     taking player 1 to player j maps each deviation of player 1 to the
     same deviation of player j at the same payoff. Any other profile is
-    searched player by player.
+    searched for all players at once; each report equals a search for
+    that player alone, bit for bit.
     """
-    players = range(1, spec.n_players + 1)
+    players = list(range(1, spec.n_players + 1))
     if len(set(candidate.strategies)) == 1:
-        report = best_response(spec, candidate, 1, grid_resolution, tolerance)
+        (report,) = _best_responses(spec, candidate, [1], grid_resolution, tolerance)
         return [replace(report, player=player) for player in players]
-    return [
-        best_response(spec, candidate, player, grid_resolution, tolerance)
-        for player in players
-    ]
+    return _best_responses(spec, candidate, players, grid_resolution, tolerance)
 
 
 def payoff_surface(

@@ -5,10 +5,11 @@ on it. Players in the strict minority after measurement in the
 computational basis receive payoff 1; ties and unanimity pay nothing.
 Player i (1-based) acts on qubit i-1, the i-th most significant bit.
 `strategy_unitary` gives a strategy's matrix as a read-only (2, 2)
-array, `minority_mask` is the one form of that rule in the package,
-`final_amplitudes` builds every final state from the memoised initial
-state, and `_payoff` turns each row of final probabilities into a
-payoff.
+array, `minority_mask` (memoised, read-only) is the one form of that
+rule in the package, `final_amplitudes` builds every final state from
+the memoised initial state (`final_amplitude_chunks` many of them,
+PAYOFF_CHUNK amplitudes per call), and `_payoff` turns each row of
+final probabilities into a payoff.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import List, Sequence
+from typing import Iterator, List, Sequence
 
 import numpy as np
 
@@ -130,11 +131,13 @@ def minority_projector(n: int, player: int) -> np.ndarray:
     return idx
 
 
+@functools.lru_cache(maxsize=128)  # every (n, player) with n <= MAX_QUBITS
 def minority_mask(n: int, player: int) -> np.ndarray:
-    """Boolean mask over the 2^n basis indices where the player wins.
+    """Read-only boolean mask over the 2^n basis indices where the player wins.
 
     A player wins in the strict minority; ties and unanimity pay nothing.
     n is checked against MAX_QUBITS before the 2^n outcomes are built.
+    Memoised: repeated calls return the same array object.
     """
     if not 1 <= player <= n:
         raise ValueError(f"player {player} out of range for {n} players")
@@ -143,7 +146,9 @@ def minority_mask(n: int, player: int) -> np.ndarray:
     twice_ones = 2 * sum((outcomes >> k) & 1 for k in range(n))
     bit = (outcomes >> (n - player)) & 1
     # a 1-bit wins if ones are the minority, a 0-bit if zeros are
-    return np.where(bit == 1, twice_ones < n, twice_ones > n)
+    mask = np.where(bit == 1, twice_ones < n, twice_ones > n)
+    mask.setflags(write=False)
+    return mask
 
 
 # Amplitudes per kernel call when payoffs are batched: one row at N = 12,
@@ -152,16 +157,17 @@ def minority_mask(n: int, player: int) -> np.ndarray:
 PAYOFF_CHUNK = 2**12
 
 
-def _unitaries(profile: StrategyProfile) -> np.ndarray:
-    """(n, 2, 2) strategy matrices, one matrix per distinct strategy object.
+def _unitaries(profiles: Sequence[StrategyProfile]) -> np.ndarray:
+    """(B, n, 2, 2) strategy matrices, one matrix per distinct strategy object.
 
-    Keyed by identity, not by value: a symmetric profile holds one object
-    n times, and hashing every frozen strategy would cost more than
-    building the one matrix.
+    Keyed by identity, not by value, and shared by all the profiles: a
+    symmetric profile holds one object n times, the profiles of one
+    deviation search share all but one, and hashing every frozen
+    strategy would cost more than building the one matrix.
     """
-    distinct = {id(params): params for params in profile.strategies}
+    distinct = {id(p): p for profile in profiles for p in profile.strategies}
     mats = {key: strategy_unitary(params) for key, params in distinct.items()}
-    return np.array([mats[id(params)] for params in profile.strategies])
+    return np.array([[mats[id(p)] for p in profile.strategies] for profile in profiles])
 
 
 # Callers vary the profile far more often than the recipe. The state is
@@ -185,8 +191,20 @@ def final_amplitudes(spec: GameSpec, profiles: Sequence[StrategyProfile]) -> np.
     if recipe.f != 1.0:  # build_pure never reads f: a sweep over f builds once
         recipe = replace(recipe, f=1.0)
     initial = _initial_state(recipe)
-    unitaries = np.array([_unitaries(profile) for profile in profiles])
-    return apply_locals(np.broadcast_to(initial, (len(profiles), 2**n)), unitaries)
+    return apply_locals(np.broadcast_to(initial, (len(profiles), 2**n)), _unitaries(profiles))
+
+
+def final_amplitude_chunks(
+    spec: GameSpec, profiles: Sequence[StrategyProfile]
+) -> Iterator[np.ndarray]:
+    """`final_amplitudes` of the profiles, PAYOFF_CHUNK amplitudes per call.
+
+    The chunks come in the profiles' order, so memory stays bounded
+    however many profiles there are.
+    """
+    size = max(1, PAYOFF_CHUNK // 2**spec.n_players)
+    for start in range(0, len(profiles), size):
+        yield final_amplitudes(spec, profiles[start:start + size])
 
 
 # Every player's payoff under one profile reads the same probability row;
@@ -224,14 +242,11 @@ def expected_payoffs(
 ) -> List[float]:
     """`expected_payoff` of one player under each profile, bit for bit.
 
-    The profiles run through the kernel PAYOFF_CHUNK amplitudes at a
-    time, so memory stays bounded however many there are.
+    The profiles run through the kernel in `final_amplitude_chunks`.
     """
     winning = minority_projector(spec.n_players, player)
-    size = max(1, PAYOFF_CHUNK // 2**spec.n_players)
     payoffs = []
-    for start in range(0, len(profiles), size):
-        rows = final_amplitudes(spec, profiles[start:start + size])
+    for rows in final_amplitude_chunks(spec, profiles):
         payoffs += [_payoff(spec, probs, winning) for probs in np.abs(rows) ** 2]
     return payoffs
 

@@ -7,21 +7,45 @@ tests can check that split against a brute-force computation. It also
 holds the per-outcome minority rule that `game.minority_mask` is pinned
 to, and the per-qubit apply that `core.apply_locals` matches bit for bit,
 with `final_state`, its loop over the players, as the reference for
-`game.final_amplitudes`, and `nash_check_per_player`, one best-response
-search per player, as the reference for `analysis.nash_check`. A pure
+`game.final_amplitudes`, and `best_response_per_player`, the
+best-response search run for one player on its own (the package's
+search before it ran all players in lockstep), with
+`nash_check_per_player` calling it for every player, as the reference
+for `analysis.best_response` and `analysis.nash_check`. A pure
 state here is what `states.build_pure` returns: a read-only,
 norm-checked array of 2^n amplitudes.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable, List, Union
+from typing import Iterable, List, Tuple, Union
 
 import numpy as np
 
 from qmg.core import _check_qubit_count, _check_unit_rows
-from qmg.analysis import NASH_TOLERANCE, DeviationReport, best_response
-from qmg.game import CONSTRUCTION_TOL, GameSpec, StrategyProfile, strategy_unitary
+from qmg.analysis import (
+    _ANGLE_BOX,
+    _THETA_BOX,
+    EXACT_OPTIMUM_MARGIN,
+    GRID_CHUNK,
+    GRID_SCREEN_MARGIN,
+    NASH_TOLERANCE,
+    REFINEMENT_MIN_STEP,
+    DeviationReport,
+    _su2_batch,
+    _wrap_angle,
+)
+from qmg.game import (
+    CONSTRUCTION_TOL,
+    IDENTITY,
+    GameSpec,
+    StrategyParams,
+    StrategyProfile,
+    final_amplitudes,
+    minority_mask,
+    strategy_unitary,
+)
 from qmg.states import InitialStateRecipe, build_pure
 
 
@@ -169,14 +193,173 @@ def dense_expectation(rho: MixedState, indices: Iterable[int]) -> float:
     return float(np.sum(rho.diagonal()[np.fromiter(indices, dtype=np.intp)]))
 
 
+class PlayerEvaluator:
+    """Payoffs of one player deviating while the rest stay fixed.
+
+    The other players' unitaries are applied once up front, leaving the
+    2 x 2^(n-1) block b with the deviator's qubit first. For a deviation
+    with rows m_0, m_1 the pure payoff is sum_r m_r G_r m_r^dagger with
+    the 2x2 Gram matrices G_r = (b * mask_r) b^dagger, so each candidate
+    costs O(1) once G is built; the noise floor stays affine on top.
+    """
+
+    def __init__(self, spec: GameSpec, candidate: StrategyProfile, player: int):
+        n = spec.n_players
+        partial = final_amplitudes(spec, [candidate.replace(player, IDENTITY)])[0]
+        q = player - 1
+        self._block = np.moveaxis(partial.reshape([2] * n), q, 0).reshape(2, -1)
+        mask = minority_mask(n, player)
+        self._mask = np.moveaxis(mask.reshape([2] * n), q, 0).reshape(-1)
+        rows = self._mask.reshape(2, -1)
+        self._gram = np.stack([(self._block * r) @ self._block.conj().T for r in rows])
+        self._f = spec.recipe.f
+        self._mixed_floor = (1 - self._f) * np.count_nonzero(mask) / 2**n
+
+    def payoffs(self, thetas, alphas, betas) -> np.ndarray:
+        """Payoffs at a batch of deviations, from the Gram form."""
+        mats = _su2_batch(
+            np.atleast_1d(np.asarray(thetas, dtype=float)),
+            np.atleast_1d(np.asarray(alphas, dtype=float)),
+            np.atleast_1d(np.asarray(betas, dtype=float)),
+        )
+        pure = np.einsum("grc,rcd,grd->g", mats, self._gram, mats.conj()).real
+        return self._f * pure + self._mixed_floor
+
+    def dense_payoff(self, theta: float, alpha: float, beta: float) -> float:
+        """Payoff at one deviation from the full 2 x 2^(n-1) product."""
+        m = _su2_batch(np.array([theta]), np.array([alpha]), np.array([beta]))[0]
+        probs = np.abs(m @ self._block).ravel() ** 2
+        return float(self._f * probs[self._mask].sum() + self._mixed_floor)
+
+    def exact_optimum(self) -> np.ndarray:
+        """(theta, alpha, beta) of the exact best deviation.
+
+        Unitarity turns the pure payoff into Tr G_1 + m_0 (G_0 - G_1)
+        m_0^dagger, which the top eigenvector x of G_0 - G_1 maximises
+        as m_0 = x^dagger.
+        """
+        _, vecs = np.linalg.eigh(self._gram[0] - self._gram[1])
+        x0, x1 = vecs[:, -1]
+        theta = 2 * math.atan2(abs(x1), abs(x0))
+        alpha = -np.angle(x0)
+        beta = -np.angle(x1) - math.pi / 2
+        return np.array([theta, _wrap_angle(alpha), _wrap_angle(beta)])
+
+
+def grid_argmax(ev: PlayerEvaluator, steps: int) -> Tuple[np.ndarray, float]:
+    """First maximum of `ev.payoffs` over the (theta, alpha, beta) grid.
+
+    The Gram-form payoff depends on alpha and beta only through
+    alpha - beta, so a screen first scores the g * (2g - 1) distinct
+    (theta, alpha - beta) pairs at beta = 0. Only the grid points whose
+    screen value is within GRID_SCREEN_MARGIN of the screen's maximum
+    are then scored by `ev.payoffs`, in ravel order: every point that
+    can win is kept, so the point and its value are those of the full
+    grid. Both steps take whole theta planes, as many as fit in
+    GRID_CHUNK points, so memory grows with one plane (g^2), never with
+    the whole grid (g^3).
+    """
+    thetas = np.linspace(*_THETA_BOX, steps)
+    angles = np.linspace(*_ANGLE_BOX, steps)
+    diffs = np.arange(1 - steps, steps) * (2 * math.pi / (steps - 1))
+    planes = max(1, GRID_CHUNK // diffs.size)
+    screen = np.concatenate([
+        ev.payoffs(np.repeat(t, diffs.size), np.tile(diffs, t.size), 0.0)
+        for t in (thetas[i:i + planes] for i in range(0, steps, planes))
+    ]).reshape(steps, diffs.size)
+    keep = screen >= screen.max() - GRID_SCREEN_MARGIN
+    # the screen column of each (alpha_i, beta_j): i - j + steps - 1
+    column = np.subtract.outer(np.arange(steps), np.arange(steps)) + steps - 1
+
+    best_val = -math.inf
+    planes = max(1, GRID_CHUNK // steps**2)
+    for p in range(0, steps, planes):
+        if not keep[p:p + planes].any():
+            continue
+        points = np.flatnonzero(keep[p:p + planes, column]) + p * steps**2
+        for s in range(0, points.size, GRID_CHUNK):
+            t, i, j = np.unravel_index(points[s:s + GRID_CHUNK], (steps,) * 3)
+            vals = ev.payoffs(thetas[t], angles[i], angles[j])
+            k = int(np.argmax(vals))
+            if vals[k] > best_val:  # strict: the first maximum wins across chunks
+                best_val = float(vals[k])
+                best = np.array([thetas[t[k]], angles[i[k]], angles[j[k]]])
+    return best, best_val
+
+
+def best_response_per_player(
+    spec: GameSpec,
+    candidate: StrategyProfile,
+    player: int,
+    grid_resolution: int = 25,
+    tolerance: float = NASH_TOLERANCE,
+) -> DeviationReport:
+    """One player's best-response search on its own, as `analysis` ran it
+    before all players were searched in lockstep.
+
+    Coarse grid first: `grid_argmax` screens it on (theta, alpha - beta)
+    and scores only the survivors exactly, so it picks the point the full
+    grid picks at O(g^2) cost plus the survivors. Then coordinate-wise
+    interval shrinking around the running optimum until every step is
+    below 1e-6, all on the 2x2 Gram form. The exact optimum from the top
+    eigenvector then replaces the refined point if it pays more. Both
+    reported payoffs come from the dense product at their single point.
+    """
+    if grid_resolution < 2:
+        raise ValueError("grid_resolution must be >= 2")
+    ev = PlayerEvaluator(spec, candidate, player)
+    inc = candidate[player - 1]
+    equilibrium_payoff = ev.dense_payoff(inc.theta, inc.alpha, inc.beta)
+
+    best, best_val = grid_argmax(ev, grid_resolution)
+
+    boxes = (_THETA_BOX, _ANGLE_BOX, _ANGLE_BOX)
+    steps = np.array([b[1] - b[0] for b in boxes]) / (grid_resolution - 1)
+    rounds = 0
+    while steps.max() > REFINEMENT_MIN_STEP:
+        rounds += 1
+        for coord in range(3):
+            lo = max(boxes[coord][0], best[coord] - steps[coord])
+            hi = min(boxes[coord][1], best[coord] + steps[coord])
+            scan = np.linspace(lo, hi, 11)
+            args = [np.full_like(scan, best[c]) for c in range(3)]
+            args[coord] = scan
+            vals = ev.payoffs(*args)
+            j = int(np.argmax(vals))
+            if vals[j] > best_val:
+                best_val = float(vals[j])
+                best[coord] = scan[j]
+            steps[coord] /= 5
+    exact = ev.exact_optimum()
+    if ev.payoffs(*exact)[0] > best_val + EXACT_OPTIMUM_MARGIN:
+        best = exact
+
+    theta = float(np.clip(best[0], *_THETA_BOX))
+    alpha, beta = (float(np.clip(v, *_ANGLE_BOX)) for v in best[1:])
+    best_val = ev.dense_payoff(theta, alpha, beta)
+    gain = best_val - equilibrium_payoff
+    return DeviationReport(
+        player=player,
+        candidate=candidate,
+        best_deviation=StrategyParams(theta, alpha, beta),
+        best_deviation_payoff=best_val,
+        equilibrium_payoff=equilibrium_payoff,
+        max_gain=gain,
+        is_nash_within_tol=gain <= tolerance,
+        grid_resolution=grid_resolution,
+        refinement_steps=rounds,
+    )
+
+
 def nash_check_per_player(
     spec: GameSpec,
     candidate: StrategyProfile,
     grid_resolution: int = 25,
     tolerance: float = NASH_TOLERANCE,
 ) -> List[DeviationReport]:
-    """`analysis.nash_check` without the orbit shortcut: every player searched."""
+    """`analysis.nash_check` without the orbit shortcut or the lockstep
+    search: every player searched on its own by `best_response_per_player`."""
     return [
-        best_response(spec, candidate, player, grid_resolution, tolerance)
+        best_response_per_player(spec, candidate, player, grid_resolution, tolerance)
         for player in range(1, spec.n_players + 1)
     ]

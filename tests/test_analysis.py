@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_oracle import final_state, minority_winners, nash_check_per_player
+from dense_oracle import (
+    best_response_per_player,
+    final_state,
+    minority_winners,
+    nash_check_per_player,
+)
 from paper_checks import ParetoResult, pareto_compare, payoff_formula_eq8
 from qmg import analysis, game
 from qmg.analysis import (
@@ -140,6 +145,30 @@ class TestBestResponse:
     def test_rejects_tiny_grid(self):
         with pytest.raises(ValueError):
             best_response(ghz_spec(6), StrategyProfile.symmetric(ne_strategy(6), 6), 1, 1)
+
+    @pytest.mark.parametrize("grid", [1, 0, -3, 2.5, 25.0, True, "25"])
+    def test_rejects_grid_that_is_not_an_int_of_at_least_two(self, grid):
+        candidate = StrategyProfile.symmetric(ne_strategy(4), 4)
+        with pytest.raises(ValueError, match="grid_resolution"):
+            best_response(ghz_spec(4), candidate, 1, grid)
+        with pytest.raises(ValueError, match="grid_resolution"):
+            nash_check(ghz_spec(4), candidate, grid)
+
+    @pytest.mark.parametrize("tolerance", [math.inf, -math.inf, math.nan, 0.0, -1e-4])
+    def test_rejects_tolerance_that_is_not_finite_and_positive(self, tolerance):
+        # with inf the identity profile on GHZ-4 passed as Nash at max_gain 1.0;
+        # with nan no profile was ever Nash
+        candidate = StrategyProfile.symmetric(IDENTITY, 4)
+        with pytest.raises(ValueError, match="tolerance"):
+            nash_check(ghz_spec(4), candidate, 3, tolerance)
+        with pytest.raises(ValueError, match="tolerance"):
+            best_response(ghz_spec(4), candidate, 1, 3, tolerance)
+
+    def test_numpy_int_grid_is_accepted(self):
+        candidate = StrategyProfile.symmetric(ne_strategy(4), 4)
+        assert best_response(ghz_spec(4), candidate, 1, np.int64(3)) == best_response(
+            ghz_spec(4), candidate, 1, 3
+        )
 
 
 class TestNashCheck:
@@ -369,15 +398,22 @@ def _exact_best_payoff(spec, profile, player):
     return f * pure + (1 - f) * np.count_nonzero(mask) / 2**n
 
 
+def _players_points(rng, n_players, size):
+    """(3, P, size) random deviations, `size` per player."""
+    return np.reshape(_random_points(rng, n_players * size), (3, n_players, size))
+
+
 class TestGramFormAgainstDenseOracle:
     @given(_deviation_cases())
     @settings(max_examples=60, deadline=None)
     def test_gram_payoffs_match_dense_product(self, case):
-        spec, profile, player, rng = case
-        ev = _DeviationEvaluator(spec, profile, player)
-        points = _random_points(rng, 16)
+        # every player at once, each at its own deviations
+        spec, profile, _, rng = case
+        ev = _DeviationEvaluator(spec, profile, range(1, spec.n_players + 1))
+        points = _players_points(rng, spec.n_players, 16)
         gram = ev.payoffs(*points)
-        dense = [ev.dense_payoff(*p) for p in zip(*points)]
+        dense = ev.dense_payoffs(*points)
+        assert gram.shape == dense.shape == (spec.n_players, 16)
         assert np.max(np.abs(gram - dense)) < 1e-12
 
     @given(_deviation_cases())
@@ -385,12 +421,11 @@ class TestGramFormAgainstDenseOracle:
     def test_best_deviation_beats_brute_dense_grid(self, case):
         spec, profile, player, _ = case
         report = best_response(spec, profile, player, grid_resolution=3)
-        ev = _DeviationEvaluator(spec, profile, player)
+        ev = _DeviationEvaluator(spec, profile, [player])
         thetas = np.linspace(0, PI, 9)
         angles = np.linspace(-PI, PI, 9)
-        brute = max(
-            ev.dense_payoff(t, a, b) for t in thetas for a in angles for b in angles
-        )
+        grid = np.meshgrid(thetas, angles, angles, indexing="ij")
+        brute = ev.dense_payoffs(*(axis.reshape(1, -1) for axis in grid)).max()
         assert report.best_deviation_payoff >= brute - 1e-12
 
     @given(_deviation_cases())
@@ -439,6 +474,19 @@ def _assert_matches_per_player_search(reports, reference):
         assert r.is_nash_within_tol == ref.is_nash_within_tol
 
 
+def _spy_on_the_search(monkeypatch):
+    """Record the players of every lockstep search; returns the record."""
+    searched = []
+    search = analysis._best_responses
+
+    def counted(spec, candidate, players, *args):
+        searched.append(list(players))
+        return search(spec, candidate, players, *args)
+
+    monkeypatch.setattr(analysis, "_best_responses", counted)
+    return searched
+
+
 class TestNashCheckOrbits:
     @pytest.mark.parametrize("spec", _FAMILY_SPECS, ids=lambda s: s.recipe.family.value)
     @pytest.mark.parametrize(
@@ -449,17 +497,19 @@ class TestNashCheckOrbits:
     def test_symmetric_profile_searches_once(self, spec, strategy, monkeypatch):
         candidate = StrategyProfile.symmetric(strategy, 6)
         reference = nash_check_per_player(spec, candidate, 9)
-        searched = []
-
-        def counted(*args):
-            searched.append(args[2])
-            return best_response(*args)
-
-        monkeypatch.setattr(analysis, "best_response", counted)
+        searched = _spy_on_the_search(monkeypatch)
         reports = nash_check(spec, candidate, 9)
-        assert searched == [1]
+        assert searched == [[1]]
         assert all(r == dataclasses.replace(reports[0], player=r.player) for r in reports)
         _assert_matches_per_player_search(reports, reference)
+
+    @pytest.mark.parametrize("spec", _FAMILY_SPECS, ids=lambda s: s.recipe.family.value)
+    def test_other_profile_makes_one_search_over_every_player(self, spec, monkeypatch):
+        candidate = StrategyProfile.symmetric(ne_strategy(6), 6).replace(4, IDENTITY)
+        reference = nash_check_per_player(spec, candidate, 9)
+        searched = _spy_on_the_search(monkeypatch)
+        assert nash_check(spec, candidate, 9) == reference
+        assert searched == [[1, 2, 3, 4, 5, 6]]
 
     @given(_recipes(max_n=8), _strategies)
     @settings(max_examples=25, deadline=None)
@@ -482,41 +532,134 @@ class TestNashCheckOrbits:
         assert nash_check(spec, candidate, 5) == nash_check_per_player(spec, candidate, 5)
 
 
+class TestLockstepSearch:
+    """One search runs every listed player; each report equals the
+    per-player reference search in `dense_oracle`, bit for bit."""
+
+    @given(_deviation_cases(max_n=8), st.sampled_from([2, 3, 5, 9, 25]))
+    @settings(max_examples=40, deadline=None)
+    def test_reports_equal_the_per_player_search(self, case, grid):
+        spec, profile, player, _ = case
+        assert nash_check(spec, profile, grid) == nash_check_per_player(spec, profile, grid)
+        assert best_response(spec, profile, player, grid) == best_response_per_player(
+            spec, profile, player, grid
+        )
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    @given(case=_deviation_cases(max_n=6), grid=st.sampled_from([2, 3, 5, 9, 25]))
+    @settings(max_examples=8, deadline=None)
+    def test_chunk_boundaries_keep_each_players_first_maximum(self, chunk, case, grid):
+        # the reference keeps its own GRID_CHUNK; calls here split between
+        # and within players
+        spec, profile, _, _ = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "GRID_CHUNK", chunk)
+            reports = nash_check(spec, profile, grid)
+        assert reports == nash_check_per_player(spec, profile, grid)
+
+    @pytest.mark.parametrize(
+        "recipe, grid",
+        [
+            (InitialStateRecipe(StateFamily.BELL_PRODUCT, 10), 25),
+            (InitialStateRecipe(StateFamily.GHZ_BELL_MIXTURE, 10, x=0.5, f=0.9), 9),
+            (InitialStateRecipe(StateFamily.GHZ, 12), 25),
+            (InitialStateRecipe(StateFamily.W3_PRODUCT, 12), 5),
+            (InitialStateRecipe(StateFamily.EXPONENTIAL_ENTANGLER, 12, gamma=0.7), 3),
+        ],
+        ids=lambda v: v.family.value if isinstance(v, InitialStateRecipe) else str(v),
+    )
+    def test_large_cases_equal_the_per_player_search(self, recipe, grid):
+        n = recipe.n_qubits
+        rng = np.random.default_rng(n * grid)
+        profile = StrategyProfile(
+            tuple(StrategyParams(*map(float, t)) for t in zip(*_random_points(rng, n)))
+        )
+        spec = GameSpec(n, recipe)
+        assert nash_check(spec, profile, grid) == nash_check_per_player(spec, profile, grid)
+
+    def test_ghz6_equilibrium_is_the_same_at_one_and_at_six_players(self):
+        # nash_check_ghz6.csv: the symmetric shortcut searches player 1 alone
+        spec = ghz_spec(6)
+        candidate = StrategyProfile.symmetric(ne_strategy(6), 6)
+        lockstep = analysis._best_responses(spec, candidate, range(1, 7), 25, NASH_TOLERANCE)
+        assert lockstep == nash_check(spec, candidate, 25)
+        assert lockstep == nash_check_per_player(spec, candidate, 25)
+
+
+class TestSpaced:
+    """`_spaced` rows are np.linspace, including its zero-step branch."""
+
+    TICKS = np.arange(11, dtype=float)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(-4, 4),
+                st.one_of(st.floats(0, 8), st.sampled_from([0.0, 5e-324, 1e-320, 2e-16])),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_rows_are_np_linspace(self, rows):
+        lo = np.array([a for a, _ in rows])
+        hi = lo + np.array([d for _, d in rows])
+        got = analysis._spaced(lo, hi, self.TICKS)
+        for r in range(len(rows)):
+            assert got[r].tobytes() == np.linspace(lo[r], hi[r], 11).tobytes()
+
+    def test_a_zero_step_row_beside_others(self):
+        # given these arrays at once, np.linspace would take its zero-step
+        # branch for every row; row by row it takes it for the first only
+        lo = np.array([0.0, 0.25, -3.0])
+        hi = np.array([5e-324, 0.75, 3.0])
+        assert (hi - lo)[0] / 10 == 0
+        got = analysis._spaced(lo, hi, self.TICKS)
+        for r in range(3):
+            assert got[r].tobytes() == np.linspace(lo[r], hi[r], 11).tobytes()
+        assert got.tobytes() != np.linspace(lo, hi, 11, axis=1).tobytes()
+
+
 def _full_grid(ev, steps):
     """Every (theta, alpha, beta) grid point in ravel order, as a (3, g^3)
-    array, with its `ev.payoffs` score."""
+    array, with every listed player's `ev.payoffs` score there, (P, g^3)."""
     thetas = np.linspace(0, PI, steps)
     angles = np.linspace(-PI, PI, steps)
     grid = np.meshgrid(thetas, angles, angles, indexing="ij")
     points = np.stack([axis.ravel() for axis in grid])
-    return points, ev.payoffs(*points)
+    return points, ev.payoffs(*points[:, None])
 
 
 def _full_grid_argmax(ev, steps):
-    """The exhaustive grid search: first maximum in ravel order."""
+    """The exhaustive grid search: each player's first maximum in ravel order."""
     points, vals = _full_grid(ev, steps)
-    k = int(np.argmax(vals))
-    return points[:, k], float(vals[k])
+    k = vals.argmax(axis=1)
+    return points[:, k].T, vals[np.arange(len(k)), k]
+
+
+def _all_players(spec, profile):
+    return _DeviationEvaluator(spec, profile, range(1, spec.n_players + 1))
 
 
 class TestGridScreen:
     @given(_deviation_cases(max_n=8), st.sampled_from([2, 3, 5, 9, 25]))
     @settings(max_examples=80, deadline=None)
     def test_screen_picks_what_the_full_grid_picks(self, case, steps):
-        spec, profile, player, _ = case
-        ev = _DeviationEvaluator(spec, profile, player)
+        spec, profile, _, _ = case
+        ev = _all_players(spec, profile)
         best, value = analysis._grid_argmax(ev, steps)
         ref_best, ref_value = _full_grid_argmax(ev, steps)
         assert np.array_equal(best, ref_best)
-        assert value == ref_value
+        assert np.array_equal(value, ref_value)
 
     @given(_deviation_cases(max_n=8))
     @settings(max_examples=60, deadline=None)
     def test_payoff_depends_on_alpha_minus_beta_only(self, case):
         # the screen rests on this; a Gram form that breaks it fails here
-        spec, profile, player, rng = case
-        ev = _DeviationEvaluator(spec, profile, player)
-        theta, alpha, beta = _random_points(rng, 64)
+        spec, profile, _, rng = case
+        ev = _all_players(spec, profile)
+        theta, alpha, beta = _players_points(rng, spec.n_players, 64)
         diff = ev.payoffs(theta, alpha - beta, np.zeros_like(beta))
         assert np.max(np.abs(ev.payoffs(theta, alpha, beta) - diff)) < 1e-14
 
@@ -525,21 +668,21 @@ class TestGridScreen:
         # 26 grid points tie within rounding; nash_check_ghz6.csv pins the
         # one the exhaustive search picks, a phase-equivalent copy of M
         ev = _DeviationEvaluator(
-            ghz_spec(6), StrategyProfile.symmetric(ne_strategy(6), 6), player
+            ghz_spec(6), StrategyProfile.symmetric(ne_strategy(6), 6), [player]
         )
-        _, vals = _full_grid(ev, 25)
+        _, (vals,) = _full_grid(ev, 25)
         assert np.count_nonzero(vals >= vals.max() - 1e-12) == 26
-        best, value = analysis._grid_argmax(ev, 25)
+        (best,), (value,) = analysis._grid_argmax(ev, 25)
         assert np.allclose(best, [PI / 2, -3 * PI / 4, -7 * PI / 12], atol=1e-15)
         assert value == vals.max()
 
     @pytest.mark.parametrize("steps", [2, 5, 25])
     def test_all_ties_keep_the_first_point(self, steps):
         # at n = 2 nobody ever wins: every point survives the screen
-        ev = _DeviationEvaluator(ghz_spec(2), StrategyProfile.symmetric(IDENTITY, 2), 1)
+        ev = _all_players(ghz_spec(2), StrategyProfile.symmetric(IDENTITY, 2))
         best, value = analysis._grid_argmax(ev, steps)
-        assert best.tolist() == [0.0, -PI, -PI]
-        assert value == 0.0
+        assert best.tolist() == [[0.0, -PI, -PI]] * 2
+        assert value.tolist() == [0.0, 0.0]
 
 
 def test_best_response_memory_does_not_grow_with_grid():
@@ -548,14 +691,25 @@ def test_best_response_memory_does_not_grow_with_grid():
     # grid 400 any grid^3 index or meshgrid array takes 512 MB
     n = 12
     candidate = StrategyProfile.symmetric(ne_strategy(n), n)
-    for grid in (40, 100, 400):
+    runs = [
+        (best_response, (ghz_spec(n), candidate, 1), grid) for grid in (40, 100, 400)
+    ]
+    # every player of a non-symmetric profile in one search: the screen,
+    # the survivors and the refinement hold all ten players at once
+    rng = np.random.default_rng(10)
+    profile = StrategyProfile(
+        tuple(StrategyParams(*map(float, t)) for t in zip(*_random_points(rng, 10)))
+    )
+    bell = GameSpec(10, InitialStateRecipe(StateFamily.BELL_PRODUCT, 10))
+    runs.append((nash_check, (bell, profile), 100))
+    for search, args, grid in runs:
         tracemalloc.start()
         try:
-            best_response(ghz_spec(n), candidate, 1, grid_resolution=grid)
+            search(*args, grid_resolution=grid)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2**20, grid
+        assert peak < 64 * 2**20, (search.__name__, grid)
 
 
 def test_surface_memory_stays_within_one_chunk():
@@ -584,8 +738,8 @@ def test_grid_chunks_keep_the_first_maximum(chunk, monkeypatch):
     whole = [best_response(*run, grid_resolution=5) for run in runs]
     monkeypatch.setattr(analysis, "GRID_CHUNK", chunk)
     assert [best_response(*run, grid_resolution=5) for run in runs] == whole
-    for run in runs:
-        ev = _DeviationEvaluator(*run)
+    for spec, profile, _ in runs:
+        ev = _all_players(spec, profile)
         best, value = analysis._grid_argmax(ev, 5)
         ref_best, ref_value = _full_grid_argmax(ev, 5)
-        assert np.array_equal(best, ref_best) and value == ref_value
+        assert np.array_equal(best, ref_best) and np.array_equal(value, ref_value)

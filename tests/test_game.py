@@ -170,10 +170,12 @@ class TestStrategyUnitary:
             return strategy_unitary(params)
 
         monkeypatch.setattr(game, "strategy_unitary", counted)
-        p, q = random_params(), random_params()
-        mats = game._unitaries(StrategyProfile((p, q, p, p)))
-        assert calls == [p, q]
-        want = np.array([strategy_unitary(s) for s in (p, q, p, p)])
+        p, q, r = random_params(), random_params(), random_params()
+        # the second profile shares p and q with the first: one matrix each
+        rows = [(p, q, p, p), (r, q, p, r)]
+        mats = game._unitaries([StrategyProfile(row) for row in rows])
+        assert calls == [p, q, r]
+        want = np.array([[strategy_unitary(s) for s in row] for row in rows])
         assert mats.tobytes() == want.tobytes()
 
     def test_domain_validation(self):
@@ -240,6 +242,20 @@ class TestMinorityRule:
             assert mask.tolist() == expected
         with pytest.raises(ValueError):
             minority_mask(n, n + 1)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_moving_a_players_qubit_first_gives_player_ones_mask(self, n):
+        # the best-response search keeps one mask for every deviator on this
+        first = minority_mask(n, 1)
+        for player in range(1, n + 1):
+            mask = minority_mask(n, player).reshape([2] * n)
+            moved = np.moveaxis(mask, player - 1, 0).reshape(-1)
+            assert np.array_equal(moved, first), player
+
+    def test_mask_is_memoised_and_read_only(self):
+        mask = minority_mask(6, 2)
+        assert minority_mask(6, 2) is mask
+        assert not mask.flags.writeable
 
     @given(st.integers(2, 8), st.data())
     @settings(max_examples=100, deadline=None)
@@ -383,7 +399,7 @@ class TestBatchedPayoffs:
         profiles = [data.draw(profiles_for(n)) for _ in range(rows)]
         out = apply_locals(
             np.repeat(psi[None], rows, axis=0),
-            np.array([game._unitaries(profile) for profile in profiles]),
+            game._unitaries(profiles),
         )
         for got, profile in zip(out, profiles):
             state = psi
