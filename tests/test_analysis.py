@@ -557,6 +557,24 @@ class TestLockstepSearch:
             reports = nash_check(spec, profile, grid)
         assert reports == nash_check_per_player(spec, profile, grid)
 
+    def test_every_payoffs_call_holds_at_most_grid_chunk_points(self, monkeypatch):
+        # six players: the screen (6 x 17 points a plane), the refinement
+        # (6 x 11) and the survivors must all split at 64 points
+        sizes = []
+        payoffs = _DeviationEvaluator.payoffs
+
+        def counted(self, thetas, alphas, betas, selected=slice(None)):
+            out = payoffs(self, thetas, alphas, betas, selected)
+            sizes.append(out.size)
+            return out
+
+        monkeypatch.setattr(_DeviationEvaluator, "payoffs", counted)
+        monkeypatch.setattr(analysis, "GRID_CHUNK", 64)
+        spec = ghz_spec(6)
+        candidate = StrategyProfile.symmetric(ne_strategy(6), 6).replace(2, IDENTITY)
+        assert nash_check(spec, candidate, 9) == nash_check_per_player(spec, candidate, 9)
+        assert sizes and max(sizes) <= 64
+
     @pytest.mark.parametrize(
         "recipe, grid",
         [
