@@ -3,16 +3,17 @@
 Best-response search on each deviator's 2x2 Gram form, one search for
 a list of players run in lockstep: a coarse grid screened on
 (theta, alpha - beta) for every player at once, with only the points
-that can win scored exactly, player by player (memory grows with one
-theta plane per player, never the grid), then coordinate-wise
-refinement whose steps every player shares, finished by the exact top
-eigenvectors from one stacked `eigh`. `best_response` is its one-player
-case. Nash-equilibrium verification via the unilateral-deviation
-inequality makes one such search: for player 1 alone when the profile
-is symmetric (the other players' reports are copies with `player`
-set), for every player otherwise. Also the closed-form 6-player payoff
-formula, the N-player entangler-payoff conjecture, and parameter
-sweeps that produce figure-ready tables.
+that can win scored exactly, player by player and one theta plane at a
+time, then coordinate-wise refinement whose steps every player shares,
+finished by the exact top eigenvectors from one stacked `eigh`. No Gram
+einsum holds more than GRID_CHUNK (player, deviation) pairs.
+`best_response` is its one-player case. Nash-equilibrium verification
+via the unilateral-deviation inequality makes one such search: for
+player 1 alone when the profile is symmetric (the other players'
+reports are copies with `player` set), for every player otherwise.
+Also the closed-form 6-player payoff formula, the N-player
+entangler-payoff conjecture, and parameter sweeps that produce
+figure-ready tables.
 """
 from __future__ import annotations
 
@@ -39,9 +40,9 @@ from .states import InitialStateRecipe, StateFamily
 
 NASH_TOLERANCE = 1e-4
 REFINEMENT_MIN_STEP = 1e-6
-# Coarse-grid points evaluated at once; bounds best-response memory
-# for any grid. A grid of 25 is one chunk for the screen (1225 points)
-# and for its survivors (at most 15625).
+# Most (player, deviation) pairs in one Gram einsum, read only by
+# `_DeviationEvaluator.payoffs`. At grid 25 the screen of up to 12
+# players (14,700 pairs) and each survivor plane (625 points) fit one.
 GRID_CHUNK = 2**15
 # The exact optimum replaces the refined grid point only when it pays
 # more by this margin, so flat optima keep their grid point.
@@ -145,16 +146,16 @@ class _DeviationEvaluator:
     sum_r m_r G_kr m_r^dagger with the 2x2 Gram matrices
     G_kr = (b_k * mask_r) b_k^dagger, so each candidate costs O(1) once
     G is built; the noise floor stays affine on top. The partial states
-    come from `final_amplitude_chunks`, so memory stays bounded.
+    come from `final_amplitude_chunks`, but the P blocks b_k (P * 2^n
+    amplitudes) are kept for the whole search, for `dense_payoffs`.
     """
 
     def __init__(self, spec: GameSpec, candidate: StrategyProfile, players: Sequence[int]):
         n = spec.n_players
-        self.players = list(players)
-        partials = [candidate.replace(player, IDENTITY) for player in self.players]
+        partials = [candidate.replace(player, IDENTITY) for player in players]
         rows = itertools.chain.from_iterable(final_amplitude_chunks(spec, partials))
         self._blocks = np.empty((len(partials), 2, 2 ** (n - 1)), dtype=complex)
-        for block, player, row in zip(self._blocks, self.players, rows):
+        for block, player, row in zip(self._blocks, players, rows):
             block.reshape([2] * n)[...] = np.moveaxis(row.reshape([2] * n), player - 1, 0)
         self._mask = minority_mask(n, 1)
         halves = self._mask.reshape(2, -1)
@@ -172,13 +173,20 @@ class _DeviationEvaluator:
 
         `selected` is a slice of the listed players. Angle arrays with a
         single row give every selected player the same G deviations.
+        The columns go through the einsum in blocks of GRID_CHUNK // P
+        (at least one), so no einsum holds more than max(GRID_CHUNK, P)
+        (player, deviation) pairs.
         """
-        # 1-D angle arrays: numpy's per-call overhead is lower than on 2-D ones
-        mats = _su2_batch(thetas.ravel(), alphas.ravel(), betas.ravel())
-        mats = mats.reshape(len(thetas), -1, 2, 2)
         gram = self._gram[selected]
-        # in place, so the complex einsum result is the only (P, G) temporary
-        payoffs = self._f * np.einsum("pgrc,prcd,pgrd->pg", mats, gram, mats.conj()).real
+        payoffs = np.empty((len(gram), thetas.shape[1]))
+        width = max(1, GRID_CHUNK // len(gram))
+        for c in range(0, thetas.shape[1], width):
+            cols = slice(c, c + width)
+            # 1-D angle arrays: numpy's per-call overhead is lower than on 2-D ones
+            mats = _su2_batch(*(a[:, cols].ravel() for a in (thetas, alphas, betas)))
+            mats = mats.reshape(len(thetas), -1, 2, 2)
+            pure = np.einsum("pgrc,prcd,pgrd->pg", mats, gram, mats.conj()).real
+            np.multiply(self._f, pure, out=payoffs[:, cols])
         payoffs += self._mixed_floor
         return payoffs
 
@@ -213,6 +221,12 @@ class _DeviationEvaluator:
         return np.array(optima)
 
 
+def _check_steps(name: str, steps) -> None:
+    """Raise ValueError unless a step count is an int >= 2."""
+    if not isinstance(steps, numbers.Integral) or steps < 2:
+        raise ValueError(f"{name} must be an int >= 2, got {steps!r}")
+
+
 def _wrap_angle(v: float) -> float:
     """The same angle in [-pi, pi)."""
     return (v + math.pi) % (2 * math.pi) - math.pi
@@ -220,22 +234,6 @@ def _wrap_angle(v: float) -> float:
 
 _THETA_BOX = (0.0, math.pi)
 _ANGLE_BOX = (-math.pi, math.pi)
-
-
-def _scores(ev: _DeviationEvaluator, thetas, alphas, betas) -> np.ndarray:
-    """`ev.payoffs` of every listed player, with as many players per call
-    as fit in GRID_CHUNK points (at least one player per call)."""
-    group = max(1, GRID_CHUNK // thetas.shape[1])
-    if group >= len(ev.players):
-        return ev.payoffs(thetas, alphas, betas)
-
-    def rows(a, k):
-        return a if len(a) == 1 else a[k:k + group]
-
-    return np.concatenate([
-        ev.payoffs(rows(thetas, k), rows(alphas, k), rows(betas, k), slice(k, k + group))
-        for k in range(0, len(ev.players), group)
-    ])
 
 
 def _spaced(lo: np.ndarray, hi: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -270,43 +268,36 @@ def _grid_argmax(ev: _DeviationEvaluator, steps: int) -> Tuple[np.ndarray, np.nd
     GRID_SCREEN_MARGIN of that player's screen maximum are then scored
     by `ev.payoffs`, player by player in ravel order: every point that
     can win is kept, so each player's point and value are those of the
-    full grid, and a strict `>` keeps each player's first maximum. Both
-    steps take whole theta planes, as many as fit in GRID_CHUNK points
-    (at least one), so memory grows with one plane (g^2) per player,
-    never with the whole grid (g^3).
+    full grid, and a strict `>` keeps each player's first maximum. The
+    screen is one `ev.payoffs` call, the survivors one call per theta
+    plane that holds any, so memory grows with the screen (P g (2g - 1))
+    and one plane (g^2), never with the whole grid (g^3).
     """
-    n_players = len(ev.players)
     thetas = np.linspace(*_THETA_BOX, steps)
     angles = np.linspace(*_ANGLE_BOX, steps)
     diffs = np.arange(1 - steps, steps) * (2 * math.pi / (steps - 1))
-    planes = max(1, GRID_CHUNK // (n_players * diffs.size))
-    screen = np.concatenate([
-        _scores(
-            ev, np.repeat(t, diffs.size)[None], np.tile(diffs, t.size)[None], np.zeros((1, 1))
-        ).reshape(n_players, t.size, diffs.size)
-        for t in (thetas[i:i + planes] for i in range(0, steps, planes))
-    ], axis=1)
+    pairs = (1, steps * diffs.size)
+    screen = ev.payoffs(
+        np.repeat(thetas, diffs.size).reshape(pairs),
+        np.tile(diffs, steps).reshape(pairs),
+        np.broadcast_to(0.0, pairs),
+    ).reshape(-1, steps, diffs.size)
     keep = screen >= screen.max(axis=(1, 2), keepdims=True) - GRID_SCREEN_MARGIN
     # the screen column of each (alpha_i, beta_j): i - j + steps - 1
     column = np.subtract.outer(np.arange(steps), np.arange(steps)) + steps - 1
 
-    best = np.zeros((n_players, 3))
-    best_val = np.full(n_players, -math.inf)
-    planes = max(1, GRID_CHUNK // steps**2)
+    best = np.zeros((len(keep), 3))
+    best_val = np.full(len(keep), -math.inf)
     for k, player_keep in enumerate(keep):
-        for p in range(0, steps, planes):
-            if not player_keep[p:p + planes].any():
-                continue
-            points = np.flatnonzero(player_keep[p:p + planes, column]) + p * steps**2
-            for s in range(0, points.size, GRID_CHUNK):
-                t, i, j = np.unravel_index(points[s:s + GRID_CHUNK], (steps,) * 3)
-                vals = ev.payoffs(
-                    thetas[t][None], angles[i][None], angles[j][None], slice(k, k + 1)
-                )[0]
-                m = int(vals.argmax())
-                if vals[m] > best_val[k]:  # strict: the first maximum wins across chunks
-                    best_val[k] = vals[m]
-                    best[k] = thetas[t[m]], angles[i[m]], angles[j[m]]
+        for t in np.flatnonzero(player_keep.any(axis=1)):
+            i, j = np.nonzero(player_keep[t, column])
+            vals = ev.payoffs(
+                np.full((1, i.size), thetas[t]), angles[i][None], angles[j][None], slice(k, k + 1)
+            )[0]
+            m = int(vals.argmax())
+            if vals[m] > best_val[k]:  # strict: the first maximum wins across planes
+                best_val[k] = vals[m]
+                best[k] = thetas[t], angles[i[m]], angles[j[m]]
     return best, best_val
 
 
@@ -329,13 +320,12 @@ def _best_responses(
     optimum until every step is below 1e-6; the steps depend only on the
     grid, so every player takes the same steps and rounds, and each step
     is one batch of 11 points per player. All of it runs on the 2x2 Gram
-    form, so memory grows with one theta plane of the grid per player,
-    never with the whole grid. Each player's exact optimum from the top
+    form, so memory grows with the screen and one theta plane, never
+    with the whole grid. Each player's exact optimum from the top
     eigenvector then replaces the refined point if it pays more. Both
     reported payoffs come from the dense product at their single point.
     """
-    if not isinstance(grid_resolution, numbers.Integral) or grid_resolution < 2:
-        raise ValueError(f"grid_resolution must be an int >= 2, got {grid_resolution!r}")
+    _check_steps("grid_resolution", grid_resolution)
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise ValueError(f"tolerance must be finite and positive, got {tolerance!r}")
     ev = _DeviationEvaluator(spec, candidate, players)
@@ -354,14 +344,14 @@ def _best_responses(
             scan = _spaced(lo, hi, ticks)
             args = best.T[:, :, None].repeat(ticks.size, axis=2)
             args[coord] = scan
-            vals = _scores(ev, *args)
+            vals = ev.payoffs(*args)
             for k, j in enumerate(vals.argmax(axis=1).tolist()):
                 if vals[k, j] > best_val[k]:  # strict: a tie keeps the running optimum
                     best_val[k] = vals[k, j]
                     best[k, coord] = scan[k, j]
             steps[coord] /= 5
     exact = ev.exact_optima()
-    better = _scores(ev, *exact.T[:, :, None].copy())[:, 0] > best_val + EXACT_OPTIMUM_MARGIN
+    better = ev.payoffs(*exact.T[:, :, None].copy())[:, 0] > best_val + EXACT_OPTIMUM_MARGIN
     best[better] = exact[better]
 
     best = np.clip(best, *zip(*boxes))
@@ -437,8 +427,8 @@ def payoff_surface(
     spec: GameSpec, theta_steps: int = 25, alpha_steps: int = 25
 ) -> List[SweepRow]:
     """Player 1 payoff when everyone plays M(theta, alpha, -alpha) on a grid."""
-    if theta_steps < 2 or alpha_steps < 2:
-        raise ValueError("steps must be >= 2")
+    _check_steps("theta_steps", theta_steps)
+    _check_steps("alpha_steps", alpha_steps)
     points = [
         (theta, alpha)
         for theta in np.linspace(*_THETA_BOX, theta_steps)
@@ -465,8 +455,7 @@ def _ne_payoff(recipe: InitialStateRecipe) -> float:
 
 def _sweep_axis(stop: float, steps: int) -> List[float]:
     """steps evenly spaced points from 0 to stop, inclusive."""
-    if steps < 2:
-        raise ValueError("steps must be >= 2")
+    _check_steps("steps", steps)
     return [float(v) for v in np.linspace(0.0, stop, steps)]
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import numbers
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterator, List, Sequence
@@ -82,6 +83,8 @@ class GameSpec:
     recipe: InitialStateRecipe
 
     def __post_init__(self):
+        if not isinstance(self.n_players, numbers.Integral):
+            raise ValueError(f"n_players must be an int, got {self.n_players!r}")
         if self.n_players < 2:
             raise ValueError("need at least 2 players")
         if self.recipe.n_qubits != self.n_players:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,6 +80,8 @@ class InitialStateRecipe:
     gamma: float = math.pi / 2
 
     def __post_init__(self):
+        if not isinstance(self.n_qubits, numbers.Integral):
+            raise ValueError(f"n_qubits must be an int, got {self.n_qubits!r}")
         if self.n_qubits < 2:
             raise ValueError("n_qubits must be >= 2")
         if not 0.0 <= self.x <= 1.0:

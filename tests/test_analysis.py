@@ -252,6 +252,13 @@ class TestSurface:
         with pytest.raises(ValueError):
             payoff_surface(ghz_spec(6), 1, 5)
 
+    @pytest.mark.parametrize(
+        "steps, name", [((3.0, 3), "theta_steps"), ((3, 2.5), "alpha_steps")]
+    )
+    def test_rejects_float_steps(self, steps, name):
+        with pytest.raises(ValueError, match=f"{name} must be an int >= 2, got"):
+            payoff_surface(ghz_spec(4), *steps)
+
 
 class TestSweeps:
     def test_sweep_x_matches_eq8(self):
@@ -292,6 +299,12 @@ class TestSweeps:
     def test_rejects_tiny_sweeps(self):
         with pytest.raises(ValueError):
             sweep_x(steps=1)
+
+    @pytest.mark.parametrize("sweep", [sweep_x, sweep_f, sweep_gamma])
+    @pytest.mark.parametrize("steps", [2.5, 3.0])
+    def test_rejects_float_steps(self, sweep, steps):
+        with pytest.raises(ValueError, match=f"steps must be an int >= 2, got {steps}"):
+            sweep(6, steps=steps)
 
     def test_conjecture_endpoints_beyond_max_qubits(self):
         # the simulated default needs a 2^30 state; a given one needs none
@@ -557,18 +570,21 @@ class TestLockstepSearch:
             reports = nash_check(spec, profile, grid)
         assert reports == nash_check_per_player(spec, profile, grid)
 
-    def test_every_payoffs_call_holds_at_most_grid_chunk_points(self, monkeypatch):
-        # six players: the screen (6 x 17 points a plane), the refinement
-        # (6 x 11) and the survivors must all split at 64 points
+    def test_every_einsum_holds_at_most_grid_chunk_pairs(self, monkeypatch):
+        # six players: the screen (6 x 153 pairs), the refinement (6 x 11)
+        # and the survivor planes (81 points) must all split at 64 pairs
         sizes = []
-        payoffs = _DeviationEvaluator.payoffs
 
-        def counted(self, thetas, alphas, betas, selected=slice(None)):
-            out = payoffs(self, thetas, alphas, betas, selected)
-            sizes.append(out.size)
-            return out
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
 
-        monkeypatch.setattr(_DeviationEvaluator, "payoffs", counted)
+            def einsum(self, *operands, **kwargs):
+                out = np.einsum(*operands, **kwargs)
+                sizes.append(out.size)
+                return out
+
+        monkeypatch.setattr(analysis, "np", CountingNumpy())
         monkeypatch.setattr(analysis, "GRID_CHUNK", 64)
         spec = ghz_spec(6)
         candidate = StrategyProfile.symmetric(ne_strategy(6), 6).replace(2, IDENTITY)

@@ -638,3 +638,12 @@ class TestGameSpec:
     def test_recipe_size_must_match(self):
         with pytest.raises(ValueError):
             GameSpec(4, InitialStateRecipe(StateFamily.GHZ, 6))
+
+    @pytest.mark.parametrize("n", [4.0, 4.5, "4"])
+    def test_rejects_non_int_player_count(self, n):
+        with pytest.raises(ValueError, match=f"n_players must be an int, got {n!r}"):
+            GameSpec(n, InitialStateRecipe(StateFamily.GHZ, 4))
+
+    def test_accepts_numpy_int_sizes(self):
+        spec = GameSpec(np.int64(4), InitialStateRecipe(StateFamily.GHZ, np.int64(4)))
+        assert expected_payoff(spec, StrategyProfile.symmetric(IDENTITY, 4), 1) == 0.0

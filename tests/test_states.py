@@ -50,6 +50,14 @@ class TestGhz:
         with pytest.raises(ValueError, match="n_qubits must be >= 2"):
             InitialStateRecipe(StateFamily.GHZ, 1)
 
+    @pytest.mark.parametrize("family", list(StateFamily), ids=lambda f: f.value)
+    @pytest.mark.parametrize("n", [2.5, 6.0, "6"])
+    def test_rejects_non_int_n(self, family, n):
+        # a block-1 family has no size message of its own, and 6.0 is a
+        # multiple of every block, so both must fail here, not later
+        with pytest.raises(ValueError, match=f"n_qubits must be an int, got {n!r}"):
+            InitialStateRecipe(family, n)
+
 
 class TestBellProduct:
     def test_n2(self):
