@@ -1,19 +1,21 @@
 """Game-theoretic analysis on top of the engine.
 
-Best-response search on each deviator's 2x2 Gram form, one search for
-a list of players run in lockstep: a coarse grid screened on
+Best-response search on each deviator's 2x2 Gram form, one search for a
+list of players run in lockstep: a coarse grid screened on
 (theta, alpha - beta) for every player at once, with only the points
 that can win scored exactly, player by player and one theta plane at a
 time, then coordinate-wise refinement whose steps every player shares,
 finished by the exact top eigenvectors from one stacked `eigh`. No Gram
-einsum holds more than GRID_CHUNK (player, deviation) pairs.
-`best_response` is its one-player case. Nash-equilibrium verification
-via the unilateral-deviation inequality makes one such search: for
-player 1 alone when the profile is symmetric (the other players'
-reports are copies with `player` set), for every player otherwise.
-Also the closed-form 6-player payoff formula, the N-player
-entangler-payoff conjecture, and parameter sweeps that produce
-figure-ready tables.
+einsum holds more than GRID_CHUNK (player, deviation) pairs. The search
+reads only Gram matrices, f and the noise floor: `_dense_deviations`
+builds them, and keeps the P dense blocks (P * 2^n amplitudes) for the
+whole search, for the reported payoffs. `best_response` is its
+one-player case. Nash-equilibrium verification via the unilateral-
+deviation inequality makes one such search: for player 1 alone when the
+profile is symmetric (the other players' reports are copies with
+`player` set), for every player otherwise. Also the closed-form 6-player
+payoff formula, the N-player entangler-payoff conjecture, and parameter
+sweeps that produce figure-ready tables.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -136,36 +138,16 @@ def _su2_batch(thetas: np.ndarray, alphas: np.ndarray, betas: np.ndarray) -> np.
 
 
 class _DeviationEvaluator:
-    """Payoffs of each listed player deviating while the rest stay fixed.
-
-    For the k-th listed player the other players' unitaries are applied
-    once up front, leaving the 2 x 2^(n-1) block b_k with that player's
-    qubit first. Moving a player's qubit to the front turns its minority
-    mask into player 1's, so one mask serves every player. For a
-    deviation with rows m_0, m_1 the pure payoff is
-    sum_r m_r G_kr m_r^dagger with the 2x2 Gram matrices
-    G_kr = (b_k * mask_r) b_k^dagger, so each candidate costs O(1) once
-    G is built; the noise floor stays affine on top. The partial states
-    come from `final_amplitude_chunks`, but the P blocks b_k (P * 2^n
-    amplitudes) are kept for the whole search, for `dense_payoffs`.
+    """Each listed player's payoffs when deviating, from 2x2 Gram matrices:
+    f * sum_r m_r G_kr m_r^dagger + mixed_floor for the k-th player at
+    deviation rows m_0, m_1. `gram` is their (P, 2, 2, 2) array; nothing
+    here reads a state, so any engine that builds it can drive the search.
     """
 
-    def __init__(self, spec: GameSpec, candidate: StrategyProfile, players: Sequence[int]):
-        n = spec.n_players
-        partials = [candidate.replace(player, IDENTITY) for player in players]
-        rows = itertools.chain.from_iterable(final_amplitude_chunks(spec, partials))
-        self._blocks = np.empty((len(partials), 2, 2 ** (n - 1)), dtype=complex)
-        for block, player, row in zip(self._blocks, players, rows):
-            block.reshape([2] * n)[...] = np.moveaxis(row.reshape([2] * n), player - 1, 0)
-        self._mask = minority_mask(n, 1)
-        halves = self._mask.reshape(2, -1)
-        grams = []
-        for block in self._blocks:
-            adjoint = block.conj().T
-            grams.append([(block * r) @ adjoint for r in halves])
-        self._gram = np.array(grams)
-        self._f = spec.recipe.f
-        self._mixed_floor = (1 - self._f) * np.count_nonzero(self._mask) / 2**n
+    def __init__(self, gram: np.ndarray, f: float, mixed_floor: float):
+        self._gram = gram
+        self._f = f
+        self._mixed_floor = mixed_floor
 
     def payoffs(self, thetas, alphas, betas, selected=slice(None)) -> np.ndarray:
         """(P, G) payoffs from the Gram form: row k holds the k-th selected
@@ -190,20 +172,6 @@ class _DeviationEvaluator:
         payoffs += self._mixed_floor
         return payoffs
 
-    def dense_payoffs(self, thetas, alphas, betas) -> np.ndarray:
-        """(P, D) payoffs at (P, D) angle arrays, from the full products.
-
-        Each deviation's 2 x 2^(n-1) product with its player's block is
-        squared and summed over the winning outcomes as its own 1-D array.
-        """
-        mats = _su2_batch(thetas.ravel(), alphas.ravel(), betas.ravel())
-        mats = mats.reshape(len(thetas), -1, 2, 2)
-        pure = [
-            [row.ravel()[self._mask].sum() for row in np.abs(m @ block) ** 2]
-            for m, block in zip(mats, self._blocks)
-        ]
-        return self._f * np.array(pure) + self._mixed_floor
-
     def exact_optima(self) -> np.ndarray:
         """(P, 3) array of each listed player's exact best (theta, alpha, beta).
 
@@ -219,6 +187,42 @@ class _DeviationEvaluator:
             beta = -np.angle(x1) - math.pi / 2
             optima.append([theta, _wrap_angle(alpha), _wrap_angle(beta)])
         return np.array(optima)
+
+
+def _dense_deviations(
+    spec: GameSpec, candidate: StrategyProfile, players: Sequence[int]
+) -> Tuple[_DeviationEvaluator, Callable[..., np.ndarray]]:
+    """The listed players' evaluator on the dense engine, and the function
+    that gives their reported payoffs.
+
+    `final_amplitude_chunks` applies the other players' unitaries once,
+    leaving the k-th player's 2 x 2^(n-1) block b_k with its qubit first,
+    so player 1's minority mask serves every player: G_kr = (b_k * mask_r)
+    b_k^dagger. The function squares each deviation's product with its
+    block and sums the winning outcomes as one 1-D array. It holds the P
+    blocks (P * 2^n amplitudes), so they live for the whole search.
+    """
+    n = spec.n_players
+    partials = [candidate.replace(player, IDENTITY) for player in players]
+    rows = itertools.chain.from_iterable(final_amplitude_chunks(spec, partials))
+    blocks = np.empty((len(partials), 2, 2 ** (n - 1)), dtype=complex)
+    for block, player, row in zip(blocks, players, rows):
+        block.reshape([2] * n)[...] = np.moveaxis(row.reshape([2] * n), player - 1, 0)
+    mask = minority_mask(n, 1)
+    gram = np.array([[(b * r) @ b.conj().T for r in mask.reshape(2, -1)] for b in blocks])
+    f = spec.recipe.f
+    mixed_floor = (1 - f) * np.count_nonzero(mask) / 2**n
+
+    def dense_payoffs(thetas, alphas, betas) -> np.ndarray:
+        mats = _su2_batch(thetas.ravel(), alphas.ravel(), betas.ravel())
+        mats = mats.reshape(len(thetas), -1, 2, 2)
+        pure = [
+            [row.ravel()[mask].sum() for row in np.abs(m @ block) ** 2]
+            for m, block in zip(mats, blocks)
+        ]
+        return f * np.array(pure) + mixed_floor
+
+    return _DeviationEvaluator(gram, f, mixed_floor), dense_payoffs
 
 
 def _check_steps(name: str, steps) -> None:
@@ -328,7 +332,7 @@ def _best_responses(
     _check_steps("grid_resolution", grid_resolution)
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise ValueError(f"tolerance must be finite and positive, got {tolerance!r}")
-    ev = _DeviationEvaluator(spec, candidate, players)
+    ev, dense_payoffs = _dense_deviations(spec, candidate, players)
 
     best, best_val = _grid_argmax(ev, grid_resolution)
 
@@ -360,7 +364,7 @@ def _best_responses(
     points = np.stack([incumbents, best], axis=2).transpose(1, 0, 2).copy()
     reports = []
     for player, deviation, (equilibrium_payoff, best_payoff) in zip(
-        players, best.tolist(), ev.dense_payoffs(*points).tolist()
+        players, best.tolist(), dense_payoffs(*points).tolist()
     ):
         gain = best_payoff - equilibrium_payoff
         reports.append(DeviationReport(

@@ -217,11 +217,8 @@ def _validate(config: RunConfig) -> None:
         if command.needs_profile or given:
             config.strategy_profile()
         # building the recipe triggers the family's qubit-count rules
-        if command.recipe is not None and command.recipe(config) is not None:
-            if config.n > MAX_QUBITS:
-                raise CliError(
-                    f"n must be <= {MAX_QUBITS} to build a state, got {config.n}"
-                )
+        if command.recipe(config) is not None and config.n > MAX_QUBITS:
+            raise CliError(f"n must be <= {MAX_QUBITS} to build a state, got {config.n}")
     except ValueError as exc:
         raise CliError(str(exc)) from None
     if not 1 <= config.player <= config.n:
@@ -388,9 +385,9 @@ def _conjecture_state(c: RunConfig) -> Optional[InitialStateRecipe]:
 class _Command(NamedTuple):
     runner: Callable[[RunConfig], Tuple[List[dict], str]]
     needs_profile: bool
-    # the run's state recipe; the field, or what it returns, is None when
-    # the run builds no state, and then any --n >= 2 runs
-    recipe: Optional[Callable[[RunConfig], Optional[InitialStateRecipe]]]
+    # the run's state recipe from its config, or None when the run builds
+    # no state, and then any --n >= 2 runs
+    recipe: Callable[[RunConfig], Optional[InitialStateRecipe]]
 
 
 # Runners reach the engine through module attributes, so a tracer that
@@ -406,7 +403,7 @@ _COMMANDS = {
                         False, _mixture),
     "sweep-gamma": _Command(lambda c: _sweep(c, analysis.sweep_gamma(
         c.n, c.steps, c.payoff_classical, c.payoff_quantum)), False, _entangler),
-    "classical": _Command(_classical, False, None),
+    "classical": _Command(_classical, False, lambda c: None),
     "conjecture": _Command(_conjecture, False, _conjecture_state),
 }
 

@@ -229,8 +229,6 @@ def _payoff(spec: GameSpec, probs: np.ndarray, winning: np.ndarray) -> float:
     """
     pure = float(np.sum(probs[winning]))
     f = spec.recipe.f
-    if f >= 1.0:
-        return pure
     return f * pure + (1 - f) * len(winning) / 2**spec.n_players
 
 

@@ -30,6 +30,7 @@ from qmg.analysis import (
     sweep_gamma,
     sweep_x,
     _DeviationEvaluator,
+    _dense_deviations,
 )
 from qmg.game import (
     IDENTITY,
@@ -422,10 +423,10 @@ class TestGramFormAgainstDenseOracle:
     def test_gram_payoffs_match_dense_product(self, case):
         # every player at once, each at its own deviations
         spec, profile, _, rng = case
-        ev = _DeviationEvaluator(spec, profile, range(1, spec.n_players + 1))
+        ev, dense_payoffs = _dense_deviations(spec, profile, range(1, spec.n_players + 1))
         points = _players_points(rng, spec.n_players, 16)
         gram = ev.payoffs(*points)
-        dense = ev.dense_payoffs(*points)
+        dense = dense_payoffs(*points)
         assert gram.shape == dense.shape == (spec.n_players, 16)
         assert np.max(np.abs(gram - dense)) < 1e-12
 
@@ -434,11 +435,11 @@ class TestGramFormAgainstDenseOracle:
     def test_best_deviation_beats_brute_dense_grid(self, case):
         spec, profile, player, _ = case
         report = best_response(spec, profile, player, grid_resolution=3)
-        ev = _DeviationEvaluator(spec, profile, [player])
+        _, dense_payoffs = _dense_deviations(spec, profile, [player])
         thetas = np.linspace(0, PI, 9)
         angles = np.linspace(-PI, PI, 9)
         grid = np.meshgrid(thetas, angles, angles, indexing="ij")
-        brute = ev.dense_payoffs(*(axis.reshape(1, -1) for axis in grid)).max()
+        brute = dense_payoffs(*(axis.reshape(1, -1) for axis in grid)).max()
         assert report.best_deviation_payoff >= brute - 1e-12
 
     @given(_deviation_cases())
@@ -562,8 +563,8 @@ class TestLockstepSearch:
     @given(case=_deviation_cases(max_n=6), grid=st.sampled_from([2, 3, 5, 9, 25]))
     @settings(max_examples=8, deadline=None)
     def test_chunk_boundaries_keep_each_players_first_maximum(self, chunk, case, grid):
-        # the reference keeps its own GRID_CHUNK; calls here split between
-        # and within players
+        # the reference keeps its own GRID_CHUNK; calls here split into
+        # column blocks across all selected players, never by player
         spec, profile, _, _ = case
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(analysis, "GRID_CHUNK", chunk)
@@ -673,7 +674,7 @@ def _full_grid_argmax(ev, steps):
 
 
 def _all_players(spec, profile):
-    return _DeviationEvaluator(spec, profile, range(1, spec.n_players + 1))
+    return _dense_deviations(spec, profile, range(1, spec.n_players + 1))[0]
 
 
 class TestGridScreen:
@@ -701,7 +702,7 @@ class TestGridScreen:
     def test_ghz6_equilibrium_keeps_the_tied_point(self, player):
         # 26 grid points tie within rounding; nash_check_ghz6.csv pins the
         # one the exhaustive search picks, a phase-equivalent copy of M
-        ev = _DeviationEvaluator(
+        ev, _ = _dense_deviations(
             ghz_spec(6), StrategyProfile.symmetric(ne_strategy(6), 6), [player]
         )
         _, (vals,) = _full_grid(ev, 25)
@@ -717,6 +718,42 @@ class TestGridScreen:
         best, value = analysis._grid_argmax(ev, steps)
         assert best.tolist() == [[0.0, -PI, -PI]] * 2
         assert value.tolist() == [0.0, 0.0]
+
+
+# every family at every n <= 8 it allows, with noise f < 1 on the mixture
+_SEAM_RECIPES = (
+    [InitialStateRecipe(StateFamily.GHZ, n) for n in range(2, 9)]
+    + [InitialStateRecipe(StateFamily.BELL_PRODUCT, n) for n in (2, 4, 6, 8)]
+    + [
+        InitialStateRecipe(StateFamily.GHZ_BELL_MIXTURE, n, x=0.5, f=0.9)
+        for n in (2, 4, 6, 8)
+    ]
+    + [
+        InitialStateRecipe(StateFamily.EXPONENTIAL_ENTANGLER, n, gamma=0.7)
+        for n in range(2, 9)
+    ]
+    + [InitialStateRecipe(StateFamily.W3_PRODUCT, n) for n in (3, 6)]
+)
+
+
+@pytest.mark.parametrize(
+    "recipe", _SEAM_RECIPES, ids=lambda r: f"{r.family.value}-{r.n_qubits}"
+)
+def test_search_reads_only_the_gram_form(recipe):
+    # an engine that builds (gram, f, floor) by other means drives the same
+    # search: the evaluator keeps no 2^n block or mask, and one rebuilt
+    # from a copy of its Gram array finds the same points, bit for bit
+    n = recipe.n_qubits
+    rng = np.random.default_rng(n)
+    profile = StrategyProfile(
+        tuple(StrategyParams(*map(float, t)) for t in zip(*_random_points(rng, n)))
+    )
+    ev, _ = _dense_deviations(GameSpec(n, recipe), profile, range(1, n + 1))
+    assert all(np.size(value) <= n * 8 for value in vars(ev).values())
+    rebuilt = _DeviationEvaluator(ev._gram.copy(), ev._f, ev._mixed_floor)
+    for got, want in zip(analysis._grid_argmax(rebuilt, 9), analysis._grid_argmax(ev, 9)):
+        assert got.tobytes() == want.tobytes()
+    assert rebuilt.exact_optima().tobytes() == ev.exact_optima().tobytes()
 
 
 def test_best_response_memory_does_not_grow_with_grid():
@@ -757,6 +794,23 @@ def test_surface_memory_stays_within_one_chunk():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * 2**20
+
+
+def test_nash_check_memory_builds_partial_states_in_chunks():
+    # twelve players at N = 12: the chunked build, one partial state per
+    # kernel call, peaks near 1.6 MiB; all twelve in one call took 3.1 MiB
+    rng = np.random.default_rng(12)
+    profile = StrategyProfile(
+        tuple(StrategyParams(*map(float, t)) for t in zip(*_random_points(rng, 12)))
+    )
+    bell = GameSpec(12, InitialStateRecipe(StateFamily.BELL_PRODUCT, 12))
+    tracemalloc.start()
+    try:
+        nash_check(bell, profile, grid_resolution=25)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 64])

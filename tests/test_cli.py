@@ -372,5 +372,9 @@ README_COMMANDS = [
 
 
 @pytest.mark.parametrize("line", README_COMMANDS)
-def test_readme_examples_parse(line):
-    parse_config(shlex.split(line)[1:])
+def test_readme_examples_parse(line, tmp_path, monkeypatch):
+    # each documented command also runs, writing any --output into tmp_path
+    args = shlex.split(line)[1:]
+    parse_config(args)
+    monkeypatch.chdir(tmp_path)
+    assert main(args) == 0
