@@ -5,18 +5,19 @@ Evaluates the two symmetric candidate strategies M(pi/4,0,0) and
 M(pi/2,-pi/8,pi/8) over an x grid and reports where their payoff
 curves cross (expected near sqrt(2/3) ~ 0.8165).
 """
-import csv
 import math
 import pathlib
 import sys
 
 import numpy as np
 
+from qmg.cli import emit_table
 from qmg.game import GameSpec, StrategyParams, StrategyProfile, expected_payoff
 from qmg.states import InitialStateRecipe, StateFamily
 
 OUT = pathlib.Path(__file__).resolve().parent.parent / "results"
 PI = math.pi
+COLUMNS = ("x", "payoff_bell_strategy", "payoff_ghz_strategy")
 
 
 def scan(step=0.01):
@@ -39,11 +40,7 @@ def main() -> int:
     rows = scan()
     OUT.mkdir(exist_ok=True)
     path = OUT / "crossover_n4.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["x", "payoff_bell_strategy", "payoff_ghz_strategy"])
-        for row in rows:
-            writer.writerow([format(v, ".12g") for v in row])
+    emit_table([dict(zip(COLUMNS, row)) for row in rows], "csv", str(path))
     crossings = [
         b[0]
         for a, b in zip(rows, rows[1:])

@@ -242,20 +242,16 @@ _ANGLE_BOX = (-math.pi, math.pi)
 
 def _spaced(lo: np.ndarray, hi: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Row r is np.linspace(lo[r], hi[r], num), bit for bit, given the
-    float array k = 0, 1, ..., num - 1.
+    float array k = 0, 1, ..., num - 1, for rows whose step
+    (hi - lo) / (num - 1) is not zero.
 
     It computes what np.linspace computes, k * step + lo with the last
-    point set to hi, but row by row: given arrays, np.linspace takes its
-    zero-step branch, (k / (num - 1)) * delta, for every row as soon as
-    one row's step is zero. It also skips np.linspace's per-call set-up,
-    which the refinement would pay at every step.
+    point set to hi, without np.linspace's per-call set-up, which the
+    refinement would pay at every step. A refinement row spans at least
+    its coordinate's refinement step, which stays above 1e-7, so
+    np.linspace's zero-step branch is never needed.
     """
-    delta = hi - lo
-    step = delta / k[-1]
-    y = step[:, None] * k
-    if not step.all():
-        zero = step == 0
-        y[zero] = delta[zero, None] * (k / k[-1])
+    y = ((hi - lo) / k[-1])[:, None] * k
     y += lo[:, None]
     y[:, -1] = hi
     return y
@@ -358,7 +354,6 @@ def _best_responses(
     better = ev.payoffs(*exact.T[:, :, None].copy())[:, 0] > best_val + EXACT_OPTIMUM_MARGIN
     best[better] = exact[better]
 
-    best = np.clip(best, *zip(*boxes))
     incumbents = [(s.theta, s.alpha, s.beta) for s in (candidate[p - 1] for p in players)]
     # (3, P, 2) angles: each player's incumbent, then its best deviation
     points = np.stack([incumbents, best], axis=2).transpose(1, 0, 2).copy()

@@ -256,12 +256,14 @@ def classical_payoff(n: int) -> Fraction:
     """Mixed-strategy classical payoff: winning outcomes over all outcomes.
 
     A player wins as one of m < n/2 agreeing players, with m of either
-    bit value; the other m - 1 come from the remaining n - 1 players.
+    bit value; the other m - 1 come from the remaining n - 1 players, so
+    the wins are twice the lower tail of row n - 1 of Pascal's triangle.
+    By the row's symmetry that is the whole row, 2^(n-1), less its
+    middle entries: one for odd n, two equal ones for even n.
     """
     if n < 2:
         raise ValueError("need at least 2 players")
-    wins = 2 * sum(math.comb(n - 1, m - 1) for m in range(1, (n - 1) // 2 + 1))
-    return Fraction(wins, 2**n)
+    return Fraction(2 ** (n - 1) - (2 - n % 2) * math.comb(n - 1, (n - 1) // 2), 2**n)
 
 
 def max_symmetric_payoff(n: int) -> Fraction:

@@ -264,6 +264,8 @@ class TestCleanFailure:
         assert main(["classical", "--n", "13"]) == 0
         # the closed form builds no 2^n array
         assert main(["classical", "--n", "64"]) == 0
+        # one binomial: its exact fraction has about 4200 digits here
+        assert main(["classical", "--n", "14000"]) == 0
         assert capsys.readouterr().err == ""
 
     def test_memory_error_has_its_own_exit_code(self, monkeypatch, capsys):

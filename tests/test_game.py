@@ -19,6 +19,7 @@ from dense_oracle import (
     make_noisy,
     minority_winners,
 )
+from paper_checks import classical_payoff_sum
 from qmg import game
 from qmg.analysis import payoff_surface
 from qmg.core import apply_locals
@@ -616,6 +617,14 @@ class TestBaselines:
     @pytest.mark.parametrize("n", range(2, 13))
     def test_classical_payoff_counts_winning_outcomes(self, n):
         assert classical_payoff(n) == Fraction(len(minority_projector(n, 1)), 2**n)
+
+    def test_classical_payoff_is_the_binomial_sum(self):
+        for n in range(2, 401):
+            assert classical_payoff(n) == classical_payoff_sum(n), n
+
+    def test_classical_payoff_closed_form_at_large_n(self):
+        # one binomial: the sum over minority sizes would take minutes here
+        assert float(classical_payoff(100_000)) == 0.49747687378580324
 
     def test_classical_payoff_needs_two_players(self):
         with pytest.raises(ValueError):
