@@ -1,21 +1,16 @@
 """Game-theoretic analysis on top of the engine.
 
-Best-response search on each deviator's 2x2 Gram form, one search for a
-list of players run in lockstep: a coarse grid screened on
-(theta, alpha - beta) for every player at once, with only the points
-that can win scored exactly, player by player and one theta plane at a
-time, then coordinate-wise refinement whose steps every player shares,
-finished by the exact top eigenvectors from one stacked `eigh`. No Gram
-einsum holds more than GRID_CHUNK (player, deviation) pairs. The search
-reads only Gram matrices, f and the noise floor: `_dense_deviations`
-builds them, and keeps the P dense blocks (P * 2^n amplitudes) for the
-whole search, for the reported payoffs. `best_response` is its
-one-player case. Nash-equilibrium verification via the unilateral-
-deviation inequality makes one such search: for player 1 alone when the
-profile is symmetric (the other players' reports are copies with
-`player` set), for every player otherwise. Also the closed-form 6-player
-payoff formula, the N-player entangler-payoff conjecture, and parameter
-sweeps that produce figure-ready tables.
+Best-response search on each deviator's 2x2 Gram form: `_best_responses`
+searches a list of players in lockstep, and its docstring tells the
+search's stages; `best_response` is its one-player case. Nash-equilibrium
+verification via the unilateral-deviation inequality makes one such
+search: for player 1 alone when the profile is symmetric (the other
+players' reports are copies with `player` set), for every player
+otherwise. `game.PAYOFF_CHUNK` bounds the search's Gram einsums as it
+bounds the kernel's calls, and `game._payoff` gives its reported
+payoffs. Also the closed-form 6-player payoff formula, the N-player
+entangler-payoff conjecture, and parameter sweeps that produce
+figure-ready tables.
 """
 from __future__ import annotations
 
@@ -27,6 +22,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import game
 from .game import (
     IDENTITY,
     GameSpec,
@@ -42,10 +38,6 @@ from .states import InitialStateRecipe, StateFamily
 
 NASH_TOLERANCE = 1e-4
 REFINEMENT_MIN_STEP = 1e-6
-# Most (player, deviation) pairs in one Gram einsum, read only by
-# `_DeviationEvaluator.payoffs`. At grid 25 the screen of up to 12
-# players (14,700 pairs) and each survivor plane (625 points) fit one.
-GRID_CHUNK = 2**15
 # The exact optimum replaces the refined grid point only when it pays
 # more by this margin, so flat optima keep their grid point.
 EXACT_OPTIMUM_MARGIN = 1e-12
@@ -155,13 +147,14 @@ class _DeviationEvaluator:
 
         `selected` is a slice of the listed players. Angle arrays with a
         single row give every selected player the same G deviations.
-        The columns go through the einsum in blocks of GRID_CHUNK // P
-        (at least one), so no einsum holds more than max(GRID_CHUNK, P)
+        The columns go through the einsum in blocks of
+        `game.PAYOFF_CHUNK` // P (at least one), read when the call runs,
+        so no einsum holds more than max(PAYOFF_CHUNK, P)
         (player, deviation) pairs.
         """
         gram = self._gram[selected]
         payoffs = np.empty((len(gram), thetas.shape[1]))
-        width = max(1, GRID_CHUNK // len(gram))
+        width = max(1, game.PAYOFF_CHUNK // len(gram))
         for c in range(0, thetas.shape[1], width):
             cols = slice(c, c + width)
             # 1-D angle arrays: numpy's per-call overhead is lower than on 2-D ones
@@ -199,8 +192,9 @@ def _dense_deviations(
     leaving the k-th player's 2 x 2^(n-1) block b_k with its qubit first,
     so player 1's minority mask serves every player: G_kr = (b_k * mask_r)
     b_k^dagger. The function squares each deviation's product with its
-    block and sums the winning outcomes as one 1-D array. It holds the P
-    blocks (P * 2^n amplitudes), so they live for the whole search.
+    block and hands the row to `game._payoff` with the mask's winning
+    indices in ascending order. It holds the P blocks (P * 2^n
+    amplitudes), so they live for the whole search.
     """
     n = spec.n_players
     partials = [candidate.replace(player, IDENTITY) for player in players]
@@ -210,19 +204,18 @@ def _dense_deviations(
         block.reshape([2] * n)[...] = np.moveaxis(row.reshape([2] * n), player - 1, 0)
     mask = minority_mask(n, 1)
     gram = np.array([[(b * r) @ b.conj().T for r in mask.reshape(2, -1)] for b in blocks])
+    winning = np.flatnonzero(mask)
     f = spec.recipe.f
-    mixed_floor = (1 - f) * np.count_nonzero(mask) / 2**n
 
     def dense_payoffs(thetas, alphas, betas) -> np.ndarray:
         mats = _su2_batch(thetas.ravel(), alphas.ravel(), betas.ravel())
         mats = mats.reshape(len(thetas), -1, 2, 2)
-        pure = [
-            [row.ravel()[mask].sum() for row in np.abs(m @ block) ** 2]
+        return np.array([
+            [game._payoff(spec, row.ravel(), winning) for row in np.abs(m @ block) ** 2]
             for m, block in zip(mats, blocks)
-        ]
-        return f * np.array(pure) + mixed_floor
+        ])
 
-    return _DeviationEvaluator(gram, f, mixed_floor), dense_payoffs
+    return _DeviationEvaluator(gram, f, (1 - f) * winning.size / 2**n), dense_payoffs
 
 
 def _check_steps(name: str, steps) -> None:
@@ -259,19 +252,18 @@ def _spaced(lo: np.ndarray, hi: np.ndarray, k: np.ndarray) -> np.ndarray:
 
 def _grid_argmax(ev: _DeviationEvaluator, steps: int) -> Tuple[np.ndarray, np.ndarray]:
     """Each listed player's first maximum of `ev.payoffs` over the
-    (theta, alpha, beta) grid: a (P, 3) array of points and their (P,) values.
+    (theta, alpha, beta) grid: a (P, 3) array of points and their (P,)
+    values, those of the full grid in ravel order, bit for bit.
 
     The Gram-form payoff depends on alpha and beta only through
-    alpha - beta, so a screen first scores the g * (2g - 1) distinct
-    (theta, alpha - beta) pairs at beta = 0, for every player at once.
+    alpha - beta, so one `ev.payoffs` call screens the g * (2g - 1)
+    distinct (theta, alpha - beta) pairs at beta = 0 for every player.
     Only the grid points whose screen value is within
-    GRID_SCREEN_MARGIN of that player's screen maximum are then scored
-    by `ev.payoffs`, player by player in ravel order: every point that
-    can win is kept, so each player's point and value are those of the
-    full grid, and a strict `>` keeps each player's first maximum. The
-    screen is one `ev.payoffs` call, the survivors one call per theta
-    plane that holds any, so memory grows with the screen (P g (2g - 1))
-    and one plane (g^2), never with the whole grid (g^3).
+    GRID_SCREEN_MARGIN of that player's screen maximum can win; they are
+    scored exactly, player by player, one call per theta plane that
+    holds any, and a strict `>` keeps each player's first maximum. So
+    memory grows with the screen (P g (2g - 1)) and one plane (g^2),
+    never with the whole grid (g^3).
     """
     thetas = np.linspace(*_THETA_BOX, steps)
     angles = np.linspace(*_ANGLE_BOX, steps)
@@ -313,17 +305,15 @@ def _best_responses(
     Raises ValueError unless grid_resolution is an int >= 2 and
     tolerance is finite and positive (the CLI's rule).
 
-    Coarse grid first: `_grid_argmax` screens it on (theta, alpha - beta)
-    and scores only the survivors exactly, so each player gets the point
-    the full grid picks, at O(g^2) cost plus the survivors. Then
-    coordinate-wise interval shrinking around each player's running
-    optimum until every step is below 1e-6; the steps depend only on the
-    grid, so every player takes the same steps and rounds, and each step
-    is one batch of 11 points per player. All of it runs on the 2x2 Gram
-    form, so memory grows with the screen and one theta plane, never
-    with the whole grid. Each player's exact optimum from the top
-    eigenvector then replaces the refined point if it pays more. Both
-    reported payoffs come from the dense product at their single point.
+    The stages: `_grid_argmax` gives each player the coarse grid's
+    first maximum. Coordinate-wise interval shrinking around each
+    player's running optimum follows, until every step is below 1e-6;
+    the steps depend only on the grid, so every player takes the same
+    steps and rounds, and each step is one batch of 11 points per player.
+    Each player's exact optimum from the top eigenvector then replaces
+    the refined point if it pays more. All of that reads only the 2x2
+    Gram form. Both reported payoffs come from the dense product at
+    their single point.
     """
     _check_steps("grid_resolution", grid_resolution)
     if not (math.isfinite(tolerance) and tolerance > 0):

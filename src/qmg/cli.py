@@ -179,7 +179,7 @@ def parse_config(args: Sequence[str], config_text: Optional[str] = None) -> RunC
         try:
             with open(ns.config, encoding="utf-8") as fh:
                 config_text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise CliError(f"cannot read config file: {exc}") from None
     if config_text is not None:
         file_values = _read_config_file(config_text)
@@ -305,8 +305,13 @@ def _deviation_record(report: DeviationReport) -> dict:
 # Each runner returns (table records, summary line) for one command.
 def _classical(config: RunConfig):
     value = game.classical_payoff(config.n)
+    try:
+        exact = str(value)
+    except ValueError:  # Python's limit on int-to-str digits
+        raise CliError(f"the exact payoff for n={config.n} has more than "
+                       f"{sys.get_int_max_str_digits()} digits") from None
     rows = [{"n": config.n, "payoff": float(value)}]
-    return rows, f"classical payoff for n={config.n}: {value} = {float(value):.6g}"
+    return rows, f"classical payoff for n={config.n}: {exact} = {float(value):.6g}"
 
 
 def _conjecture(config: RunConfig):

@@ -9,7 +9,7 @@ array, `minority_mask` (memoised, read-only) is the one form of that
 rule in the package, `final_amplitudes` builds every final state from
 the memoised initial state (`final_amplitude_chunks` many of them,
 PAYOFF_CHUNK amplitudes per call), and `_payoff` turns each row of
-final probabilities into a payoff.
+final probabilities into a payoff, for every caller in the package.
 """
 from __future__ import annotations
 
@@ -154,9 +154,11 @@ def minority_mask(n: int, player: int) -> np.ndarray:
     return mask
 
 
-# Amplitudes per kernel call when payoffs are batched: one row at N = 12,
-# 256 rows at N = 4. Bigger chunks raise peak memory: the N = 12 surface
-# peaks near 2.9 MiB with 8-row chunks against 0.6 MiB with this budget.
+# The one budget of every batched call: amplitudes per kernel call (one
+# row at N = 12, 256 rows at N = 4) and (player, deviation) pairs per Gram
+# einsum of the best-response search, which reads it when it runs. Bigger
+# chunks raise peak memory: the N = 12 surface peaks near 2.9 MiB with
+# 8-row chunks against 0.6 MiB with this budget.
 PAYOFF_CHUNK = 2**12
 
 

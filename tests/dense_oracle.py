@@ -28,7 +28,6 @@ from qmg.analysis import (
     _ANGLE_BOX,
     _THETA_BOX,
     EXACT_OPTIMUM_MARGIN,
-    GRID_CHUNK,
     GRID_SCREEN_MARGIN,
     NASH_TOLERANCE,
     REFINEMENT_MIN_STEP,
@@ -39,6 +38,7 @@ from qmg.analysis import (
 from qmg.game import (
     CONSTRUCTION_TOL,
     IDENTITY,
+    PAYOFF_CHUNK,
     GameSpec,
     StrategyParams,
     StrategyProfile,
@@ -256,13 +256,13 @@ def grid_argmax(ev: PlayerEvaluator, steps: int) -> Tuple[np.ndarray, float]:
     are then scored by `ev.payoffs`, in ravel order: every point that
     can win is kept, so the point and its value are those of the full
     grid. Both steps take whole theta planes, as many as fit in
-    GRID_CHUNK points, so memory grows with one plane (g^2), never with
+    PAYOFF_CHUNK points, so memory grows with one plane (g^2), never with
     the whole grid (g^3).
     """
     thetas = np.linspace(*_THETA_BOX, steps)
     angles = np.linspace(*_ANGLE_BOX, steps)
     diffs = np.arange(1 - steps, steps) * (2 * math.pi / (steps - 1))
-    planes = max(1, GRID_CHUNK // diffs.size)
+    planes = max(1, PAYOFF_CHUNK // diffs.size)
     screen = np.concatenate([
         ev.payoffs(np.repeat(t, diffs.size), np.tile(diffs, t.size), 0.0)
         for t in (thetas[i:i + planes] for i in range(0, steps, planes))
@@ -272,13 +272,13 @@ def grid_argmax(ev: PlayerEvaluator, steps: int) -> Tuple[np.ndarray, float]:
     column = np.subtract.outer(np.arange(steps), np.arange(steps)) + steps - 1
 
     best_val = -math.inf
-    planes = max(1, GRID_CHUNK // steps**2)
+    planes = max(1, PAYOFF_CHUNK // steps**2)
     for p in range(0, steps, planes):
         if not keep[p:p + planes].any():
             continue
         points = np.flatnonzero(keep[p:p + planes, column]) + p * steps**2
-        for s in range(0, points.size, GRID_CHUNK):
-            t, i, j = np.unravel_index(points[s:s + GRID_CHUNK], (steps,) * 3)
+        for s in range(0, points.size, PAYOFF_CHUNK):
+            t, i, j = np.unravel_index(points[s:s + PAYOFF_CHUNK], (steps,) * 3)
             vals = ev.payoffs(thetas[t], angles[i], angles[j])
             k = int(np.argmax(vals))
             if vals[k] > best_val:  # strict: the first maximum wins across chunks

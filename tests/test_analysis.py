@@ -32,6 +32,7 @@ from qmg.analysis import (
     _DeviationEvaluator,
     _dense_deviations,
 )
+from qmg.core import apply_locals
 from qmg.game import (
     IDENTITY,
     GameSpec,
@@ -563,18 +564,22 @@ class TestLockstepSearch:
     @given(case=_deviation_cases(max_n=6), grid=st.sampled_from([2, 3, 5, 9, 25]))
     @settings(max_examples=8, deadline=None)
     def test_chunk_boundaries_keep_each_players_first_maximum(self, chunk, case, grid):
-        # the reference keeps its own GRID_CHUNK; calls here split into
-        # column blocks across all selected players, never by player
+        # the reference keeps the PAYOFF_CHUNK it imported; calls here split
+        # into column blocks across all selected players, never by player
         spec, profile, _, _ = case
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(analysis, "GRID_CHUNK", chunk)
+            mp.setattr(game, "PAYOFF_CHUNK", chunk)
             reports = nash_check(spec, profile, grid)
         assert reports == nash_check_per_player(spec, profile, grid)
 
     def test_every_einsum_holds_at_most_grid_chunk_pairs(self, monkeypatch):
         # six players: the screen (6 x 153 pairs), the refinement (6 x 11)
-        # and the survivor planes (81 points) must all split at 64 pairs
-        sizes = []
+        # and the survivor planes (81 points) must all split at 64 pairs,
+        # and the partial states (2^6 amplitudes each) go one per kernel call
+        spec = ghz_spec(6)
+        candidate = StrategyProfile.symmetric(ne_strategy(6), 6).replace(2, IDENTITY)
+        reference = nash_check_per_player(spec, candidate, 9)
+        sizes, amplitudes = [], []
 
         class CountingNumpy:
             def __getattr__(self, name):
@@ -585,12 +590,16 @@ class TestLockstepSearch:
                 sizes.append(out.size)
                 return out
 
+        def counting_apply_locals(states, unitaries):
+            amplitudes.append(states.size)
+            return apply_locals(states, unitaries)
+
         monkeypatch.setattr(analysis, "np", CountingNumpy())
-        monkeypatch.setattr(analysis, "GRID_CHUNK", 64)
-        spec = ghz_spec(6)
-        candidate = StrategyProfile.symmetric(ne_strategy(6), 6).replace(2, IDENTITY)
-        assert nash_check(spec, candidate, 9) == nash_check_per_player(spec, candidate, 9)
+        monkeypatch.setattr(game, "apply_locals", counting_apply_locals)
+        monkeypatch.setattr(game, "PAYOFF_CHUNK", 64)
+        assert nash_check(spec, candidate, 9) == reference
         assert sizes and max(sizes) <= 64
+        assert amplitudes and max(amplitudes) <= 64
 
     @pytest.mark.parametrize(
         "recipe, grid",
@@ -821,7 +830,7 @@ def test_grid_chunks_keep_the_first_maximum(chunk, monkeypatch):
         for player in (1, 2)
     ]
     whole = [best_response(*run, grid_resolution=5) for run in runs]
-    monkeypatch.setattr(analysis, "GRID_CHUNK", chunk)
+    monkeypatch.setattr(game, "PAYOFF_CHUNK", chunk)
     assert [best_response(*run, grid_resolution=5) for run in runs] == whole
     for spec, profile, _ in runs:
         ev = _all_players(spec, profile)

@@ -3,6 +3,7 @@ import math
 import pathlib
 import re
 import shlex
+import sys
 
 import pytest
 
@@ -267,6 +268,29 @@ class TestCleanFailure:
         # one binomial: its exact fraction has about 4200 digits here
         assert main(["classical", "--n", "14000"]) == 0
         assert capsys.readouterr().err == ""
+
+    def test_classical_past_the_digit_limit_is_clean(self, capsys):
+        # at Python's default limit of 4300 digits the exact fraction still
+        # prints at n = 14294 and no longer at 14295
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            assert main(["classical", "--n", "14294"]) == 0
+            assert capsys.readouterr().err == ""
+            assert main(["classical", "--n", "14295"]) == 1
+            assert capsys.readouterr().err == (
+                "error: the exact payoff for n=14295 has more than 4300 digits\n"
+            )
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_config_file_that_is_not_utf8_is_clean(self, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_bytes(b"n = 4\n\xff\n")
+        assert main(["classical", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read config file: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
 
     def test_memory_error_has_its_own_exit_code(self, monkeypatch, capsys):
         def exhausted(*args, **kwargs):
