@@ -33,6 +33,7 @@ from .game import (
     expected_payoffs,
     final_amplitude_chunks,
     minority_mask,
+    minority_projector,
 )
 from .states import InitialStateRecipe, StateFamily
 
@@ -192,8 +193,8 @@ def _dense_deviations(
     leaving the k-th player's 2 x 2^(n-1) block b_k with its qubit first,
     so player 1's minority mask serves every player: G_kr = (b_k * mask_r)
     b_k^dagger. The function squares each deviation's product with its
-    block and hands the row to `game._payoff` with the mask's winning
-    indices in ascending order. It holds the P blocks (P * 2^n
+    block and hands the row to `game._payoff` with player 1's
+    `minority_projector` indices. It holds the P blocks (P * 2^n
     amplitudes), so they live for the whole search.
     """
     n = spec.n_players
@@ -204,7 +205,7 @@ def _dense_deviations(
         block.reshape([2] * n)[...] = np.moveaxis(row.reshape([2] * n), player - 1, 0)
     mask = minority_mask(n, 1)
     gram = np.array([[(b * r) @ b.conj().T for r in mask.reshape(2, -1)] for b in blocks])
-    winning = np.flatnonzero(mask)
+    winning = minority_projector(n, 1)
     f = spec.recipe.f
 
     def dense_payoffs(thetas, alphas, betas) -> np.ndarray:
@@ -281,7 +282,7 @@ def _grid_argmax(ev: _DeviationEvaluator, steps: int) -> Tuple[np.ndarray, np.nd
     best = np.zeros((len(keep), 3))
     best_val = np.full(len(keep), -math.inf)
     for k, player_keep in enumerate(keep):
-        for t in np.flatnonzero(player_keep.any(axis=1)):
+        for t in itertools.compress(range(steps), player_keep.any(axis=1)):
             i, j = np.nonzero(player_keep[t, column])
             vals = ev.payoffs(
                 np.full((1, i.size), thetas[t]), angles[i][None], angles[j][None], slice(k, k + 1)

@@ -304,14 +304,21 @@ def _deviation_record(report: DeviationReport) -> dict:
 
 # Each runner returns (table records, summary line) for one command.
 def _classical(config: RunConfig):
-    value = game.classical_payoff(config.n)
+    n = config.n
+    limit = sys.get_int_max_str_digits()  # 0 means no limit
+    too_long = f"the exact payoff for n={n} has more than {limit} digits"
+    # By Kummer's theorem at most 1 + log2(n) factors of 2 cancel, so the
+    # reduced denominator is at least 2^(n - 1 - n.bit_length()); past the
+    # limit, fail before the binomial, which takes seconds from n = 10^6
+    if limit and (n - 1 - n.bit_length()) * math.log10(2) >= limit:
+        raise CliError(too_long)
+    value = game.classical_payoff(n)
     try:
         exact = str(value)
     except ValueError:  # Python's limit on int-to-str digits
-        raise CliError(f"the exact payoff for n={config.n} has more than "
-                       f"{sys.get_int_max_str_digits()} digits") from None
-    rows = [{"n": config.n, "payoff": float(value)}]
-    return rows, f"classical payoff for n={config.n}: {exact} = {float(value):.6g}"
+        raise CliError(too_long) from None
+    rows = [{"n": n, "payoff": float(value)}]
+    return rows, f"classical payoff for n={n}: {exact} = {float(value):.6g}"
 
 
 def _conjecture(config: RunConfig):

@@ -4,12 +4,14 @@ Each of N players holds one qubit and plays an SU(2) strategy operator
 on it. Players in the strict minority after measurement in the
 computational basis receive payoff 1; ties and unanimity pay nothing.
 Player i (1-based) acts on qubit i-1, the i-th most significant bit.
-`strategy_unitary` gives a strategy's matrix as a read-only (2, 2)
-array, `minority_mask` (memoised, read-only) is the one form of that
-rule in the package, `final_amplitudes` builds every final state from
-the memoised initial state (`final_amplitude_chunks` many of them,
+`strategy_unitary` builds a strategy's matrix once, as a read-only
+(2, 2) array, from the angles `StrategyParams` has checked.
+`minority_mask` (memoised, read-only) is the one form of that rule in
+the package, `final_amplitudes` builds every final state from the
+memoised initial state (`final_amplitude_chunks` many of them,
 PAYOFF_CHUNK amplitudes per call), and `_payoff` turns each row of
-final probabilities into a payoff, for every caller in the package.
+final probabilities into a payoff, for every caller in the package,
+summing in the order of `minority_projector`'s indices.
 """
 from __future__ import annotations
 
@@ -93,29 +95,13 @@ class GameSpec:
             )
 
 
-# Construction-time tolerance; test oracles use a looser 1e-10.
-CONSTRUCTION_TOL = 1e-12
-
-
 def strategy_unitary(p: StrategyParams) -> np.ndarray:
     """The SU(2) strategy matrix M(theta, alpha, beta), a read-only (2, 2) array."""
     c = math.cos(p.theta / 2)
     s = math.sin(p.theta / 2)
     ea = cmath.exp(1j * p.alpha)
     eb = cmath.exp(1j * p.beta)
-    return _unitary_matrix(ea * c, 1j * eb * s, 1j * s / eb, c / ea)
-
-
-def _unitary_matrix(m00: complex, m01: complex, m10: complex, m11: complex) -> np.ndarray:
-    """Read-only [[m00, m01], [m10, m11]] once its entries are finite and U U^dagger = I."""
-    if not all(map(cmath.isfinite, (m00, m01, m10, m11))):
-        raise ValueError("non-finite entries")
-    # the entries of U U^dagger - I: two diagonal, one off-diagonal (twice)
-    errors = (abs(m00) ** 2 + abs(m01) ** 2 - 1, abs(m10) ** 2 + abs(m11) ** 2 - 1,
-              m00 * m10.conjugate() + m01 * m11.conjugate())
-    if max(map(abs, errors)) > CONSTRUCTION_TOL:
-        raise ValueError("matrix is not unitary")
-    m = np.array([[m00, m01], [m10, m11]], dtype=complex)
+    m = np.array([[ea * c, 1j * eb * s], [1j * s / eb, c / ea]], dtype=complex)
     m.setflags(write=False)
     return m
 
@@ -212,8 +198,7 @@ def final_amplitude_chunks(
         yield final_amplitudes(spec, profiles[start:start + size])
 
 
-# Every player's payoff under one profile reads the same probability row;
-# a miss calls the module-level final_amplitudes, as above.
+# Every player's payoff under one profile reads the same probability row.
 @functools.lru_cache(maxsize=1)
 def _probabilities(spec: GameSpec, profile: StrategyProfile) -> np.ndarray:
     probs = np.abs(final_amplitudes(spec, [profile])[0]) ** 2

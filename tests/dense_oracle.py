@@ -7,12 +7,11 @@ tests can check that split against a brute-force computation. It also
 holds the per-outcome minority rule that `game.minority_mask` is pinned
 to, and the per-qubit apply that `core.apply_locals` matches bit for bit,
 with `final_state`, its loop over the players, as the reference for
-`game.final_amplitudes`, and `best_response_per_player`, the
-best-response search run for one player on its own (the package's
-search before it ran all players in lockstep), with
-`nash_check_per_player` calling it for every player, as the reference
-for `analysis.best_response` and `analysis.nash_check`. A pure
-state here is what `states.build_pure` returns: a read-only,
+`game.final_amplitudes`. `best_response_per_player` is the reference
+for `analysis.best_response`: one player's search on its own, from the
+exhaustive grid over all g^3 points, and `nash_check_per_player`, which
+runs it for every player, is the reference for `analysis.nash_check`.
+A pure state here is what `states.build_pure` returns: a read-only,
 norm-checked array of 2^n amplitudes.
 """
 from __future__ import annotations
@@ -28,7 +27,6 @@ from qmg.analysis import (
     _ANGLE_BOX,
     _THETA_BOX,
     EXACT_OPTIMUM_MARGIN,
-    GRID_SCREEN_MARGIN,
     NASH_TOLERANCE,
     REFINEMENT_MIN_STEP,
     DeviationReport,
@@ -36,14 +34,13 @@ from qmg.analysis import (
     _wrap_angle,
 )
 from qmg.game import (
-    CONSTRUCTION_TOL,
     IDENTITY,
-    PAYOFF_CHUNK,
     GameSpec,
     StrategyParams,
     StrategyProfile,
     final_amplitudes,
     minority_mask,
+    minority_projector,
     strategy_unitary,
 )
 from qmg.states import InitialStateRecipe, build_pure
@@ -137,7 +134,7 @@ class MixedState:
         if rho.shape != (dim, dim) or not np.all(np.isfinite(rho)):
             raise ValueError(f"expected a finite ({dim}, {dim}) matrix")
         rho.setflags(write=False)
-        if np.max(np.abs(rho - rho.conj().T)) > CONSTRUCTION_TOL:
+        if np.max(np.abs(rho - rho.conj().T)) > 1e-12:
             raise ValueError("density matrix not Hermitian")
         tr = np.trace(rho).real
         if abs(tr - 1.0) > 1e-9:
@@ -209,11 +206,13 @@ class PlayerEvaluator:
         q = player - 1
         self._block = np.moveaxis(partial.reshape([2] * n), q, 0).reshape(2, -1)
         mask = minority_mask(n, player)
-        self._mask = np.moveaxis(mask.reshape([2] * n), q, 0).reshape(-1)
-        rows = self._mask.reshape(2, -1)
+        rows = np.moveaxis(mask.reshape([2] * n), q, 0).reshape(2, -1)
         self._gram = np.stack([(self._block * r) @ self._block.conj().T for r in rows])
         self._f = spec.recipe.f
         self._mixed_floor = (1 - self._f) * np.count_nonzero(mask) / 2**n
+        # the block's layout puts the deviator's qubit first, where player
+        # 1's qubit is, so player 1's winning indices select its wins
+        self._winning = minority_projector(n, 1)
 
     def payoffs(self, thetas, alphas, betas) -> np.ndarray:
         """Payoffs at a batch of deviations, from the Gram form."""
@@ -226,10 +225,11 @@ class PlayerEvaluator:
         return self._f * pure + self._mixed_floor
 
     def dense_payoff(self, theta: float, alpha: float, beta: float) -> float:
-        """Payoff at one deviation from the full 2 x 2^(n-1) product."""
+        """Payoff at one deviation from the full 2 x 2^(n-1) product,
+        summed in `minority_projector`'s order as every payoff is."""
         m = _su2_batch(np.array([theta]), np.array([alpha]), np.array([beta]))[0]
         probs = np.abs(m @ self._block).ravel() ** 2
-        return float(self._f * probs[self._mask].sum() + self._mixed_floor)
+        return float(self._f * np.sum(probs[self._winning]) + self._mixed_floor)
 
     def exact_optimum(self) -> np.ndarray:
         """(theta, alpha, beta) of the exact best deviation.
@@ -247,44 +247,14 @@ class PlayerEvaluator:
 
 
 def grid_argmax(ev: PlayerEvaluator, steps: int) -> Tuple[np.ndarray, float]:
-    """First maximum of `ev.payoffs` over the (theta, alpha, beta) grid.
-
-    The Gram-form payoff depends on alpha and beta only through
-    alpha - beta, so a screen first scores the g * (2g - 1) distinct
-    (theta, alpha - beta) pairs at beta = 0. Only the grid points whose
-    screen value is within GRID_SCREEN_MARGIN of the screen's maximum
-    are then scored by `ev.payoffs`, in ravel order: every point that
-    can win is kept, so the point and its value are those of the full
-    grid. Both steps take whole theta planes, as many as fit in
-    PAYOFF_CHUNK points, so memory grows with one plane (g^2), never with
-    the whole grid (g^3).
-    """
+    """First maximum of `ev.payoffs` over all g^3 (theta, alpha, beta)
+    grid points, in ravel order: the exhaustive grid search."""
     thetas = np.linspace(*_THETA_BOX, steps)
     angles = np.linspace(*_ANGLE_BOX, steps)
-    diffs = np.arange(1 - steps, steps) * (2 * math.pi / (steps - 1))
-    planes = max(1, PAYOFF_CHUNK // diffs.size)
-    screen = np.concatenate([
-        ev.payoffs(np.repeat(t, diffs.size), np.tile(diffs, t.size), 0.0)
-        for t in (thetas[i:i + planes] for i in range(0, steps, planes))
-    ]).reshape(steps, diffs.size)
-    keep = screen >= screen.max() - GRID_SCREEN_MARGIN
-    # the screen column of each (alpha_i, beta_j): i - j + steps - 1
-    column = np.subtract.outer(np.arange(steps), np.arange(steps)) + steps - 1
-
-    best_val = -math.inf
-    planes = max(1, PAYOFF_CHUNK // steps**2)
-    for p in range(0, steps, planes):
-        if not keep[p:p + planes].any():
-            continue
-        points = np.flatnonzero(keep[p:p + planes, column]) + p * steps**2
-        for s in range(0, points.size, PAYOFF_CHUNK):
-            t, i, j = np.unravel_index(points[s:s + PAYOFF_CHUNK], (steps,) * 3)
-            vals = ev.payoffs(thetas[t], angles[i], angles[j])
-            k = int(np.argmax(vals))
-            if vals[k] > best_val:  # strict: the first maximum wins across chunks
-                best_val = float(vals[k])
-                best = np.array([thetas[t[k]], angles[i[k]], angles[j[k]]])
-    return best, best_val
+    points = np.stack([g.ravel() for g in np.meshgrid(thetas, angles, angles, indexing="ij")])
+    vals = ev.payoffs(*points)
+    k = int(np.argmax(vals))
+    return points[:, k], float(vals[k])
 
 
 def best_response_per_player(
@@ -294,14 +264,11 @@ def best_response_per_player(
     grid_resolution: int = 25,
     tolerance: float = NASH_TOLERANCE,
 ) -> DeviationReport:
-    """One player's best-response search on its own, as `analysis` ran it
-    before all players were searched in lockstep.
+    """One player's best-response search on its own.
 
-    Coarse grid first: `grid_argmax` screens it on (theta, alpha - beta)
-    and scores only the survivors exactly, so it picks the point the full
-    grid picks at O(g^2) cost plus the survivors. Then coordinate-wise
-    interval shrinking around the running optimum until every step is
-    below 1e-6, all on the 2x2 Gram form. The exact optimum from the top
+    Coarse grid first: `grid_argmax` scores every grid point. Then
+    coordinate-wise interval shrinking around the running optimum until
+    every step is below 1e-6, all on the 2x2 Gram form. The exact optimum from the top
     eigenvector then replaces the refined point if it pays more. Both
     reported payoffs come from the dense product at their single point.
     """

@@ -564,8 +564,9 @@ class TestLockstepSearch:
     @given(case=_deviation_cases(max_n=6), grid=st.sampled_from([2, 3, 5, 9, 25]))
     @settings(max_examples=8, deadline=None)
     def test_chunk_boundaries_keep_each_players_first_maximum(self, chunk, case, grid):
-        # the reference keeps the PAYOFF_CHUNK it imported; calls here split
-        # into column blocks across all selected players, never by player
+        # the reference scores its whole grid in one call and reads no
+        # budget; calls here split into column blocks across all selected
+        # players, never by player
         spec, profile, _, _ = case
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(game, "PAYOFF_CHUNK", chunk)
@@ -600,6 +601,26 @@ class TestLockstepSearch:
         assert nash_check(spec, candidate, 9) == reference
         assert sizes and max(sizes) <= 64
         assert amplitudes and max(amplitudes) <= 64
+
+    def test_reported_payoffs_sum_in_the_projectors_order(self, monkeypatch):
+        # every payoff sums in minority_projector's order: each reported
+        # payoff of a non-symmetric nash_check and of a best_response gets
+        # player 1's memoised projector array itself
+        spec = GameSpec(6, InitialStateRecipe(StateFamily.GHZ_BELL_MIXTURE, 6, x=0.5, f=0.9))
+        candidate = StrategyProfile.symmetric(ne_strategy(6), 6).replace(2, IDENTITY)
+        winning = []
+        payoff = game._payoff
+
+        def recorded(spec, probs, indices):
+            winning.append(indices)
+            return payoff(spec, probs, indices)
+
+        monkeypatch.setattr(game, "_payoff", recorded)
+        nash_check(spec, candidate, 5)
+        best_response(spec, candidate, 3, 5)
+        # two reported payoffs per report: six players, then one
+        assert len(winning) == 2 * 6 + 2
+        assert all(w is game.minority_projector(6, 1) for w in winning)
 
     @pytest.mark.parametrize(
         "recipe, grid",

@@ -4,6 +4,7 @@ import pathlib
 import re
 import shlex
 import sys
+import time
 
 import pytest
 
@@ -271,7 +272,8 @@ class TestCleanFailure:
 
     def test_classical_past_the_digit_limit_is_clean(self, capsys):
         # at Python's default limit of 4300 digits the exact fraction still
-        # prints at n = 14294 and no longer at 14295
+        # prints at n = 14294 and no longer at 14295; at n = 10^6, n alone
+        # shows it is too long, so the binomial (about 15 s) never runs
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(4300)
         try:
@@ -280,6 +282,12 @@ class TestCleanFailure:
             assert main(["classical", "--n", "14295"]) == 1
             assert capsys.readouterr().err == (
                 "error: the exact payoff for n=14295 has more than 4300 digits\n"
+            )
+            start = time.perf_counter()
+            assert main(["classical", "--n", "1000000"]) == 1
+            assert time.perf_counter() - start < 1.0
+            assert capsys.readouterr().err == (
+                "error: the exact payoff for n=1000000 has more than 4300 digits\n"
             )
         finally:
             sys.set_int_max_str_digits(limit)
