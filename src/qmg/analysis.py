@@ -2,7 +2,9 @@
 
 Best-response search on each deviator's 2x2 Gram form: `_best_responses`
 searches a list of players in lockstep, and its docstring tells the
-search's stages; `best_response` is its one-player case. Nash-equilibrium
+search's two stages, the grid and the exact optimum; no coordinate
+refinement runs, and `DeviationReport.refinement_steps` is kept for the
+table only. `best_response` is the one-player case. Nash-equilibrium
 verification via the unilateral-deviation inequality makes one such
 search: for player 1 alone when the profile is symmetric (the other
 players' reports are copies with `player` set), for every player
@@ -39,8 +41,8 @@ from .states import InitialStateRecipe, StateFamily
 
 NASH_TOLERANCE = 1e-4
 REFINEMENT_MIN_STEP = 1e-6
-# The exact optimum replaces the refined grid point only when it pays
-# more by this margin, so flat optima keep their grid point.
+# The exact optimum replaces the grid point only when it pays more by
+# this margin, so flat optima keep their grid point.
 EXACT_OPTIMUM_MARGIN = 1e-12
 # A grid point is scored exactly when its (theta, alpha - beta) screen
 # value is this close to the screen's maximum. The screen differs from
@@ -89,7 +91,8 @@ def conjecture_eq14(gamma: float, payoff_classical: float, payoff_quantum: float
 
 @dataclass(frozen=True)
 class DeviationReport:
-    """Outcome of a best-response search for one player."""
+    """Outcome of a best-response search for one player. `refinement_steps`
+    is kept for the table only: `_refinement_rounds` of the grid."""
 
     player: int
     candidate: StrategyProfile
@@ -234,23 +237,6 @@ _THETA_BOX = (0.0, math.pi)
 _ANGLE_BOX = (-math.pi, math.pi)
 
 
-def _spaced(lo: np.ndarray, hi: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Row r is np.linspace(lo[r], hi[r], num), bit for bit, given the
-    float array k = 0, 1, ..., num - 1, for rows whose step
-    (hi - lo) / (num - 1) is not zero.
-
-    It computes what np.linspace computes, k * step + lo with the last
-    point set to hi, without np.linspace's per-call set-up, which the
-    refinement would pay at every step. A refinement row spans at least
-    its coordinate's refinement step, which stays above 1e-7, so
-    np.linspace's zero-step branch is never needed.
-    """
-    y = ((hi - lo) / k[-1])[:, None] * k
-    y += lo[:, None]
-    y[:, -1] = hi
-    return y
-
-
 def _grid_argmax(ev: _DeviationEvaluator, steps: int) -> Tuple[np.ndarray, np.ndarray]:
     """Each listed player's first maximum of `ev.payoffs` over the
     (theta, alpha, beta) grid: a (P, 3) array of points and their (P,)
@@ -294,6 +280,20 @@ def _grid_argmax(ev: _DeviationEvaluator, steps: int) -> Tuple[np.ndarray, np.nd
     return best, best_val
 
 
+def _refinement_rounds(steps: int) -> int:
+    """The number of /5 rounds that take the widest grid step to
+    REFINEMENT_MIN_STEP or below: the rounds a coordinate refinement
+    after the grid would take, by the same float divisions. Reports keep
+    it as `refinement_steps` for the table; no refinement runs.
+    """
+    step = (_ANGLE_BOX[1] - _ANGLE_BOX[0]) / (steps - 1)
+    rounds = 0
+    while step > REFINEMENT_MIN_STEP:
+        step /= 5
+        rounds += 1
+    return rounds
+
+
 def _best_responses(
     spec: GameSpec,
     candidate: StrategyProfile,
@@ -306,15 +306,12 @@ def _best_responses(
     Raises ValueError unless grid_resolution is an int >= 2 and
     tolerance is finite and positive (the CLI's rule).
 
-    The stages: `_grid_argmax` gives each player the coarse grid's
-    first maximum. Coordinate-wise interval shrinking around each
-    player's running optimum follows, until every step is below 1e-6;
-    the steps depend only on the grid, so every player takes the same
-    steps and rounds, and each step is one batch of 11 points per player.
-    Each player's exact optimum from the top eigenvector then replaces
-    the refined point if it pays more. All of that reads only the 2x2
-    Gram form. Both reported payoffs come from the dense product at
-    their single point.
+    The stages: `_grid_argmax` gives each player the grid's first
+    maximum, and each player's exact optimum from the top eigenvector
+    replaces it only if it pays more by EXACT_OPTIMUM_MARGIN. Both read
+    only the 2x2 Gram form. No refinement runs between them;
+    `refinement_steps` is `_refinement_rounds`, kept for the table. Both
+    reported payoffs come from the dense product at their single point.
     """
     _check_steps("grid_resolution", grid_resolution)
     if not (math.isfinite(tolerance) and tolerance > 0):
@@ -322,25 +319,6 @@ def _best_responses(
     ev, dense_payoffs = _dense_deviations(spec, candidate, players)
 
     best, best_val = _grid_argmax(ev, grid_resolution)
-
-    boxes = (_THETA_BOX, _ANGLE_BOX, _ANGLE_BOX)
-    steps = [(top - bottom) / (grid_resolution - 1) for bottom, top in boxes]
-    ticks = np.arange(11, dtype=float)
-    rounds = 0
-    while max(steps) > REFINEMENT_MIN_STEP:
-        rounds += 1
-        for coord, (bottom, top) in enumerate(boxes):
-            lo = np.maximum(best[:, coord] - steps[coord], bottom)
-            hi = np.minimum(best[:, coord] + steps[coord], top)
-            scan = _spaced(lo, hi, ticks)
-            args = best.T[:, :, None].repeat(ticks.size, axis=2)
-            args[coord] = scan
-            vals = ev.payoffs(*args)
-            for k, j in enumerate(vals.argmax(axis=1).tolist()):
-                if vals[k, j] > best_val[k]:  # strict: a tie keeps the running optimum
-                    best_val[k] = vals[k, j]
-                    best[k, coord] = scan[k, j]
-            steps[coord] /= 5
     exact = ev.exact_optima()
     better = ev.payoffs(*exact.T[:, :, None].copy())[:, 0] > best_val + EXACT_OPTIMUM_MARGIN
     best[better] = exact[better]
@@ -348,6 +326,7 @@ def _best_responses(
     incumbents = [(s.theta, s.alpha, s.beta) for s in (candidate[p - 1] for p in players)]
     # (3, P, 2) angles: each player's incumbent, then its best deviation
     points = np.stack([incumbents, best], axis=2).transpose(1, 0, 2).copy()
+    rounds = _refinement_rounds(grid_resolution)
     reports = []
     for player, deviation, (equilibrium_payoff, best_payoff) in zip(
         players, best.tolist(), dense_payoffs(*points).tolist()

@@ -107,12 +107,17 @@ class RunConfig:
         return StrategyProfile.symmetric(StrategyParams(*self.symmetric), self.n)
 
 
+# Every command's bound on --n, checked before anything is built: the
+# exact classical payoff of n = 100000 players takes about 0.3 s.
+MAX_PLAYERS = 100_000
+
 _UNIT = (lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
 _AT_LEAST_TWO = (lambda v: v >= 2, ">= 2")
 
 _FLAG_SPEC = {
     # name -> (converter, domain as (predicate, phrase) or None, help)
-    "n": (int, _AT_LEAST_TWO, "number of players / qubits"),
+    "n": (int, (lambda v: 2 <= v <= MAX_PLAYERS, f"in [2, {MAX_PLAYERS}]"),
+          "number of players / qubits"),
     "state": (str, (lambda v: v in _FAMILY_NAMES, "one of " + ", ".join(_FAMILY_NAMES)),
               "initial state family"),
     "x": (float, _UNIT, "GHZ/Bell mixture weight"),
@@ -211,14 +216,15 @@ def _validate(config: RunConfig) -> None:
         raise CliError("give --symmetric or --profile, not both")
     command = _COMMANDS[config.command]
     try:
+        # building the recipe triggers the family's qubit-count rules; n is
+        # checked before a profile of n strategies is built
+        if command.recipe(config) is not None and config.n > MAX_QUBITS:
+            raise CliError(f"n must be <= {MAX_QUBITS} to build a state, got {config.n}")
         # triggers angle-domain and profile-shape validation, also for a
         # profile given to a command that does not play one
         given = config.symmetric is not None or config.profile is not None
         if command.needs_profile or given:
             config.strategy_profile()
-        # building the recipe triggers the family's qubit-count rules
-        if command.recipe(config) is not None and config.n > MAX_QUBITS:
-            raise CliError(f"n must be <= {MAX_QUBITS} to build a state, got {config.n}")
     except ValueError as exc:
         raise CliError(str(exc)) from None
     if not 1 <= config.player <= config.n:
@@ -305,18 +311,12 @@ def _deviation_record(report: DeviationReport) -> dict:
 # Each runner returns (table records, summary line) for one command.
 def _classical(config: RunConfig):
     n = config.n
-    limit = sys.get_int_max_str_digits()  # 0 means no limit
-    too_long = f"the exact payoff for n={n} has more than {limit} digits"
-    # By Kummer's theorem at most 1 + log2(n) factors of 2 cancel, so the
-    # reduced denominator is at least 2^(n - 1 - n.bit_length()); past the
-    # limit, fail before the binomial, which takes seconds from n = 10^6
-    if limit and (n - 1 - n.bit_length()) * math.log10(2) >= limit:
-        raise CliError(too_long)
     value = game.classical_payoff(n)
     try:
         exact = str(value)
     except ValueError:  # Python's limit on int-to-str digits
-        raise CliError(too_long) from None
+        limit = sys.get_int_max_str_digits()
+        raise CliError(f"the exact payoff for n={n} has more than {limit} digits") from None
     rows = [{"n": n, "payoff": float(value)}]
     return rows, f"classical payoff for n={n}: {exact} = {float(value):.6g}"
 
@@ -398,7 +398,7 @@ class _Command(NamedTuple):
     runner: Callable[[RunConfig], Tuple[List[dict], str]]
     needs_profile: bool
     # the run's state recipe from its config, or None when the run builds
-    # no state, and then any --n >= 2 runs
+    # no state, and then any --n in [2, MAX_PLAYERS] runs
     recipe: Callable[[RunConfig], Optional[InitialStateRecipe]]
 
 

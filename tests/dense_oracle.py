@@ -266,11 +266,13 @@ def best_response_per_player(
 ) -> DeviationReport:
     """One player's best-response search on its own.
 
-    Coarse grid first: `grid_argmax` scores every grid point. Then
-    coordinate-wise interval shrinking around the running optimum until
-    every step is below 1e-6, all on the 2x2 Gram form. The exact optimum from the top
-    eigenvector then replaces the refined point if it pays more. Both
-    reported payoffs come from the dense product at their single point.
+    `grid_argmax` scores every grid point, and the exact optimum from the
+    top eigenvector replaces the grid's first maximum if it pays more by
+    EXACT_OPTIMUM_MARGIN, both on the 2x2 Gram form. Both reported
+    payoffs come from the dense product at their single point.
+    `refinement_steps` counts, for the table, the rounds a
+    three-coordinate refinement would take: each round divides every
+    coordinate's step by 5, until every step is at most 1e-6.
     """
     if grid_resolution < 2:
         raise ValueError("grid_resolution must be >= 2")
@@ -285,18 +287,7 @@ def best_response_per_player(
     rounds = 0
     while steps.max() > REFINEMENT_MIN_STEP:
         rounds += 1
-        for coord in range(3):
-            lo = max(boxes[coord][0], best[coord] - steps[coord])
-            hi = min(boxes[coord][1], best[coord] + steps[coord])
-            scan = np.linspace(lo, hi, 11)
-            args = [np.full_like(scan, best[c]) for c in range(3)]
-            args[coord] = scan
-            vals = ev.payoffs(*args)
-            j = int(np.argmax(vals))
-            if vals[j] > best_val:
-                best_val = float(vals[j])
-                best[coord] = scan[j]
-            steps[coord] /= 5
+        steps /= 5
     exact = ev.exact_optimum()
     if ev.payoffs(*exact)[0] > best_val + EXACT_OPTIMUM_MARGIN:
         best = exact

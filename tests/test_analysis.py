@@ -574,9 +574,9 @@ class TestLockstepSearch:
         assert reports == nash_check_per_player(spec, profile, grid)
 
     def test_every_einsum_holds_at_most_grid_chunk_pairs(self, monkeypatch):
-        # six players: the screen (6 x 153 pairs), the refinement (6 x 11)
-        # and the survivor planes (81 points) must all split at 64 pairs,
-        # and the partial states (2^6 amplitudes each) go one per kernel call
+        # six players: the screen (6 x 153 pairs) and the survivor planes
+        # (81 points) must split at 64 pairs, and the partial states (2^6
+        # amplitudes each) go one per kernel call
         spec = ghz_spec(6)
         candidate = StrategyProfile.symmetric(ne_strategy(6), 6).replace(2, IDENTITY)
         reference = nash_check_per_player(spec, candidate, 9)
@@ -651,36 +651,53 @@ class TestLockstepSearch:
         assert lockstep == nash_check_per_player(spec, candidate, 25)
 
 
-def _rises_by_a_zero_step(row):
-    """A (lo, width) row that rises, but whose step over 10 intervals
-    rounds to 0: outside `_spaced`'s contract, and never a refinement row."""
-    lo, width = row
-    delta = (lo + width) - lo
-    return delta > 0 and delta / 10 == 0
+class TestSearchWork:
+    """The search scores the screen, the survivor planes and the exact
+    optima, and nothing else."""
 
+    @pytest.mark.parametrize("search", ["best_response", "nash_check"])
+    def test_payoffs_calls_are_the_screen_the_survivor_planes_and_the_exact_step(
+        self, search, monkeypatch
+    ):
+        spec = GameSpec(6, InitialStateRecipe(StateFamily.GHZ_BELL_MIXTURE, 6, x=0.5, f=0.9))
+        candidate = StrategyProfile.symmetric(ne_strategy(6), 6).replace(2, IDENTITY)
+        players = [3] if search == "best_response" else list(range(1, 7))
+        # the planes that hold a survivor, from the exhaustive grid: a
+        # point survives within GRID_SCREEN_MARGIN of its player's maximum
+        _, vals = _full_grid(_dense_deviations(spec, candidate, players)[0], 25)
+        keep = vals >= vals.max(axis=1, keepdims=True) - analysis.GRID_SCREEN_MARGIN
+        planes = int(keep.reshape(len(players), 25, -1).any(axis=2).sum())
+        calls = []
+        payoffs = _DeviationEvaluator.payoffs
 
-class TestSpaced:
-    """`_spaced` rows are np.linspace, for flat rows and rows with a nonzero step."""
+        def counted(self, *args):
+            scores = payoffs(self, *args)
+            calls.append(len(scores))
+            return scores
 
-    TICKS = np.arange(11, dtype=float)
+        monkeypatch.setattr(_DeviationEvaluator, "payoffs", counted)
+        if search == "best_response":
+            reports = [best_response(spec, candidate, 3, 25)]
+        else:
+            reports = nash_check(spec, candidate, 25)
+        # the screen and the exact step score every player in one call
+        # each; a survivor plane scores one player
+        assert calls == [len(players)] + [1] * planes + [len(players)]
+        assert all(r.refinement_steps == 8 for r in reports)
 
-    @given(
-        st.lists(
-            st.tuples(
-                st.floats(-4, 4),
-                st.one_of(st.floats(0, 8), st.sampled_from([1e-320, 2e-16])),
-            ).filter(lambda row: not _rises_by_a_zero_step(row)),
-            min_size=1,
-            max_size=12,
-        )
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_rows_are_np_linspace(self, rows):
-        lo = np.array([a for a, _ in rows])
-        hi = lo + np.array([d for _, d in rows])
-        got = analysis._spaced(lo, hi, self.TICKS)
-        for r in range(len(rows)):
-            assert got[r].tobytes() == np.linspace(lo[r], hi[r], 11).tobytes()
+    def test_refinement_steps_count_the_rounds_of_the_three_coordinate_loop(self):
+        for grid in range(2, 401):
+            # the step arithmetic of the coordinate refinement that once
+            # ran after the grid: each round divides each coordinate's step
+            # by 5, until the largest is at most REFINEMENT_MIN_STEP
+            boxes = ((0.0, PI), (-PI, PI), (-PI, PI))
+            steps = [(top - bottom) / (grid - 1) for bottom, top in boxes]
+            rounds = 0
+            while max(steps) > 1e-6:
+                rounds += 1
+                for coord in range(3):
+                    steps[coord] /= 5
+            assert analysis._refinement_rounds(grid) == rounds, grid
 
 
 def _full_grid(ev, steps):
@@ -792,8 +809,8 @@ def test_best_response_memory_does_not_grow_with_grid():
     runs = [
         (best_response, (ghz_spec(n), candidate, 1), grid) for grid in (40, 100, 400)
     ]
-    # every player of a non-symmetric profile in one search: the screen,
-    # the survivors and the refinement hold all ten players at once
+    # every player of a non-symmetric profile in one search: the screen
+    # and the exact step hold all ten players at once
     rng = np.random.default_rng(10)
     profile = StrategyProfile(
         tuple(StrategyParams(*map(float, t)) for t in zip(*_random_points(rng, 10)))

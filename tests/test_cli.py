@@ -1,16 +1,22 @@
+import contextlib
+import io
 import json
 import math
 import pathlib
 import re
 import shlex
 import sys
+import tempfile
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmg import analysis
 from qmg.cli import (
     _COMMANDS,
+    _FLAG_SPEC,
     CliError,
     RunConfig,
     emit_table,
@@ -21,6 +27,7 @@ from qmg.cli import (
     render_table,
     run,
 )
+from qmg.states import StateFamily
 
 PI = math.pi
 
@@ -272,8 +279,8 @@ class TestCleanFailure:
 
     def test_classical_past_the_digit_limit_is_clean(self, capsys):
         # at Python's default limit of 4300 digits the exact fraction still
-        # prints at n = 14294 and no longer at 14295; at n = 10^6, n alone
-        # shows it is too long, so the binomial (about 15 s) never runs
+        # prints at n = 14294 and no longer at 14295; n = 10^6 is past the
+        # bound on --n, so the binomial (about 15 s there) never runs
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(4300)
         try:
@@ -284,10 +291,10 @@ class TestCleanFailure:
                 "error: the exact payoff for n=14295 has more than 4300 digits\n"
             )
             start = time.perf_counter()
-            assert main(["classical", "--n", "1000000"]) == 1
+            assert main(["classical", "--n", "1000000"]) == 2
             assert time.perf_counter() - start < 1.0
             assert capsys.readouterr().err == (
-                "error: the exact payoff for n=1000000 has more than 4300 digits\n"
+                "error: n must be in [2, 100000], got 1000000\n"
             )
         finally:
             sys.set_int_max_str_digits(limit)
@@ -355,6 +362,18 @@ class TestCleanFailure:
                           "--profile", "9,0,0"],
                          "theta must be in [0, pi], got 9.0",
                          id="argv12-theta must be in [0, pi], got 9.0"),
+            # n is checked before the n strategies or the exact binomial
+            # are built; both once ended in a traceback or in no end
+            pytest.param(["payoff", "--n", "99999999999999999999", "--symmetric", "pi/2,0,0"],
+                         "n must be in [2, 100000], got 99999999999999999999",
+                         id="argv13-n past the bound with a symmetric profile"),
+            pytest.param(["conjecture", "--n", "99999999999999999999",
+                          "--payoff-quantum", "0.4"],
+                         "n must be in [2, 100000], got 99999999999999999999",
+                         id="argv14-n past the bound in the conjecture"),
+            pytest.param(["payoff", "--n", "13", "--symmetric", "9,0,0"],
+                         "n must be <= 12 to build a state, got 13",
+                         id="argv15-n past the dense ceiling before the profile"),
         ],
     )
     def test_domain_errors_are_clean(self, argv, message, capsys):
@@ -394,6 +413,68 @@ class TestCleanFailure:
     def test_qmg_threads_is_not_read(self, monkeypatch):
         monkeypatch.setenv("QMG_THREADS", "not-a-number")
         assert parse_config(["classical", "--n", "4"]).n == 4
+
+
+_HUGE = ["99999999999999999999", str(2**64), "-99999999999999999999"]
+_BAD_NUMBERS = ["nan", "inf", "-inf", "1e400", "", "x", "0x10", "1_0"]
+# step counts are small or past 2^63, where numpy refuses the size
+# before it allocates anything
+_INTS_FROM_TWO = ["2", "3", "1", "0", "-1", "2.5", *_HUGE, *_BAD_NUMBERS]
+_UNIT_VALUES = ["0", "1", "0.5", "-0.0", "-1e-300", "1.0000000000000002", *_BAD_NUMBERS]
+_ANGLES = ["0", "pi/2", "-pi", "pi", "3.1415926535897936", "-pi/12", "pi/0", "tau", "nan", "inf"]
+_TRIPLES = st.lists(st.sampled_from(_ANGLES), min_size=0, max_size=4).map(",".join)
+_FUZZ_VALUES = {
+    # past 12 only the stateless runs pass validation, so no case builds
+    # more than 2^12 amplitudes; 100000 is the bound's edge for those runs
+    "n": st.sampled_from(["2", "3", "4", "6", "12", "13", "100000", "100001", "1", "0", "-1",
+                          *_HUGE, *_BAD_NUMBERS]),
+    "state": st.sampled_from([*(f.value for f in StateFamily), "GHZ", "foo", ""]),
+    "x": st.sampled_from(_UNIT_VALUES),
+    "f": st.sampled_from(_UNIT_VALUES),
+    "gamma": st.sampled_from(["0", "pi/2", "pi/4", "1.5707963267948968", "-1e-300",
+                              *_ANGLES, *_BAD_NUMBERS]),
+    "symmetric": _TRIPLES,
+    "profile": st.lists(_TRIPLES, max_size=4).map(";".join),
+    "player": st.sampled_from(["1", "2", "4", *_INTS_FROM_TWO]),
+    "grid": st.sampled_from(_INTS_FROM_TWO),
+    "theta-steps": st.sampled_from(_INTS_FROM_TWO),
+    "alpha-steps": st.sampled_from(_INTS_FROM_TWO),
+    "steps": st.sampled_from(_INTS_FROM_TWO),
+    "tolerance": st.sampled_from(["1e-4", "5e-324", "1e308", "0", "-1e-4", *_BAD_NUMBERS]),
+    "payoff-classical": st.sampled_from(_UNIT_VALUES),
+    "payoff-quantum": st.sampled_from(_UNIT_VALUES),
+    "output": st.sampled_from(["{tmp}/table", "/nonexistent-dir/t.csv", ""]),
+    "format": st.sampled_from(["csv", "json", "xml", ""]),
+    "config": st.sampled_from(["/nonexistent-dir/qmg.cfg", ""]),
+}
+
+
+@st.composite
+def _argv(draw):
+    argv = [draw(st.sampled_from([*_COMMANDS, "meow"]))]
+    for name in draw(st.lists(st.sampled_from(list(_FUZZ_VALUES)), unique=True, max_size=6)):
+        value = draw(_FUZZ_VALUES[name])
+        # a value like "-1" as its own token reads as a flag: that line is bad too
+        argv += draw(st.sampled_from([[f"--{name}={value}"], [f"--{name}", value]]))
+    return argv
+
+
+def test_fuzzed_flags_cover_every_flag():
+    assert set(_FUZZ_VALUES) == {*_FLAG_SPEC, "config"}
+
+
+@given(_argv())
+@settings(max_examples=300, deadline=None)
+def test_fuzzed_command_lines_exit_with_a_code_and_never_raise(argv):
+    # every command and flag, with values at and just past each domain's
+    # edges, nan, inf, huge ints and malformed tokens
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = main([token.replace("{tmp}", tmp) for token in argv])
+    assert code in (0, 1, 2, 3)
+    if code:
+        assert err.getvalue().splitlines()[-1].startswith("error: ")
 
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
