@@ -4,11 +4,12 @@
 table records and summary line, whether it needs a strategy profile,
 and the recipe of the state it builds (None when the run builds none:
 the classical closed form, or the conjecture given --payoff-quantum).
-`_FLAG_SPEC` holds one entry per flag: its converter, its
-domain (a predicate plus the phrase of the `<flag> must be <phrase>,
-got <value>` error) and its help. The parser, the validation and the
-run all read these two tables. Angles are accepted as decimal radians
-or as fractions of pi ("pi/2", "-pi/12").
+`_FLAG_SPEC` holds one entry per flag: its converter, its domain (a
+predicate plus the phrase of the `<flag> must be <phrase>, got <value>`
+error) and its help; `parse_config` converts and checks each in one pass.
+Every bad command line, argparse's usage errors too, raises one `CliError`.
+Angles are decimal radians or pi fractions ("pi/2", "-pi/12"); a strategy
+is exactly three non-empty angles.
 """
 from __future__ import annotations
 
@@ -57,14 +58,14 @@ def parse_angle(token: str) -> float:
 
 
 def _parse_triple(text: str) -> Tuple[float, float, float]:
-    parts = [p for p in text.split(",") if p.strip()]
+    parts = text.split(",")
     if len(parts) != 3:
         raise CliError(f"expected 'theta,alpha,beta', got {text!r}")
     return tuple(parse_angle(p) for p in parts)
 
 
 def _parse_profile(text: str) -> Tuple[Tuple[float, float, float], ...]:
-    return tuple(_parse_triple(c) for c in text.split(";") if c.strip())
+    return tuple(_parse_triple(c) for c in text.split(";"))
 
 
 @dataclass(frozen=True)
@@ -140,17 +141,20 @@ _FLAG_SPEC = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qmg", description="Quantum minority game simulator"
-    )
-    parser.add_argument("command", choices=_COMMANDS)
-    parser.add_argument("--config", help="key=value file mirroring the flag names")
-    for name, (_, domain, help_text) in _FLAG_SPEC.items():
-        if domain is not None:
-            help_text += f", {domain[1]}"
-        parser.add_argument(f"--{name}", default=None, help=help_text)
-    return parser
+class _Parser(argparse.ArgumentParser):
+    """The qmg parser: a usage error raises CliError, not SystemExit."""
+
+    def __init__(self):
+        super().__init__(prog="qmg", description="Quantum minority game simulator")
+        self.add_argument("command", choices=_COMMANDS)
+        self.add_argument("--config", help="key=value file mirroring the flag names")
+        for name, (_, domain, help_text) in _FLAG_SPEC.items():
+            if domain is not None:
+                help_text += f", {domain[1]}"
+            self.add_argument(f"--{name}", default=None, help=help_text)
+
+    def error(self, message):
+        raise CliError(message)
 
 
 def _read_config_file(text: str) -> dict:
@@ -174,10 +178,7 @@ def parse_config(args: Sequence[str], config_text: Optional[str] = None) -> RunC
 
     Explicit flags override config-file values.
     """
-    try:
-        ns = _PARSER.parse_args(list(args))
-    except SystemExit:
-        raise CliError("invalid command line") from None
+    ns = _PARSER.parse_args(list(args))
 
     file_values = {}
     if config_text is None and ns.config:
@@ -190,7 +191,7 @@ def parse_config(args: Sequence[str], config_text: Optional[str] = None) -> RunC
         file_values = _read_config_file(config_text)
 
     raw = {}
-    for name, (conv, _, _) in _FLAG_SPEC.items():
+    for name, (conv, domain, _) in _FLAG_SPEC.items():
         attr = name.replace("-", "_")
         value = getattr(ns, attr)
         if value is None:
@@ -198,9 +199,12 @@ def parse_config(args: Sequence[str], config_text: Optional[str] = None) -> RunC
         if value is None:
             continue
         try:
-            raw[attr] = conv(value)
+            value = conv(value)
         except ValueError as exc:
             raise CliError(f"bad value for --{name}: {exc}") from None
+        if domain is not None and not domain[0](value):
+            raise CliError(f"{name} must be {domain[1]}, got {value}")
+        raw[attr] = value
 
     config = RunConfig(command=ns.command, **raw)
     _validate(config)
@@ -208,10 +212,6 @@ def parse_config(args: Sequence[str], config_text: Optional[str] = None) -> RunC
 
 
 def _validate(config: RunConfig) -> None:
-    for name, (_, domain, _) in _FLAG_SPEC.items():
-        value = getattr(config, name.replace("-", "_"))
-        if domain is not None and value is not None and not domain[0](value):
-            raise CliError(f"{name} must be {domain[1]}, got {value}")
     if config.profile is not None and config.symmetric is not None:
         raise CliError("give --symmetric or --profile, not both")
     command = _COMMANDS[config.command]
@@ -419,7 +419,7 @@ _COMMANDS = {
     "conjecture": _Command(_conjecture, False, _conjecture_state),
 }
 
-_PARSER = _build_parser()
+_PARSER = _Parser()
 
 
 def run(config: RunConfig) -> int:
@@ -433,7 +433,7 @@ def run(config: RunConfig) -> int:
         if config.output:
             emit_table(rows, config.format, config.output)
             print(f"wrote {config.format} table to {config.output}")
-    except (CliError, ValueError, IndexError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

@@ -374,6 +374,21 @@ class TestCleanFailure:
             pytest.param(["payoff", "--n", "13", "--symmetric", "9,0,0"],
                          "n must be <= 12 to build a state, got 13",
                          id="argv15-n past the dense ceiling before the profile"),
+            # an empty field is a malformed token, never skipped
+            pytest.param(["payoff", "--n", "4", "--symmetric", "pi/2,,0,0"],
+                         "bad value for --symmetric: expected 'theta,alpha,beta', "
+                         "got 'pi/2,,0,0'",
+                         id="argv16-empty field inside a strategy"),
+            pytest.param(["payoff", "--n", "4", "--symmetric", "pi/2,0,0,"],
+                         "bad value for --symmetric: expected 'theta,alpha,beta', "
+                         "got 'pi/2,0,0,'",
+                         id="argv17-empty field after a strategy"),
+            pytest.param(["payoff", "--n", "4", "--symmetric", ",pi/2,0"],
+                         "bad value for --symmetric: malformed angle token ''",
+                         id="argv18-empty angle at the front of a strategy"),
+            pytest.param(["payoff", "--n", "2", "--profile", "0,0,0;;0,0,0"],
+                         "bad value for --profile: expected 'theta,alpha,beta', got ''",
+                         id="argv19-empty strategy inside a profile"),
         ],
     )
     def test_domain_errors_are_clean(self, argv, message, capsys):
@@ -410,6 +425,35 @@ class TestCleanFailure:
         assert (capsys.readouterr().err
                 == "error: command needs --symmetric or --profile\n")
 
+    # argparse's own reason, once, with no usage block or second summary
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            pytest.param(["payoff", "--n"], "argument --n: expected one argument",
+                         id="flag without its value"),
+            pytest.param(["payoff", "--bogus", "1"], "unrecognized arguments: --bogus 1",
+                         id="unknown flag"),
+            pytest.param(["payof"], "argument command: invalid choice: 'payof'",
+                         id="unknown command"),
+            pytest.param([], "the following arguments are required: command",
+                         id="empty argv"),
+        ],
+    )
+    def test_usage_error_is_one_line(self, argv, reason, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {reason}")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: qmg")
+        assert captured.err == ""
+
     def test_qmg_threads_is_not_read(self, monkeypatch):
         monkeypatch.setenv("QMG_THREADS", "not-a-number")
         assert parse_config(["classical", "--n", "4"]).n == 4
@@ -421,7 +465,9 @@ _BAD_NUMBERS = ["nan", "inf", "-inf", "1e400", "", "x", "0x10", "1_0"]
 # before it allocates anything
 _INTS_FROM_TWO = ["2", "3", "1", "0", "-1", "2.5", *_HUGE, *_BAD_NUMBERS]
 _UNIT_VALUES = ["0", "1", "0.5", "-0.0", "-1e-300", "1.0000000000000002", *_BAD_NUMBERS]
-_ANGLES = ["0", "pi/2", "-pi", "pi", "3.1415926535897936", "-pi/12", "pi/0", "tau", "nan", "inf"]
+# "" puts empty fields in --symmetric as well as in --profile
+_ANGLES = ["0", "pi/2", "-pi", "pi", "3.1415926535897936", "-pi/12", "pi/0", "tau", "nan", "inf",
+           ""]
 _TRIPLES = st.lists(st.sampled_from(_ANGLES), min_size=0, max_size=4).map(",".join)
 _FUZZ_VALUES = {
     # past 12 only the stateless runs pass validation, so no case builds
