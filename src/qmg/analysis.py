@@ -2,9 +2,9 @@
 
 Best-response search on each deviator's 2x2 Gram form: `_best_responses`
 searches a list of players in lockstep, and its docstring tells the
-search's two stages, the grid and the exact optimum; no coordinate
-refinement runs, and `DeviationReport.refinement_steps` is kept for the
-table only. `best_response` is the one-player case. Nash-equilibrium
+search's two stages, the grid and the exact optimum (for
+`DeviationReport.refinement_steps`, see `_refinement_rounds`).
+`best_response` is the one-player case. Nash-equilibrium
 verification via the unilateral-deviation inequality makes one such
 search: for player 1 alone when the profile is symmetric (the other
 players' reports are copies with `player` set), for every player
@@ -92,7 +92,7 @@ def conjecture_eq14(gamma: float, payoff_classical: float, payoff_quantum: float
 @dataclass(frozen=True)
 class DeviationReport:
     """Outcome of a best-response search for one player. `refinement_steps`
-    is kept for the table only: `_refinement_rounds` of the grid."""
+    is `_refinement_rounds` of the grid: see there."""
 
     player: int
     candidate: StrategyProfile
@@ -309,9 +309,9 @@ def _best_responses(
     The stages: `_grid_argmax` gives each player the grid's first
     maximum, and each player's exact optimum from the top eigenvector
     replaces it only if it pays more by EXACT_OPTIMUM_MARGIN. Both read
-    only the 2x2 Gram form. No refinement runs between them;
-    `refinement_steps` is `_refinement_rounds`, kept for the table. Both
-    reported payoffs come from the dense product at their single point.
+    only the 2x2 Gram form, and both reported payoffs come from the dense
+    product at their single point. `refinement_steps` is
+    `_refinement_rounds` of the grid.
     """
     _check_steps("grid_resolution", grid_resolution)
     if not (math.isfinite(tolerance) and tolerance > 0):

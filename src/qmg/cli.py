@@ -7,9 +7,10 @@ the classical closed form, or the conjecture given --payoff-quantum).
 `_FLAG_SPEC` holds one entry per flag: its converter, its domain (a
 predicate plus the phrase of the `<flag> must be <phrase>, got <value>`
 error) and its help; `parse_config` converts and checks each in one pass.
-Every bad command line, argparse's usage errors too, raises one `CliError`.
-Angles are decimal radians or pi fractions ("pi/2", "-pi/12"); a strategy
-is exactly three non-empty angles.
+A flag has one name, its `_FLAG_SPEC` key, on the command line (never
+abbreviated) and in a `--config` file. Every bad command line, argparse's
+usage errors too, raises one `CliError`. Angles are decimal radians or pi
+fractions ("pi/2", "-pi/12"); a strategy is exactly three non-empty angles.
 """
 from __future__ import annotations
 
@@ -145,7 +146,8 @@ class _Parser(argparse.ArgumentParser):
     """The qmg parser: a usage error raises CliError, not SystemExit."""
 
     def __init__(self):
-        super().__init__(prog="qmg", description="Quantum minority game simulator")
+        super().__init__(prog="qmg", description="Quantum minority game simulator",
+                         allow_abbrev=False)
         self.add_argument("command", choices=_COMMANDS)
         self.add_argument("--config", help="key=value file mirroring the flag names")
         for name, (_, domain, help_text) in _FLAG_SPEC.items():
@@ -173,22 +175,20 @@ def _read_config_file(text: str) -> dict:
     return values
 
 
-def parse_config(args: Sequence[str], config_text: Optional[str] = None) -> RunConfig:
-    """Parse tokens (plus an optional config file) into a validated RunConfig.
+def parse_config(args: Sequence[str]) -> RunConfig:
+    """Parse tokens (plus any --config file) into a validated RunConfig.
 
     Explicit flags override config-file values.
     """
     ns = _PARSER.parse_args(list(args))
 
     file_values = {}
-    if config_text is None and ns.config:
+    if ns.config:
         try:
             with open(ns.config, encoding="utf-8") as fh:
-                config_text = fh.read()
+                file_values = _read_config_file(fh.read())
         except (OSError, UnicodeDecodeError) as exc:
             raise CliError(f"cannot read config file: {exc}") from None
-    if config_text is not None:
-        file_values = _read_config_file(config_text)
 
     raw = {}
     for name, (conv, domain, _) in _FLAG_SPEC.items():
@@ -229,25 +229,6 @@ def _validate(config: RunConfig) -> None:
         raise CliError(str(exc)) from None
     if not 1 <= config.player <= config.n:
         raise CliError(f"player must be in [1, {config.n}], got {config.player}")
-
-
-def _token(value) -> str:
-    """A flag value as parse_config reads it back; floats via repr."""
-    if isinstance(value, tuple):
-        sep = ";" if value and isinstance(value[0], tuple) else ","
-        return sep.join(_token(v) for v in value)
-    return repr(value) if isinstance(value, float) else str(value)
-
-
-def render(config: RunConfig) -> List[str]:
-    """Command-line tokens that parse back to the same RunConfig."""
-    tokens = [config.command]
-    for name in _FLAG_SPEC:
-        value = getattr(config, name.replace("-", "_"))
-        if value is not None:
-            # one token, so argparse never reads a value like -1e-05 as a flag
-            tokens.append(f"--{name}={_token(value)}")
-    return tokens
 
 
 def _fmt(value) -> str:

@@ -23,7 +23,6 @@ from qmg.cli import (
     main,
     parse_angle,
     parse_config,
-    render,
     render_table,
     run,
 )
@@ -52,6 +51,36 @@ class TestParseAngle:
     def test_malformed(self):
         with pytest.raises(CliError):
             parse_angle("tau/2")
+
+
+def _token(value) -> str:
+    """A flag value as parse_config reads it back; floats via repr."""
+    if isinstance(value, tuple):
+        sep = ";" if value and isinstance(value[0], tuple) else ","
+        return sep.join(_token(v) for v in value)
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def render(config: RunConfig) -> list:
+    """Command-line tokens that parse back to the same RunConfig."""
+    tokens = [config.command]
+    for name in _FLAG_SPEC:
+        value = getattr(config, name.replace("-", "_"))
+        if value is not None:
+            # one token, so argparse never reads a value like -1e-05 as a flag
+            tokens.append(f"--{name}={_token(value)}")
+    return tokens
+
+
+# each proper prefix of a flag's name that starts no other flag's name,
+# such as "sym" for "symmetric": argparse's default abbreviation read it as
+# that flag. "f" starts "format" too, and names a flag of its own.
+_FLAG_NAMES = {*_FLAG_SPEC, "config"}
+_PREFIXES = {
+    name: [name[:k] for k in range(1, len(name))
+           if sum(other.startswith(name[:k]) for other in _FLAG_NAMES) == 1]
+    for name in _FLAG_NAMES
+}
 
 
 class TestParseConfig:
@@ -84,21 +113,37 @@ class TestParseConfig:
         with pytest.raises(CliError, match="profile"):
             parse_config(["payoff", "--n", "4", "--profile", "0,0,0;0,0,0"])
 
-    def test_config_file_with_flag_override(self):
-        text = "n = 6\nstate = ghz\nsymmetric = pi/2,-pi/12,pi/12\n"
-        config = parse_config(["payoff", "--n", "4", "--state", "mixture",
-                               "--x", "0.5"], config_text=text)
+    def test_config_file_with_flag_override(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("n = 6\nstate = ghz\nsymmetric = pi/2,-pi/12,pi/12\n",
+                        encoding="utf-8")
+        config = parse_config(["payoff", "--config", str(path), "--n", "4",
+                               "--state", "mixture", "--x", "0.5"])
         assert config.n == 4  # flag wins
         assert config.state == "mixture"
         assert config.symmetric == (PI / 2, -PI / 12, PI / 12)  # from file
 
-    def test_config_file_unknown_key(self):
+    def test_config_file_unknown_key(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("volume = 11\n", encoding="utf-8")
         with pytest.raises(CliError, match="unknown key"):
-            parse_config(["classical"], config_text="volume = 11\n")
+            parse_config(["classical", "--config", str(path)])
         # the command comes from the command line only
+        path.write_text("command = nash-check\n", encoding="utf-8")
         with pytest.raises(CliError, match="unknown key 'command'"):
-            parse_config(["payoff", "--symmetric", "0,0,0"],
-                         config_text="command = nash-check\n")
+            parse_config(["payoff", "--symmetric", "0,0,0", "--config", str(path)])
+
+    def test_one_letter_flag_is_its_own_name(self):
+        # "--f" is the fidelity, not an abbreviation of "--format"
+        config = parse_config(["payoff", "--n", "4", "--f", "0.5", "--symmetric", "0,0,0"])
+        assert config.f == 0.5
+        assert config.format == "csv"
+
+    def test_no_flag_is_read_by_a_prefix(self):
+        for name, prefixes in _PREFIXES.items():
+            for prefix in prefixes:
+                with pytest.raises(CliError, match=f"^unrecognized arguments: --{prefix} 1$"):
+                    parse_config(["classical", f"--{prefix}", "1"])
 
     def test_round_trip(self):
         configs = [
@@ -437,6 +482,16 @@ class TestCleanFailure:
                          id="unknown command"),
             pytest.param([], "the following arguments are required: command",
                          id="empty argv"),
+            # a flag is read under its full name only, never by a prefix
+            pytest.param(["payoff", "--n", "4", "--sym", "pi/2,0,0"],
+                         "unrecognized arguments: --sym pi/2,0,0",
+                         id="abbreviated flag"),
+            pytest.param(["payoff", "--n", "4", "--sta", "ghz", "--symmetric", "0,0,0"],
+                         "unrecognized arguments: --sta ghz",
+                         id="abbreviated flag before a full one"),
+            pytest.param(["payoff", "--n", "4", "--p", "1"],
+                         "unrecognized arguments: --p 1",
+                         id="prefix of several flags"),
         ],
     )
     def test_usage_error_is_one_line(self, argv, reason, capsys):
@@ -497,28 +552,37 @@ _FUZZ_VALUES = {
 
 @st.composite
 def _argv(draw):
+    """An argv, and whether some flag in it is spelled by a prefix alone."""
     argv = [draw(st.sampled_from([*_COMMANDS, "meow"]))]
+    # in about one line in three, the first flag that has a prefix gets one
+    abbreviate, abbreviated = draw(st.integers(0, 2)) == 2, False
     for name in draw(st.lists(st.sampled_from(list(_FUZZ_VALUES)), unique=True, max_size=6)):
         value = draw(_FUZZ_VALUES[name])
+        if abbreviate and _PREFIXES[name]:
+            name = draw(st.sampled_from(_PREFIXES[name]))
+            abbreviate, abbreviated = False, True
         # a value like "-1" as its own token reads as a flag: that line is bad too
         argv += draw(st.sampled_from([[f"--{name}={value}"], [f"--{name}", value]]))
-    return argv
+    return argv, abbreviated
 
 
 def test_fuzzed_flags_cover_every_flag():
-    assert set(_FUZZ_VALUES) == {*_FLAG_SPEC, "config"}
+    assert set(_FUZZ_VALUES) == _FLAG_NAMES
 
 
 @given(_argv())
 @settings(max_examples=300, deadline=None)
-def test_fuzzed_command_lines_exit_with_a_code_and_never_raise(argv):
+def test_fuzzed_command_lines_exit_with_a_code_and_never_raise(case):
     # every command and flag, with values at and just past each domain's
-    # edges, nan, inf, huge ints and malformed tokens
+    # edges, nan, inf, huge ints, malformed tokens and abbreviated names
+    argv, abbreviated = case
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
             contextlib.redirect_stdout(io.StringIO()):
         code = main([token.replace("{tmp}", tmp) for token in argv])
     assert code in (0, 1, 2, 3)
+    if abbreviated:
+        assert code == 2
     if code:
         assert err.getvalue().splitlines()[-1].startswith("error: ")
 
