@@ -3,7 +3,10 @@
 Best-response search on each deviator's 2x2 Gram form: `_best_responses`
 searches a list of players in lockstep, and its docstring tells the
 search's two stages, the grid and the exact optimum (for
-`DeviationReport.refinement_steps`, see `_refinement_rounds`).
+`DeviationReport.refinement_steps`, see `_refinement_rounds`). The grid
+stage screens with the Gram form's closed form in theta and
+alpha - beta (`_DeviationEvaluator.plane_maxima` and `screen_row`) and
+scores only the points that can win.
 `best_response` is the one-player case. Nash-equilibrium
 verification via the unilateral-deviation inequality makes one such
 search: for player 1 alone when the profile is symmetric (the other
@@ -45,9 +48,9 @@ REFINEMENT_MIN_STEP = 1e-6
 # this margin, so flat optima keep their grid point.
 EXACT_OPTIMUM_MARGIN = 1e-12
 # A grid point is scored exactly when its (theta, alpha - beta) screen
-# value is this close to the screen's maximum. The screen differs from
-# the exact score by rounding only (at most 4.4e-16 measured), so the
-# margin keeps every point that can be the grid maximum.
+# value is this close to the screen's maximum. The closed-form screen
+# differs from the exact score by rounding only (within 1e-14, pinned by
+# the tests), so the margin keeps every point that can be the grid maximum.
 GRID_SCREEN_MARGIN = 1e-9
 
 
@@ -138,12 +141,19 @@ class _DeviationEvaluator:
     f * sum_r m_r G_kr m_r^dagger + mixed_floor for the k-th player at
     deviation rows m_0, m_1. `gram` is their (P, 2, 2, 2) array; nothing
     here reads a state, so any engine that builds it can drive the search.
+    `plane_maxima` and `screen_row` screen the grid through the closed
+    form that this payoff takes at beta = 0 (see `_screen_w`).
     """
 
     def __init__(self, gram: np.ndarray, f: float, mixed_floor: float):
         self._gram = gram
         self._f = f
         self._mixed_floor = mixed_floor
+        # the screen's coefficients, each (P,): see `_screen_w`
+        g0, g1 = gram[:, 0], gram[:, 1]
+        self._a = (g0[:, 0, 0] + g0[:, 1, 1] + g1[:, 0, 0] + g1[:, 1, 1]).real / 2
+        self._b = (g0[:, 0, 0] + g1[:, 1, 1] - g0[:, 1, 1] - g1[:, 0, 0]).real / 2
+        self._d = g0[:, 0, 1] - g1[:, 0, 1]
 
     def payoffs(self, thetas, alphas, betas, selected=slice(None)) -> np.ndarray:
         """(P, G) payoffs from the Gram form: row k holds the k-th selected
@@ -185,6 +195,32 @@ class _DeviationEvaluator:
             optima.append([theta, _wrap_angle(alpha), _wrap_angle(beta)])
         return np.array(optima)
 
+    def _screen_w(self, players, diffs) -> np.ndarray:
+        """w = Re(-i e^{i alpha} D) of the selected players (an index or a
+        slice) at every alpha in `diffs`. Expanding the Gram form, the pure
+        payoff at (theta, alpha, 0) is a + b cos(theta) + sin(theta) w, with
+        a = (G_000 + G_011 + G_100 + G_111)/2,
+        b = (G_000 + G_111 - G_011 - G_100)/2 and D = G_001 - G_101.
+        """
+        d = self._d[players]
+        return np.multiply.outer(d.real, np.sin(diffs)) + np.multiply.outer(d.imag, np.cos(diffs))
+
+    def plane_maxima(self, thetas, diffs) -> np.ndarray:
+        """(P, len(thetas)): each listed player's largest payoff on each theta
+        plane over the deviations (theta, alpha, 0), alpha in `diffs`, up to
+        rounding. Every theta must lie in [0, pi], where sin(theta) >= 0
+        puts the maximum at the largest w."""
+        w = self._screen_w(slice(None), diffs).max(axis=1)
+        pure = self._a[:, None] + self._b[:, None] * np.cos(thetas) + np.sin(thetas) * w[:, None]
+        return self._f * pure + self._mixed_floor
+
+    def screen_row(self, k: int, theta: float, diffs) -> np.ndarray:
+        """The k-th listed player's payoffs (0-based k) at the deviations
+        (theta, alpha, 0) with alpha in `diffs`, up to rounding."""
+        w = self._screen_w(k, diffs)
+        pure = self._a[k] + self._b[k] * math.cos(theta) + math.sin(theta) * w
+        return self._f * pure + self._mixed_floor
+
 
 def _dense_deviations(
     spec: GameSpec, candidate: StrategyProfile, players: Sequence[int]
@@ -205,9 +241,13 @@ def _dense_deviations(
     rows = itertools.chain.from_iterable(final_amplitude_chunks(spec, partials))
     blocks = np.empty((len(partials), 2, 2 ** (n - 1)), dtype=complex)
     for block, player, row in zip(blocks, players, rows):
-        block.reshape([2] * n)[...] = np.moveaxis(row.reshape([2] * n), player - 1, 0)
-    mask = minority_mask(n, 1)
-    gram = np.array([[(b * r) @ b.conj().T for r in mask.reshape(2, -1)] for b in blocks])
+        high = 2 ** (player - 1)  # the basis states of the qubits before the player's
+        block.reshape(2, high, -1)[...] = row.reshape(high, 2, -1).transpose(1, 0, 2)
+    mask = minority_mask(n, 1).reshape(2, -1)
+    gram = np.empty((len(blocks), 2, 2, 2), dtype=complex)
+    for g, b in zip(gram, blocks):
+        b_dagger = b.conj().T  # one conjugate serves both products
+        g[:] = [(b * r) @ b_dagger for r in mask]
     winning = minority_projector(n, 1)
     f = spec.recipe.f
 
@@ -243,40 +283,36 @@ def _grid_argmax(ev: _DeviationEvaluator, steps: int) -> Tuple[np.ndarray, np.nd
     values, those of the full grid in ravel order, bit for bit.
 
     The Gram-form payoff depends on alpha and beta only through
-    alpha - beta, so one `ev.payoffs` call screens the g * (2g - 1)
-    distinct (theta, alpha - beta) pairs at beta = 0 for every player.
-    Only the grid points whose screen value is within
-    GRID_SCREEN_MARGIN of that player's screen maximum can win; they are
-    scored exactly, player by player, one call per theta plane that
-    holds any, and a strict `>` keeps each player's first maximum. So
-    memory grows with the screen (P g (2g - 1)) and one plane (g^2),
-    never with the whole grid (g^3).
+    alpha - beta, and its closed form screens the g * (2g - 1) distinct
+    (theta, alpha - beta) pairs: `ev.plane_maxima` gives each player's
+    screen maximum on each theta plane, and only a plane within
+    GRID_SCREEN_MARGIN of that player's maximum is read, through its
+    `ev.screen_row`. The grid points of that plane whose screen value is
+    within the margin can win; they are scored exactly, one `ev.payoffs`
+    call per such plane and player, and a strict `>` keeps each player's
+    first maximum. So memory grows with the plane maxima (P g), one
+    screen row (2g - 1) and one plane (g^2), never with the whole grid
+    (g^3).
     """
     thetas = np.linspace(*_THETA_BOX, steps)
     angles = np.linspace(*_ANGLE_BOX, steps)
     diffs = np.arange(1 - steps, steps) * (2 * math.pi / (steps - 1))
-    pairs = (1, steps * diffs.size)
-    screen = ev.payoffs(
-        np.repeat(thetas, diffs.size).reshape(pairs),
-        np.tile(diffs, steps).reshape(pairs),
-        np.broadcast_to(0.0, pairs),
-    ).reshape(-1, steps, diffs.size)
-    keep = screen >= screen.max(axis=(1, 2), keepdims=True) - GRID_SCREEN_MARGIN
+    planes = ev.plane_maxima(thetas, diffs)
+    floor = planes.max(axis=1) - GRID_SCREEN_MARGIN
     # the screen column of each (alpha_i, beta_j): i - j + steps - 1
     column = np.subtract.outer(np.arange(steps), np.arange(steps)) + steps - 1
 
-    best = np.zeros((len(keep), 3))
-    best_val = np.full(len(keep), -math.inf)
-    for k, player_keep in enumerate(keep):
-        for t in itertools.compress(range(steps), player_keep.any(axis=1)):
-            i, j = np.nonzero(player_keep[t, column])
-            vals = ev.payoffs(
-                np.full((1, i.size), thetas[t]), angles[i][None], angles[j][None], slice(k, k + 1)
-            )[0]
-            m = int(vals.argmax())
-            if vals[m] > best_val[k]:  # strict: the first maximum wins across planes
-                best_val[k] = vals[m]
-                best[k] = thetas[t], angles[i[m]], angles[j[m]]
+    best = np.zeros((len(planes), 3))
+    best_val = np.full(len(planes), -math.inf)
+    for k, t in zip(*np.nonzero(planes >= floor[:, None])):
+        i, j = np.nonzero((ev.screen_row(k, thetas[t], diffs) >= floor[k])[column])
+        vals = ev.payoffs(
+            np.full((1, i.size), thetas[t]), angles[i][None], angles[j][None], slice(k, k + 1)
+        )[0]
+        m = int(vals.argmax())
+        if vals[m] > best_val[k]:  # strict: the first maximum wins across planes
+            best_val[k] = vals[m]
+            best[k] = thetas[t], angles[i[m]], angles[j[m]]
     return best, best_val
 
 
@@ -388,7 +424,7 @@ def nash_check(
     players = list(range(1, spec.n_players + 1))
     if len(set(candidate.strategies)) == 1:
         (report,) = _best_responses(spec, candidate, [1], grid_resolution, tolerance)
-        return [replace(report, player=player) for player in players]
+        return [report] + [replace(report, player=player) for player in players[1:]]
     return _best_responses(spec, candidate, players, grid_resolution, tolerance)
 
 

@@ -652,8 +652,8 @@ class TestLockstepSearch:
 
 
 class TestSearchWork:
-    """The search scores the screen, the survivor planes and the exact
-    optima, and nothing else."""
+    """The search scores the survivor planes of the closed-form screen and
+    the exact optima, and nothing else."""
 
     @pytest.mark.parametrize("search", ["best_response", "nash_check"])
     def test_payoffs_calls_are_the_screen_the_survivor_planes_and_the_exact_step(
@@ -680,9 +680,9 @@ class TestSearchWork:
             reports = [best_response(spec, candidate, 3, 25)]
         else:
             reports = nash_check(spec, candidate, 25)
-        # the screen and the exact step score every player in one call
-        # each; a survivor plane scores one player
-        assert calls == [len(players)] + [1] * planes + [len(players)]
+        # the closed-form screen makes no call; a survivor plane scores one
+        # player, and the exact step scores every player in one call
+        assert calls == [1] * planes + [len(players)]
         assert all(r.refinement_steps == 8 for r in reports)
 
     def test_refinement_steps_count_the_rounds_of_the_three_coordinate_loop(self):
@@ -731,6 +731,26 @@ class TestGridScreen:
         ref_best, ref_value = _full_grid_argmax(ev, steps)
         assert np.array_equal(best, ref_best)
         assert np.array_equal(value, ref_value)
+
+    @given(_deviation_cases(max_n=8), st.sampled_from([2, 3, 5, 9, 25]))
+    @settings(max_examples=80, deadline=None)
+    def test_closed_form_screen_is_the_payoff_at_beta_zero(self, case, steps):
+        # every family, the mixture at f < 1: the plane maxima and each
+        # plane's screen row against the Gram-form einsum
+        spec, profile, _, _ = case
+        ev = _all_players(spec, profile)
+        thetas = np.linspace(0, PI, steps)
+        diffs = np.arange(1 - steps, steps) * (2 * PI / (steps - 1))
+        pairs = np.meshgrid(thetas, diffs, indexing="ij")
+        pair_thetas, pair_alphas = (axis.reshape(1, -1) for axis in pairs)
+        vals = ev.payoffs(pair_thetas, pair_alphas, np.zeros_like(pair_alphas))
+        vals = vals.reshape(spec.n_players, steps, diffs.size)
+        maxima = ev.plane_maxima(thetas, diffs)
+        assert maxima.shape == (spec.n_players, steps)
+        assert np.max(np.abs(maxima - vals.max(axis=2))) < 1e-14
+        for k in range(spec.n_players):
+            rows = np.array([ev.screen_row(k, theta, diffs) for theta in thetas])
+            assert np.max(np.abs(rows - vals[k])) < 1e-14
 
     @given(_deviation_cases(max_n=8))
     @settings(max_examples=60, deadline=None)
@@ -800,6 +820,16 @@ def test_search_reads_only_the_gram_form(recipe):
     assert rebuilt.exact_optima().tobytes() == ev.exact_optima().tobytes()
 
 
+def _peak_bytes(search, *args, **kwargs):
+    """tracemalloc's peak over one call of the search."""
+    tracemalloc.start()
+    try:
+        search(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_best_response_memory_does_not_grow_with_grid():
     # a (grid^3, 2, 2^(n-1)) array here would take 64000 * 2^12 * 16 B = 4.2 GB
     # at grid 40, and one unchunked grid-100 batch peaks near 160 MB; at
@@ -809,35 +839,32 @@ def test_best_response_memory_does_not_grow_with_grid():
     runs = [
         (best_response, (ghz_spec(n), candidate, 1), grid) for grid in (40, 100, 400)
     ]
-    # every player of a non-symmetric profile in one search: the screen
-    # and the exact step hold all ten players at once
+    # every player of a non-symmetric profile in one search: the plane
+    # maxima and the exact step hold all ten players at once
     rng = np.random.default_rng(10)
     profile = StrategyProfile(
         tuple(StrategyParams(*map(float, t)) for t in zip(*_random_points(rng, 10)))
     )
     bell = GameSpec(10, InitialStateRecipe(StateFamily.BELL_PRODUCT, 10))
-    runs.append((nash_check, (bell, profile), 100))
+    # at grid 800 a screen of every (theta, alpha - beta) pair peaked at
+    # 117.7 MiB; the closed-form plane maxima hold P * g values
+    runs += [(nash_check, (bell, profile), grid) for grid in (100, 800)]
     for search, args, grid in runs:
-        tracemalloc.start()
-        try:
-            search(*args, grid_resolution=grid)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * 2**20, (search.__name__, grid)
+        assert _peak_bytes(search, *args, grid_resolution=grid) < 64 * 2**20, (
+            search.__name__, grid,
+        )
+    # at n = 2 nobody wins, so every point of every plane survives the
+    # screen: scored plane by plane this peaks near 1.6 MiB, and joining the
+    # survivors of every plane into one call would hold the whole grid
+    ties = (ghz_spec(2), StrategyProfile.symmetric(IDENTITY, 2), 1)
+    assert _peak_bytes(best_response, *ties, grid_resolution=100) < 8 * 2**20
 
 
 def test_surface_memory_stays_within_one_chunk():
     # one N=12 row per kernel call peaks near 0.55 MiB; eight-row chunks
     # took 2.96 MiB, so a chunk that grows back fails here
     spec = GameSpec(12, InitialStateRecipe(StateFamily.GHZ_BELL_MIXTURE, 12, x=0.5))
-    tracemalloc.start()
-    try:
-        payoff_surface(spec, 25, 25)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * 2**20
+    assert _peak_bytes(payoff_surface, spec, 25, 25) < 1.5 * 2**20
 
 
 def test_nash_check_memory_builds_partial_states_in_chunks():
@@ -848,13 +875,7 @@ def test_nash_check_memory_builds_partial_states_in_chunks():
         tuple(StrategyParams(*map(float, t)) for t in zip(*_random_points(rng, 12)))
     )
     bell = GameSpec(12, InitialStateRecipe(StateFamily.BELL_PRODUCT, 12))
-    tracemalloc.start()
-    try:
-        nash_check(bell, profile, grid_resolution=25)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * 2**20
+    assert _peak_bytes(nash_check, bell, profile, grid_resolution=25) < 2 * 2**20
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 64])

@@ -21,7 +21,7 @@ from dense_oracle import (
 )
 from paper_checks import classical_payoff_sum
 from qmg import game
-from qmg.analysis import payoff_surface
+from qmg.analysis import nash_check, ne_strategy, payoff_surface
 from qmg.core import apply_locals
 from qmg.game import (
     IDENTITY,
@@ -340,22 +340,52 @@ class TestPayoffPath:
         assert calls == [(4, p) for p in range(1, 5)] * 2
 
     def test_initial_state_misses_go_through_build_pure(self, monkeypatch):
-        # a memo miss reaches the module-level build_pure the tracer wraps
-        built = []
-        build_pure = game.build_pure
-
-        def counted(recipe):
-            built.append(recipe)
-            return build_pure(recipe)
-
-        monkeypatch.setattr(game, "build_pure", counted)
-        game._initial_state.cache_clear()
+        # a memo miss reaches the module-level build_pure the tracer wraps;
+        # the memo holds four recipes and drops the least recently used
+        built = _count_builds(monkeypatch)
         ghz = InitialStateRecipe(StateFamily.GHZ, 4)
         bell = InitialStateRecipe(StateFamily.BELL_PRODUCT, 4)
+        e1, e2, e3 = (
+            InitialStateRecipe(StateFamily.EXPONENTIAL_ENTANGLER, 4, gamma=gamma)
+            for gamma in (0.3, 0.7, 1.1)
+        )
         profile = random_profile(4)
-        for recipe in (ghz, ghz, bell, bell, ghz):
+        for recipe in (ghz, ghz, bell, bell, ghz, e1, e2, e3, ghz, bell):
             expected_payoff(GameSpec(4, recipe), profile, 1)
-        assert built == [ghz, bell, ghz]
+        assert built == [ghz, bell, e1, e2, e3, bell]
+
+    def test_a_nash_pass_builds_each_initial_state_once(self, monkeypatch):
+        # the benchmark's nash pass: GHZ, the noisy mixture and Bell at
+        # N = 10, then GHZ at N = 12, in turn and then again
+        built = _count_builds(monkeypatch)
+        mixture = InitialStateRecipe(StateFamily.GHZ_BELL_MIXTURE, 10, x=0.5, f=0.9)
+        recipes = [
+            InitialStateRecipe(StateFamily.GHZ, 10),
+            mixture,
+            InitialStateRecipe(StateFamily.BELL_PRODUCT, 10),
+            InitialStateRecipe(StateFamily.GHZ, 12),
+        ]
+        for recipe in recipes * 2:
+            n = recipe.n_qubits
+            profile = StrategyProfile.symmetric(ne_strategy(n), n)
+            nash_check(GameSpec(n, recipe), profile, grid_resolution=3)
+        # final_amplitudes builds the mixture at f = 1: build_pure never reads f
+        assert built == [recipes[0], dataclasses.replace(mixture, f=1.0)] + recipes[2:]
+
+
+def _count_builds(monkeypatch):
+    """Clear the initial-state memo and record each recipe that reaches
+    `build_pure` from then on; returns the record."""
+    built = []
+    build_pure = game.build_pure
+
+    def counted(recipe):
+        built.append(recipe)
+        return build_pure(recipe)
+
+    monkeypatch.setattr(game, "build_pure", counted)
+    game._initial_state.cache_clear()
+    return built
 
 
 def profiles_for(n):
