@@ -5,8 +5,9 @@ searches a list of players in lockstep, and its docstring tells the
 search's two stages, the grid and the exact optimum (for
 `DeviationReport.refinement_steps`, see `_refinement_rounds`). The grid
 stage screens with the Gram form's closed form in theta and
-alpha - beta (`_DeviationEvaluator.plane_maxima` and `screen_row`) and
-scores only the points that can win.
+alpha - beta (`_DeviationEvaluator.screen`) and scores only the points
+that can win, one player on one theta plane per call; the exact stage
+takes each optimum's payoff from its eigenvalue.
 `best_response` is the one-player case. Nash-equilibrium
 verification via the unilateral-deviation inequality makes one such
 search: for player 1 alone when the profile is symmetric (the other
@@ -138,87 +139,72 @@ def _su2_batch(thetas: np.ndarray, alphas: np.ndarray, betas: np.ndarray) -> np.
 
 class _DeviationEvaluator:
     """Each listed player's payoffs when deviating, from 2x2 Gram matrices:
-    f * sum_r m_r G_kr m_r^dagger + mixed_floor for the k-th player at
-    deviation rows m_0, m_1. `gram` is their (P, 2, 2, 2) array; nothing
-    here reads a state, so any engine that builds it can drive the search.
-    `plane_maxima` and `screen_row` screen the grid through the closed
-    form that this payoff takes at beta = 0 (see `_screen_w`).
+    f * sum_r m_r G_kr m_r^dagger + mixed_floor for the k-th player (0-based
+    k) at deviation rows m_0, m_1. `gram` is their (P, 2, 2, 2) array;
+    nothing here reads a state, so any engine that builds it can drive the
+    search. `payoffs` scores one player's deviations, `exact_optima` gives
+    every player's exact optimum and its payoff, and `screen` is the
+    closed form this payoff takes at beta = 0 (see `screen_w`).
     """
 
     def __init__(self, gram: np.ndarray, f: float, mixed_floor: float):
         self._gram = gram
         self._f = f
         self._mixed_floor = mixed_floor
-        # the screen's coefficients, each (P,): see `_screen_w`
+        # the screen's coefficients, each (P, 1): see `screen_w`
         g0, g1 = gram[:, 0], gram[:, 1]
-        self._a = (g0[:, 0, 0] + g0[:, 1, 1] + g1[:, 0, 0] + g1[:, 1, 1]).real / 2
-        self._b = (g0[:, 0, 0] + g1[:, 1, 1] - g0[:, 1, 1] - g1[:, 0, 0]).real / 2
+        self._a = (g0[:, 0, 0] + g0[:, 1, 1] + g1[:, 0, 0] + g1[:, 1, 1]).real[:, None] / 2
+        self._b = (g0[:, 0, 0] + g1[:, 1, 1] - g0[:, 1, 1] - g1[:, 0, 0]).real[:, None] / 2
         self._d = g0[:, 0, 1] - g1[:, 0, 1]
 
-    def payoffs(self, thetas, alphas, betas, selected=slice(None)) -> np.ndarray:
-        """(P, G) payoffs from the Gram form: row k holds the k-th selected
-        player's payoffs at the deviations in row k of the angle arrays.
-
-        `selected` is a slice of the listed players. Angle arrays with a
-        single row give every selected player the same G deviations.
-        The columns go through the einsum in blocks of
-        `game.PAYOFF_CHUNK` // P (at least one), read when the call runs,
-        so no einsum holds more than max(PAYOFF_CHUNK, P)
-        (player, deviation) pairs.
-        """
-        gram = self._gram[selected]
-        payoffs = np.empty((len(gram), thetas.shape[1]))
-        width = max(1, game.PAYOFF_CHUNK // len(gram))
-        for c in range(0, thetas.shape[1], width):
-            cols = slice(c, c + width)
-            # 1-D angle arrays: numpy's per-call overhead is lower than on 2-D ones
-            mats = _su2_batch(*(a[:, cols].ravel() for a in (thetas, alphas, betas)))
-            mats = mats.reshape(len(thetas), -1, 2, 2)
-            pure = np.einsum("pgrc,prcd,pgrd->pg", mats, gram, mats.conj()).real
-            np.multiply(self._f, pure, out=payoffs[:, cols])
+    def payoffs(self, k: int, thetas, alphas, betas) -> np.ndarray:
+        """The k-th listed player's payoffs at the 1-D deviation arrays,
+        `game.PAYOFF_CHUNK` deviations per einsum, read when the call runs."""
+        payoffs = np.empty(len(thetas))
+        for c in range(0, len(thetas), game.PAYOFF_CHUNK):
+            cols = slice(c, c + game.PAYOFF_CHUNK)
+            mats = _su2_batch(thetas[cols], alphas[cols], betas[cols])
+            pure = np.einsum("grc,rcd,grd->g", mats, self._gram[k], mats.conj()).real
+            np.multiply(self._f, pure, out=payoffs[cols])
         payoffs += self._mixed_floor
         return payoffs
 
-    def exact_optima(self) -> np.ndarray:
-        """(P, 3) array of each listed player's exact best (theta, alpha, beta).
+    def exact_optima(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Each listed player's exact best (theta, alpha, beta), (P, 3), and
+        its payoff, (P,).
 
         Unitarity turns the pure payoff into Tr G_1 + m_0 (G_0 - G_1)
         m_0^dagger, which the top eigenvector x of G_0 - G_1 maximises
-        as m_0 = x^dagger. One stacked `eigh` serves every player.
+        as m_0 = x^dagger, at Tr G_1 + its eigenvalue. One stacked `eigh`
+        serves every player.
         """
-        _, vecs = np.linalg.eigh(self._gram[:, 0] - self._gram[:, 1])
+        vals, vecs = np.linalg.eigh(self._gram[:, 0] - self._gram[:, 1])
         optima = []
         for x0, x1 in vecs[:, :, -1]:
             theta = 2 * math.atan2(abs(x1), abs(x0))
             alpha = -np.angle(x0)
             beta = -np.angle(x1) - math.pi / 2
             optima.append([theta, _wrap_angle(alpha), _wrap_angle(beta)])
-        return np.array(optima)
+        pure = np.trace(self._gram[:, 1], axis1=1, axis2=2).real + vals[:, -1]
+        return np.array(optima), self._f * pure + self._mixed_floor
 
-    def _screen_w(self, players, diffs) -> np.ndarray:
-        """w = Re(-i e^{i alpha} D) of the selected players (an index or a
-        slice) at every alpha in `diffs`. Expanding the Gram form, the pure
-        payoff at (theta, alpha, 0) is a + b cos(theta) + sin(theta) w, with
+    def screen_w(self, diffs) -> np.ndarray:
+        """(P, len(diffs)): each listed player's w = Re(-i e^{i alpha} D) at
+        every alpha in `diffs`. Expanding the Gram form, the pure payoff at
+        (theta, alpha, 0) is a + b cos(theta) + sin(theta) w, with
         a = (G_000 + G_011 + G_100 + G_111)/2,
         b = (G_000 + G_111 - G_011 - G_100)/2 and D = G_001 - G_101.
         """
-        d = self._d[players]
+        d = self._d
         return np.multiply.outer(d.real, np.sin(diffs)) + np.multiply.outer(d.imag, np.cos(diffs))
 
-    def plane_maxima(self, thetas, diffs) -> np.ndarray:
-        """(P, len(thetas)): each listed player's largest payoff on each theta
-        plane over the deviations (theta, alpha, 0), alpha in `diffs`, up to
-        rounding. Every theta must lie in [0, pi], where sin(theta) >= 0
-        puts the maximum at the largest w."""
-        w = self._screen_w(slice(None), diffs).max(axis=1)
-        pure = self._a[:, None] + self._b[:, None] * np.cos(thetas) + np.sin(thetas) * w[:, None]
-        return self._f * pure + self._mixed_floor
-
-    def screen_row(self, k: int, theta: float, diffs) -> np.ndarray:
-        """The k-th listed player's payoffs (0-based k) at the deviations
-        (theta, alpha, 0) with alpha in `diffs`, up to rounding."""
-        w = self._screen_w(k, diffs)
-        pure = self._a[k] + self._b[k] * math.cos(theta) + math.sin(theta) * w
+    def screen(self, k, thetas, w) -> np.ndarray:
+        """f (a + b cos(theta) + sin(theta) w) + mixed_floor for the listed
+        players at `k` (an index or a slice), up to rounding. At each
+        player's largest w, a (P, 1) column, it is each theta plane's
+        maximum, as sin(theta) >= 0 for theta in [0, pi]; at one theta and
+        one player's row of w, it is that plane's row."""
+        pure = self._a[k] + self._b[k] * np.cos(thetas) + np.sin(thetas) * w
         return self._f * pure + self._mixed_floor
 
 
@@ -283,32 +269,33 @@ def _grid_argmax(ev: _DeviationEvaluator, steps: int) -> Tuple[np.ndarray, np.nd
     values, those of the full grid in ravel order, bit for bit.
 
     The Gram-form payoff depends on alpha and beta only through
-    alpha - beta, and its closed form screens the g * (2g - 1) distinct
-    (theta, alpha - beta) pairs: `ev.plane_maxima` gives each player's
-    screen maximum on each theta plane, and only a plane within
-    GRID_SCREEN_MARGIN of that player's maximum is read, through its
-    `ev.screen_row`. The grid points of that plane whose screen value is
-    within the margin can win; they are scored exactly, one `ev.payoffs`
-    call per such plane and player, and a strict `>` keeps each player's
-    first maximum. So memory grows with the plane maxima (P g), one
-    screen row (2g - 1) and one plane (g^2), never with the whole grid
-    (g^3).
+    alpha - beta, and its closed form `ev.screen` screens the g * (2g - 1)
+    distinct (theta, alpha - beta) pairs from the w of `ev.screen_w`: at
+    each player's largest w it gives the player's maximum on each theta
+    plane, and only a plane within GRID_SCREEN_MARGIN of that player's
+    maximum has its row read. The grid points of that plane whose screen
+    value is within the margin can win; they are scored exactly, one
+    `ev.payoffs` call per such plane and player, and a strict `>` keeps
+    each player's first maximum. So memory grows with w and the plane
+    maxima (P (3g - 1)), one screen row (2g - 1) and one plane's
+    survivors, never with the whole grid (g^3).
     """
     thetas = np.linspace(*_THETA_BOX, steps)
     angles = np.linspace(*_ANGLE_BOX, steps)
     diffs = np.arange(1 - steps, steps) * (2 * math.pi / (steps - 1))
-    planes = ev.plane_maxima(thetas, diffs)
+    w = ev.screen_w(diffs)
+    planes = ev.screen(slice(None), thetas, w.max(axis=1, keepdims=True))
     floor = planes.max(axis=1) - GRID_SCREEN_MARGIN
-    # the screen column of each (alpha_i, beta_j): i - j + steps - 1
-    column = np.subtract.outer(np.arange(steps), np.arange(steps)) + steps - 1
+    survives = np.empty(diffs.size, dtype=bool)
+    # entry (i, j) reads the screen column of (alpha_i, beta_j): i - j + steps - 1
+    pairs = np.lib.stride_tricks.sliding_window_view(survives[::-1], steps)[::-1]
 
     best = np.zeros((len(planes), 3))
     best_val = np.full(len(planes), -math.inf)
     for k, t in zip(*np.nonzero(planes >= floor[:, None])):
-        i, j = np.nonzero((ev.screen_row(k, thetas[t], diffs) >= floor[k])[column])
-        vals = ev.payoffs(
-            np.full((1, i.size), thetas[t]), angles[i][None], angles[j][None], slice(k, k + 1)
-        )[0]
+        np.greater_equal(ev.screen(k, thetas[t], w[k]), floor[k], out=survives)
+        i, j = np.nonzero(pairs)
+        vals = ev.payoffs(k, np.full(i.size, thetas[t]), angles[i], angles[j])
         m = int(vals.argmax())
         if vals[m] > best_val[k]:  # strict: the first maximum wins across planes
             best_val[k] = vals[m]
@@ -344,7 +331,8 @@ def _best_responses(
 
     The stages: `_grid_argmax` gives each player the grid's first
     maximum, and each player's exact optimum from the top eigenvector
-    replaces it only if it pays more by EXACT_OPTIMUM_MARGIN. Both read
+    replaces it only if its payoff, from the eigenvalue, is higher by
+    EXACT_OPTIMUM_MARGIN; no point is scored after the grid. Both read
     only the 2x2 Gram form, and both reported payoffs come from the dense
     product at their single point. `refinement_steps` is
     `_refinement_rounds` of the grid.
@@ -355,8 +343,8 @@ def _best_responses(
     ev, dense_payoffs = _dense_deviations(spec, candidate, players)
 
     best, best_val = _grid_argmax(ev, grid_resolution)
-    exact = ev.exact_optima()
-    better = ev.payoffs(*exact.T[:, :, None].copy())[:, 0] > best_val + EXACT_OPTIMUM_MARGIN
+    exact, exact_val = ev.exact_optima()
+    better = exact_val > best_val + EXACT_OPTIMUM_MARGIN
     best[better] = exact[better]
 
     incumbents = [(s.theta, s.alpha, s.beta) for s in (candidate[p - 1] for p in players)]

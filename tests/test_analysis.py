@@ -426,7 +426,7 @@ class TestGramFormAgainstDenseOracle:
         spec, profile, _, rng = case
         ev, dense_payoffs = _dense_deviations(spec, profile, range(1, spec.n_players + 1))
         points = _players_points(rng, spec.n_players, 16)
-        gram = ev.payoffs(*points)
+        gram = np.array([ev.payoffs(k, *points[:, k]) for k in range(spec.n_players)])
         dense = dense_payoffs(*points)
         assert gram.shape == dense.shape == (spec.n_players, 16)
         assert np.max(np.abs(gram - dense)) < 1e-12
@@ -461,6 +461,19 @@ class TestGramFormAgainstDenseOracle:
         report = best_response(spec, profile, player, grid_resolution=3)
         exact = _exact_best_payoff(spec, profile, player)
         assert abs(report.best_deviation_payoff - exact) < 1e-12
+
+    @given(_deviation_cases(max_n=8))
+    @settings(max_examples=60, deadline=None)
+    def test_exact_optimum_value_is_the_payoff_at_its_point(self, case):
+        # every family, the mixture at f < 1: the eigenvalue's payoff
+        # against the independent dense optimum and the Gram-form einsum
+        spec, profile, _, _ = case
+        ev = _all_players(spec, profile)
+        points, values = ev.exact_optima()
+        assert points.shape == (spec.n_players, 3) and values.shape == (spec.n_players,)
+        for k, (point, value) in enumerate(zip(points, values)):
+            assert abs(value - _exact_best_payoff(spec, profile, k + 1)) < 1e-12
+            assert abs(value - ev.payoffs(k, *point[:, None])[0]) < 1e-14
 
 
 # every family once, with noise f < 1 on the mixture
@@ -565,8 +578,8 @@ class TestLockstepSearch:
     @settings(max_examples=8, deadline=None)
     def test_chunk_boundaries_keep_each_players_first_maximum(self, chunk, case, grid):
         # the reference scores its whole grid in one call and reads no
-        # budget; calls here split into column blocks across all selected
-        # players, never by player
+        # budget; each call here scores one player's survivors on one
+        # theta plane, split into PAYOFF_CHUNK deviations per einsum
         spec, profile, _, _ = case
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(game, "PAYOFF_CHUNK", chunk)
@@ -574,9 +587,9 @@ class TestLockstepSearch:
         assert reports == nash_check_per_player(spec, profile, grid)
 
     def test_every_einsum_holds_at_most_grid_chunk_pairs(self, monkeypatch):
-        # six players: the screen (6 x 153 pairs) and the survivor planes
-        # (81 points) must split at 64 pairs, and the partial states (2^6
-        # amplitudes each) go one per kernel call
+        # six players: each survivor plane (up to 81 points) must split at
+        # 64 deviations, and the partial states (2^6 amplitudes each) go one
+        # per kernel call; the screen and the exact step make no einsum
         spec = ghz_spec(6)
         candidate = StrategyProfile.symmetric(ne_strategy(6), 6).replace(2, IDENTITY)
         reference = nash_check_per_player(spec, candidate, 9)
@@ -652,27 +665,32 @@ class TestLockstepSearch:
 
 
 class TestSearchWork:
-    """The search scores the survivor planes of the closed-form screen and
-    the exact optima, and nothing else."""
+    """The search scores the survivors of the closed-form screen, one
+    (player, theta plane) pair per `payoffs` call, and nothing else: the
+    exact step takes its payoff from the eigenvalue."""
 
     @pytest.mark.parametrize("search", ["best_response", "nash_check"])
-    def test_payoffs_calls_are_the_screen_the_survivor_planes_and_the_exact_step(
+    def test_payoffs_calls_are_one_per_survivor_plane_of_each_player_in_order(
         self, search, monkeypatch
     ):
         spec = GameSpec(6, InitialStateRecipe(StateFamily.GHZ_BELL_MIXTURE, 6, x=0.5, f=0.9))
         candidate = StrategyProfile.symmetric(ne_strategy(6), 6).replace(2, IDENTITY)
         players = [3] if search == "best_response" else list(range(1, 7))
-        # the planes that hold a survivor, from the exhaustive grid: a
-        # point survives within GRID_SCREEN_MARGIN of its player's maximum
+        # each (player, plane) pair that holds a survivor, in order, with its
+        # theta and survivor count, from the exhaustive grid: a point
+        # survives within GRID_SCREEN_MARGIN of its player's maximum
         _, vals = _full_grid(_dense_deviations(spec, candidate, players)[0], 25)
         keep = vals >= vals.max(axis=1, keepdims=True) - analysis.GRID_SCREEN_MARGIN
-        planes = int(keep.reshape(len(players), 25, -1).any(axis=2).sum())
+        survivors = keep.reshape(len(players), 25, -1).sum(axis=2)
+        thetas = np.linspace(0, PI, 25)
+        expected = [(k, thetas[t], survivors[k, t]) for k, t in zip(*np.nonzero(survivors))]
         calls = []
         payoffs = _DeviationEvaluator.payoffs
 
-        def counted(self, *args):
-            scores = payoffs(self, *args)
-            calls.append(len(scores))
+        def counted(self, k, *args):
+            scores = payoffs(self, k, *args)
+            assert len(set(args[0].tolist())) == 1  # one theta plane
+            calls.append((k, args[0][0], len(scores)))
             return scores
 
         monkeypatch.setattr(_DeviationEvaluator, "payoffs", counted)
@@ -680,9 +698,8 @@ class TestSearchWork:
             reports = [best_response(spec, candidate, 3, 25)]
         else:
             reports = nash_check(spec, candidate, 25)
-        # the closed-form screen makes no call; a survivor plane scores one
-        # player, and the exact step scores every player in one call
-        assert calls == [1] * planes + [len(players)]
+        # the closed-form screen and the exact step make no call
+        assert calls == expected
         assert all(r.refinement_steps == 8 for r in reports)
 
     def test_refinement_steps_count_the_rounds_of_the_three_coordinate_loop(self):
@@ -707,7 +724,7 @@ def _full_grid(ev, steps):
     angles = np.linspace(-PI, PI, steps)
     grid = np.meshgrid(thetas, angles, angles, indexing="ij")
     points = np.stack([axis.ravel() for axis in grid])
-    return points, ev.payoffs(*points[:, None])
+    return points, np.array([ev.payoffs(k, *points) for k in range(len(ev._gram))])
 
 
 def _full_grid_argmax(ev, steps):
@@ -742,14 +759,18 @@ class TestGridScreen:
         thetas = np.linspace(0, PI, steps)
         diffs = np.arange(1 - steps, steps) * (2 * PI / (steps - 1))
         pairs = np.meshgrid(thetas, diffs, indexing="ij")
-        pair_thetas, pair_alphas = (axis.reshape(1, -1) for axis in pairs)
-        vals = ev.payoffs(pair_thetas, pair_alphas, np.zeros_like(pair_alphas))
-        vals = vals.reshape(spec.n_players, steps, diffs.size)
-        maxima = ev.plane_maxima(thetas, diffs)
+        pair_thetas, pair_alphas = (axis.ravel() for axis in pairs)
+        vals = np.array([
+            ev.payoffs(k, pair_thetas, pair_alphas, np.zeros_like(pair_alphas))
+            for k in range(spec.n_players)
+        ]).reshape(spec.n_players, steps, diffs.size)
+        w = ev.screen_w(diffs)
+        assert w.shape == (spec.n_players, diffs.size)
+        maxima = ev.screen(slice(None), thetas, w.max(axis=1, keepdims=True))
         assert maxima.shape == (spec.n_players, steps)
         assert np.max(np.abs(maxima - vals.max(axis=2))) < 1e-14
         for k in range(spec.n_players):
-            rows = np.array([ev.screen_row(k, theta, diffs) for theta in thetas])
+            rows = np.array([ev.screen(k, theta, w[k]) for theta in thetas])
             assert np.max(np.abs(rows - vals[k])) < 1e-14
 
     @given(_deviation_cases(max_n=8))
@@ -758,9 +779,10 @@ class TestGridScreen:
         # the screen rests on this; a Gram form that breaks it fails here
         spec, profile, _, rng = case
         ev = _all_players(spec, profile)
-        theta, alpha, beta = _players_points(rng, spec.n_players, 64)
-        diff = ev.payoffs(theta, alpha - beta, np.zeros_like(beta))
-        assert np.max(np.abs(ev.payoffs(theta, alpha, beta) - diff)) < 1e-14
+        points = _players_points(rng, spec.n_players, 64)
+        for k, (theta, alpha, beta) in enumerate(points.transpose(1, 0, 2)):
+            diff = ev.payoffs(k, theta, alpha - beta, np.zeros_like(beta))
+            assert np.max(np.abs(ev.payoffs(k, theta, alpha, beta) - diff)) < 1e-14
 
     @pytest.mark.parametrize("player", range(1, 7))
     def test_ghz6_equilibrium_keeps_the_tied_point(self, player):
@@ -817,7 +839,8 @@ def test_search_reads_only_the_gram_form(recipe):
     rebuilt = _DeviationEvaluator(ev._gram.copy(), ev._f, ev._mixed_floor)
     for got, want in zip(analysis._grid_argmax(rebuilt, 9), analysis._grid_argmax(ev, 9)):
         assert got.tobytes() == want.tobytes()
-    assert rebuilt.exact_optima().tobytes() == ev.exact_optima().tobytes()
+    for got, want in zip(rebuilt.exact_optima(), ev.exact_optima()):
+        assert got.tobytes() == want.tobytes()
 
 
 def _peak_bytes(search, *args, **kwargs):
@@ -853,6 +876,10 @@ def test_best_response_memory_does_not_grow_with_grid():
         assert _peak_bytes(search, *args, grid_resolution=grid) < 64 * 2**20, (
             search.__name__, grid,
         )
+    # a (g, g) index array of each (alpha_i, beta_j)'s screen column peaked
+    # at 5.8 MiB here; the (2g - 1) survivor buffer read through one
+    # diagonal view peaks near 0.75 MiB
+    assert _peak_bytes(nash_check, bell, profile, grid_resolution=800) < 2 * 2**20
     # at n = 2 nobody wins, so every point of every plane survives the
     # screen: scored plane by plane this peaks near 1.6 MiB, and joining the
     # survivors of every plane into one call would hold the whole grid
