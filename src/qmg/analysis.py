@@ -1,13 +1,13 @@
 """Game-theoretic analysis on top of the engine.
 
 Best-response search on each deviator's 2x2 Gram form: `_best_responses`
-searches a list of players in lockstep, and its docstring tells the
-search's two stages, the grid and the exact optimum (for
-`DeviationReport.refinement_steps`, see `_refinement_rounds`). The grid
-stage screens with the Gram form's closed form in theta and
-alpha - beta (`_DeviationEvaluator.screen`) and scores only the points
-that can win, one player on one theta plane per call; the exact stage
-takes each optimum's payoff from its eigenvalue.
+searches a list of players in lockstep through `_best_deviations`, which
+takes each player's exact optimum and its payoff from the top
+eigenpair first, then screens the grid with the Gram form's closed form
+in theta and alpha - beta (`_DeviationEvaluator.screen`) and scores only
+the points that can come within EXACT_OPTIMUM_MARGIN of that payoff, one
+player on one theta plane per call (for `DeviationReport.refinement_steps`,
+see `_refinement_rounds`).
 `best_response` is the one-player case. Nash-equilibrium
 verification via the unilateral-deviation inequality makes one such
 search: for player 1 alone when the profile is symmetric (the other
@@ -48,11 +48,10 @@ REFINEMENT_MIN_STEP = 1e-6
 # The exact optimum replaces the grid point only when it pays more by
 # this margin, so flat optima keep their grid point.
 EXACT_OPTIMUM_MARGIN = 1e-12
-# A grid point is scored exactly when its (theta, alpha - beta) screen
-# value is this close to the screen's maximum. The closed-form screen
-# differs from the exact score by rounding only (within 1e-14, pinned by
-# the tests), so the margin keeps every point that can be the grid maximum.
-GRID_SCREEN_MARGIN = 1e-9
+# A grid point is scored only if its (theta, alpha - beta) screen value
+# reaches the exact optimum's payoff less EXACT_OPTIMUM_MARGIN and this,
+# which absorbs the screen's rounding (within 1e-14, pinned by the tests).
+GRID_SCREEN_MARGIN = 1e-12
 
 
 def ne_strategy(n: int) -> StrategyParams:
@@ -263,32 +262,32 @@ _THETA_BOX = (0.0, math.pi)
 _ANGLE_BOX = (-math.pi, math.pi)
 
 
-def _grid_argmax(ev: _DeviationEvaluator, steps: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Each listed player's first maximum of `ev.payoffs` over the
-    (theta, alpha, beta) grid: a (P, 3) array of points and their (P,)
-    values, those of the full grid in ravel order, bit for bit.
+def _best_deviations(ev: _DeviationEvaluator, steps: int) -> np.ndarray:
+    """Each listed player's best deviation, a (P, 3) array: the grid's
+    first maximum of `ev.payoffs` in ravel order, replaced by the exact
+    optimum when that pays more by EXACT_OPTIMUM_MARGIN, bit for bit.
 
-    The Gram-form payoff depends on alpha and beta only through
-    alpha - beta, and its closed form `ev.screen` screens the g * (2g - 1)
-    distinct (theta, alpha - beta) pairs from the w of `ev.screen_w`: at
-    each player's largest w it gives the player's maximum on each theta
-    plane, and only a plane within GRID_SCREEN_MARGIN of that player's
-    maximum has its row read. The grid points of that plane whose screen
-    value is within the margin can win; they are scored exactly, one
-    `ev.payoffs` call per such plane and player, and a strict `>` keeps
-    each player's first maximum. So memory grows with w and the plane
-    maxima (P (3g - 1)), one screen row (2g - 1) and one plane's
+    The exact optima come first, so only the grid points that can come
+    within that margin are scored: those whose closed-form screen reaches
+    the floor below. The Gram-form payoff depends on alpha and beta only
+    through alpha - beta; from the w of `ev.screen_w`, `ev.screen` gives
+    each theta plane's maximum at each player's largest w, and only a
+    plane that reaches the floor has its (2g - 1) row read. Its points
+    that reach it are scored, one `ev.payoffs` call per such plane and
+    player, and a strict `>` keeps the first maximum. So memory grows with
+    w and the plane maxima (P (3g - 1)), one screen row and one plane's
     survivors, never with the whole grid (g^3).
     """
+    exact, exact_val = ev.exact_optima()
     thetas = np.linspace(*_THETA_BOX, steps)
     angles = np.linspace(*_ANGLE_BOX, steps)
     diffs = np.arange(1 - steps, steps) * (2 * math.pi / (steps - 1))
     w = ev.screen_w(diffs)
     planes = ev.screen(slice(None), thetas, w.max(axis=1, keepdims=True))
-    floor = planes.max(axis=1) - GRID_SCREEN_MARGIN
+    floor = exact_val - (EXACT_OPTIMUM_MARGIN + GRID_SCREEN_MARGIN)
     survives = np.empty(diffs.size, dtype=bool)
     # entry (i, j) reads the screen column of (alpha_i, beta_j): i - j + steps - 1
-    pairs = np.lib.stride_tricks.sliding_window_view(survives[::-1], steps)[::-1]
+    pairs = np.ndarray((steps, steps), bool, survives, steps - 1, (1, -1))
 
     best = np.zeros((len(planes), 3))
     best_val = np.full(len(planes), -math.inf)
@@ -300,7 +299,9 @@ def _grid_argmax(ev: _DeviationEvaluator, steps: int) -> Tuple[np.ndarray, np.nd
         if vals[m] > best_val[k]:  # strict: the first maximum wins across planes
             best_val[k] = vals[m]
             best[k] = thetas[t], angles[i[m]], angles[j[m]]
-    return best, best_val
+    better = exact_val > best_val + EXACT_OPTIMUM_MARGIN
+    best[better] = exact[better]
+    return best
 
 
 def _refinement_rounds(steps: int) -> int:
@@ -329,12 +330,10 @@ def _best_responses(
     Raises ValueError unless grid_resolution is an int >= 2 and
     tolerance is finite and positive (the CLI's rule).
 
-    The stages: `_grid_argmax` gives each player the grid's first
-    maximum, and each player's exact optimum from the top eigenvector
-    replaces it only if its payoff, from the eigenvalue, is higher by
-    EXACT_OPTIMUM_MARGIN; no point is scored after the grid. Both read
-    only the 2x2 Gram form, and both reported payoffs come from the dense
-    product at their single point. `refinement_steps` is
+    `_best_deviations` gives each player's best deviation from the 2x2
+    Gram form alone: the exact optimum, unless the grid's first maximum
+    comes within EXACT_OPTIMUM_MARGIN of it. Both reported payoffs come
+    from the dense product at their single point. `refinement_steps` is
     `_refinement_rounds` of the grid.
     """
     _check_steps("grid_resolution", grid_resolution)
@@ -342,11 +341,7 @@ def _best_responses(
         raise ValueError(f"tolerance must be finite and positive, got {tolerance!r}")
     ev, dense_payoffs = _dense_deviations(spec, candidate, players)
 
-    best, best_val = _grid_argmax(ev, grid_resolution)
-    exact, exact_val = ev.exact_optima()
-    better = exact_val > best_val + EXACT_OPTIMUM_MARGIN
-    best[better] = exact[better]
-
+    best = _best_deviations(ev, grid_resolution)
     incumbents = [(s.theta, s.alpha, s.beta) for s in (candidate[p - 1] for p in players)]
     # (3, P, 2) angles: each player's incumbent, then its best deviation
     points = np.stack([incumbents, best], axis=2).transpose(1, 0, 2).copy()

@@ -161,6 +161,13 @@ def _unitaries(profiles: Sequence[StrategyProfile]) -> np.ndarray:
     return np.array([[mats[id(p)] for p in profile.strategies] for profile in profiles])
 
 
+def _pure(spec: GameSpec) -> GameSpec:
+    """The spec at f = 1, which every f of its recipe shares until the payoff."""
+    if spec.recipe.f == 1.0:
+        return spec
+    return replace(spec, recipe=replace(spec.recipe, f=1.0))
+
+
 # The initial states of the last four recipes, each a read-only 2^N array
 # shared by every caller (64 KiB at N = 12, so 256 KiB at most). Callers
 # vary the profile far more often than the recipe, but a pass of the
@@ -182,10 +189,7 @@ def final_amplitudes(spec: GameSpec, profiles: Sequence[StrategyProfile]) -> np.
     n = spec.n_players
     if any(len(profile) != n for profile in profiles):
         raise ValueError(f"every profile needs {n} strategies")
-    recipe = spec.recipe
-    if recipe.f != 1.0:  # build_pure never reads f: a sweep over f builds once
-        recipe = replace(recipe, f=1.0)
-    initial = _initial_state(recipe)
+    initial = _initial_state(_pure(spec).recipe)
     return apply_locals(np.broadcast_to(initial, (len(profiles), 2**n)), _unitaries(profiles))
 
 
@@ -202,7 +206,8 @@ def final_amplitude_chunks(
         yield final_amplitudes(spec, profiles[start:start + size])
 
 
-# Every player's payoff under one profile reads the same probability row.
+# Every player's payoff under one profile reads the same probability row,
+# and so does every f of one recipe: callers key it on the `_pure` spec.
 @functools.lru_cache(maxsize=1)
 def _probabilities(spec: GameSpec, profile: StrategyProfile) -> np.ndarray:
     probs = np.abs(final_amplitudes(spec, [profile])[0]) ** 2
@@ -226,7 +231,7 @@ def _payoff(spec: GameSpec, probs: np.ndarray, winning: np.ndarray) -> float:
 def expected_payoff(spec: GameSpec, profile: StrategyProfile, player: int) -> float:
     """Expected payoff Tr[rho_fin P_player] of the recipe's initial state."""
     winning = minority_projector(spec.n_players, player)
-    return _payoff(spec, _probabilities(spec, profile), winning)
+    return _payoff(spec, _probabilities(_pure(spec), profile), winning)
 
 
 def expected_payoffs(

@@ -287,6 +287,20 @@ class TestSweeps:
         assert len(rows) == 11 and len(calls) == 1
         assert calls[0].f == 1.0
 
+    def test_sweep_f_runs_the_kernel_once(self, monkeypatch):
+        # nothing before the payoff reads f, so the memoised probability
+        # row is keyed on the f = 1 spec and every point of the sweep reads it
+        calls = []
+
+        def counted(states, unitaries):
+            calls.append(len(states))
+            return apply_locals(states, unitaries)
+
+        monkeypatch.setattr(game, "apply_locals", counted)
+        game._probabilities.cache_clear()
+        rows = sweep_f(n=12, x=0.5, steps=11)
+        assert len(rows) == 11 and calls == [1]
+
     def test_sweep_gamma_endpoints(self):
         rows = sweep_gamma(n=6, steps=11, payoff_classical=3 / 16, payoff_quantum=5 / 16)
         assert abs(rows[0].payoff_simulated - 3 / 16) < 1e-9
@@ -587,9 +601,10 @@ class TestLockstepSearch:
         assert reports == nash_check_per_player(spec, profile, grid)
 
     def test_every_einsum_holds_at_most_grid_chunk_pairs(self, monkeypatch):
-        # six players: each survivor plane (up to 81 points) must split at
-        # 64 deviations, and the partial states (2^6 amplitudes each) go one
-        # per kernel call; the screen and the exact step make no einsum
+        # six players: five of them tie their exact optimum on the whole
+        # theta = pi plane, whose 81 survivors must split at 64 deviations,
+        # and the partial states (2^6 amplitudes each) go one per kernel
+        # call; the screen and the exact step make no einsum
         spec = ghz_spec(6)
         candidate = StrategyProfile.symmetric(ne_strategy(6), 6).replace(2, IDENTITY)
         reference = nash_check_per_player(spec, candidate, 9)
@@ -612,7 +627,7 @@ class TestLockstepSearch:
         monkeypatch.setattr(game, "apply_locals", counting_apply_locals)
         monkeypatch.setattr(game, "PAYOFF_CHUNK", 64)
         assert nash_check(spec, candidate, 9) == reference
-        assert sizes and max(sizes) <= 64
+        assert sizes == [64, 17] * 5
         assert amplitudes and max(amplitudes) <= 64
 
     def test_reported_payoffs_sum_in_the_projectors_order(self, monkeypatch):
@@ -664,10 +679,27 @@ class TestLockstepSearch:
         assert lockstep == nash_check_per_player(spec, candidate, 25)
 
 
+def _spy_on_payoffs(monkeypatch):
+    """Record (player index, theta, deviations) of every Gram-form `payoffs`
+    call, each on one theta plane; returns the record."""
+    calls = []
+    payoffs = _DeviationEvaluator.payoffs
+
+    def counted(self, k, *args):
+        scores = payoffs(self, k, *args)
+        assert len(set(args[0].tolist())) == 1  # one theta plane
+        calls.append((k, args[0][0], len(scores)))
+        return scores
+
+    monkeypatch.setattr(_DeviationEvaluator, "payoffs", counted)
+    return calls
+
+
 class TestSearchWork:
-    """The search scores the survivors of the closed-form screen, one
-    (player, theta plane) pair per `payoffs` call, and nothing else: the
-    exact step takes its payoff from the eigenvalue."""
+    """The search scores only the grid points whose closed-form screen
+    reaches the exact optimum's payoff less EXACT_OPTIMUM_MARGIN +
+    GRID_SCREEN_MARGIN, one (player, theta plane) pair per `payoffs` call,
+    and nothing else: the exact optimum's payoff is its eigenvalue's."""
 
     @pytest.mark.parametrize("search", ["best_response", "nash_check"])
     def test_payoffs_calls_are_one_per_survivor_plane_of_each_player_in_order(
@@ -678,22 +710,15 @@ class TestSearchWork:
         players = [3] if search == "best_response" else list(range(1, 7))
         # each (player, plane) pair that holds a survivor, in order, with its
         # theta and survivor count, from the exhaustive grid: a point
-        # survives within GRID_SCREEN_MARGIN of its player's maximum
-        _, vals = _full_grid(_dense_deviations(spec, candidate, players)[0], 25)
-        keep = vals >= vals.max(axis=1, keepdims=True) - analysis.GRID_SCREEN_MARGIN
+        # survives if it reaches its player's exact value less both margins
+        ev = _dense_deviations(spec, candidate, players)[0]
+        _, vals = _full_grid(ev, 25)
+        margin = analysis.EXACT_OPTIMUM_MARGIN + analysis.GRID_SCREEN_MARGIN
+        keep = vals >= ev.exact_optima()[1][:, None] - margin
         survivors = keep.reshape(len(players), 25, -1).sum(axis=2)
         thetas = np.linspace(0, PI, 25)
         expected = [(k, thetas[t], survivors[k, t]) for k, t in zip(*np.nonzero(survivors))]
-        calls = []
-        payoffs = _DeviationEvaluator.payoffs
-
-        def counted(self, k, *args):
-            scores = payoffs(self, k, *args)
-            assert len(set(args[0].tolist())) == 1  # one theta plane
-            calls.append((k, args[0][0], len(scores)))
-            return scores
-
-        monkeypatch.setattr(_DeviationEvaluator, "payoffs", counted)
+        calls = _spy_on_payoffs(monkeypatch)
         if search == "best_response":
             reports = [best_response(spec, candidate, 3, 25)]
         else:
@@ -701,6 +726,28 @@ class TestSearchWork:
         # the closed-form screen and the exact step make no call
         assert calls == expected
         assert all(r.refinement_steps == 8 for r in reports)
+
+    def test_random_bell_check_scores_no_point(self, monkeypatch):
+        # every player's exact optimum beats its whole grid by more than
+        # both margins, so no theta plane reaches the floor
+        rng = np.random.default_rng(10)
+        profile = StrategyProfile(
+            tuple(StrategyParams(*map(float, t)) for t in zip(*_random_points(rng, 10)))
+        )
+        spec = GameSpec(10, InitialStateRecipe(StateFamily.BELL_PRODUCT, 10))
+        reference = nash_check_per_player(spec, profile, 25)
+        calls = _spy_on_payoffs(monkeypatch)
+        assert nash_check(spec, profile, 25) == reference
+        assert calls == []
+
+    def test_ghz6_equilibrium_scores_only_its_tied_points(self, monkeypatch):
+        # the 26 points that tie the exact optimum within rounding, all on
+        # the theta = pi/2 plane; the first, (pi/2, -3pi/4, -7pi/12), is kept
+        calls = _spy_on_payoffs(monkeypatch)
+        report = nash_check(ghz_spec(6), StrategyProfile.symmetric(ne_strategy(6), 6), 25)[0]
+        assert calls == [(0, PI / 2, 26)]
+        angles = np.linspace(-PI, PI, 25).tolist()
+        assert report.best_deviation == StrategyParams(PI / 2, angles[3], angles[5])
 
     def test_refinement_steps_count_the_rounds_of_the_three_coordinate_loop(self):
         for grid in range(2, 401):
@@ -734,8 +781,41 @@ def _full_grid_argmax(ev, steps):
     return points[:, k].T, vals[np.arange(len(k)), k]
 
 
+def _reference_search(ev, steps):
+    """The exhaustive search: each player's first grid maximum in ravel
+    order, replaced by the exact optimum when that pays more by
+    EXACT_OPTIMUM_MARGIN."""
+    best, value = _full_grid_argmax(ev, steps)
+    exact, exact_value = ev.exact_optima()
+    better = exact_value > value + analysis.EXACT_OPTIMUM_MARGIN
+    best[better] = exact[better]
+    return best
+
+
 def _all_players(spec, profile):
     return _dense_deviations(spec, profile, range(1, spec.n_players + 1))[0]
+
+
+def _assert_screen_is_the_payoff_at_beta_zero(ev, steps):
+    """The plane maxima and each plane's screen row against the Gram-form
+    einsum, within 1e-14, for every listed player."""
+    players = len(ev._gram)
+    thetas = np.linspace(0, PI, steps)
+    diffs = np.arange(1 - steps, steps) * (2 * PI / (steps - 1))
+    pairs = np.meshgrid(thetas, diffs, indexing="ij")
+    pair_thetas, pair_alphas = (axis.ravel() for axis in pairs)
+    vals = np.array([
+        ev.payoffs(k, pair_thetas, pair_alphas, np.zeros_like(pair_alphas))
+        for k in range(players)
+    ]).reshape(players, steps, diffs.size)
+    w = ev.screen_w(diffs)
+    assert w.shape == (players, diffs.size)
+    maxima = ev.screen(slice(None), thetas, w.max(axis=1, keepdims=True))
+    assert maxima.shape == (players, steps)
+    assert np.max(np.abs(maxima - vals.max(axis=2))) < 1e-14
+    for k in range(players):
+        rows = np.array([ev.screen(k, theta, w[k]) for theta in thetas])
+        assert np.max(np.abs(rows - vals[k])) < 1e-14
 
 
 class TestGridScreen:
@@ -744,34 +824,44 @@ class TestGridScreen:
     def test_screen_picks_what_the_full_grid_picks(self, case, steps):
         spec, profile, _, _ = case
         ev = _all_players(spec, profile)
-        best, value = analysis._grid_argmax(ev, steps)
-        ref_best, ref_value = _full_grid_argmax(ev, steps)
-        assert np.array_equal(best, ref_best)
-        assert np.array_equal(value, ref_value)
+        best = analysis._best_deviations(ev, steps)
+        assert np.array_equal(best, _reference_search(ev, steps))
 
     @given(_deviation_cases(max_n=8), st.sampled_from([2, 3, 5, 9, 25]))
     @settings(max_examples=80, deadline=None)
     def test_closed_form_screen_is_the_payoff_at_beta_zero(self, case, steps):
-        # every family, the mixture at f < 1: the plane maxima and each
-        # plane's screen row against the Gram-form einsum
+        # every family, the mixture at f < 1
         spec, profile, _, _ = case
-        ev = _all_players(spec, profile)
-        thetas = np.linspace(0, PI, steps)
-        diffs = np.arange(1 - steps, steps) * (2 * PI / (steps - 1))
-        pairs = np.meshgrid(thetas, diffs, indexing="ij")
-        pair_thetas, pair_alphas = (axis.ravel() for axis in pairs)
-        vals = np.array([
-            ev.payoffs(k, pair_thetas, pair_alphas, np.zeros_like(pair_alphas))
-            for k in range(spec.n_players)
-        ]).reshape(spec.n_players, steps, diffs.size)
-        w = ev.screen_w(diffs)
-        assert w.shape == (spec.n_players, diffs.size)
-        maxima = ev.screen(slice(None), thetas, w.max(axis=1, keepdims=True))
-        assert maxima.shape == (spec.n_players, steps)
-        assert np.max(np.abs(maxima - vals.max(axis=2))) < 1e-14
-        for k in range(spec.n_players):
-            rows = np.array([ev.screen(k, theta, w[k]) for theta in thetas])
-            assert np.max(np.abs(rows - vals[k])) < 1e-14
+        _assert_screen_is_the_payoff_at_beta_zero(_all_players(spec, profile), steps)
+
+    @pytest.mark.parametrize(
+        "recipe",
+        [
+            InitialStateRecipe(family, n, **kwargs)
+            for n in (10, 12)
+            for family, kwargs in [
+                (StateFamily.GHZ, {}),
+                (StateFamily.BELL_PRODUCT, {}),
+                (StateFamily.GHZ_BELL_MIXTURE, {"x": 0.5, "f": 0.9}),
+                (StateFamily.EXPONENTIAL_ENTANGLER, {"gamma": 0.7}),
+            ]
+        ]
+        + [InitialStateRecipe(StateFamily.W3_PRODUCT, 12)],
+        ids=lambda r: f"{r.family.value}-{r.n_qubits}",
+    )
+    def test_closed_form_screen_rounding_at_large_n(self, recipe):
+        # the rounding that GRID_SCREEN_MARGIN absorbs, where the payoffs
+        # sum the most terms
+        n = recipe.n_qubits
+        spec = GameSpec(n, recipe)
+        rng = np.random.default_rng(n)
+        for profile in (
+            StrategyProfile(
+                tuple(StrategyParams(*map(float, t)) for t in zip(*_random_points(rng, n)))
+            ),
+            StrategyProfile.symmetric(ne_strategy(n), n),
+        ):
+            _assert_screen_is_the_payoff_at_beta_zero(_all_players(spec, profile), 25)
 
     @given(_deviation_cases(max_n=8))
     @settings(max_examples=60, deadline=None)
@@ -793,17 +883,34 @@ class TestGridScreen:
         )
         _, (vals,) = _full_grid(ev, 25)
         assert np.count_nonzero(vals >= vals.max() - 1e-12) == 26
-        (best,), (value,) = analysis._grid_argmax(ev, 25)
-        assert np.allclose(best, [PI / 2, -3 * PI / 4, -7 * PI / 12], atol=1e-15)
-        assert value == vals.max()
+        best = analysis._best_deviations(ev, 25)
+        assert np.allclose(best, [[PI / 2, -3 * PI / 4, -7 * PI / 12]], atol=1e-15)
+        assert np.array_equal(best, _reference_search(ev, 25))
+
+    @pytest.mark.parametrize("gap, kept", [(5e-13, True), (9e-13, True), (1.5e-12, False)])
+    def test_grid_point_near_the_exact_optimum(self, gap, kept):
+        # a Gram form whose optimum lies just off the theta = pi/2 plane:
+        # the grid's best points pay f * gap less than the exact optimum,
+        # and they are kept while that is within EXACT_OPTIMUM_MARGIN, so
+        # they must be scored although they do not tie it within rounding
+        angles = np.linspace(-PI, PI, 25)
+        theta = PI / 2 + 2 * math.asin(math.sqrt(gap))
+        (target,) = analysis._su2_batch(np.array([theta]), angles[[3]], angles[[5]])[:, 0]
+        gram = np.stack([np.outer(target.conj(), target), np.zeros((2, 2))])[None]
+        ev = _DeviationEvaluator(gram, 0.9, 0.05)
+        best = analysis._best_deviations(ev, 25)
+        assert np.array_equal(best, _reference_search(ev, 25))
+        assert (best[0, 0] == PI / 2) == kept
 
     @pytest.mark.parametrize("steps", [2, 5, 25])
     def test_all_ties_keep_the_first_point(self, steps):
         # at n = 2 nobody ever wins: every point survives the screen
         ev = _all_players(ghz_spec(2), StrategyProfile.symmetric(IDENTITY, 2))
-        best, value = analysis._grid_argmax(ev, steps)
+        _, exact_value = ev.exact_optima()
+        assert exact_value.tolist() == [0.0, 0.0]
+        best = analysis._best_deviations(ev, steps)
         assert best.tolist() == [[0.0, -PI, -PI]] * 2
-        assert value.tolist() == [0.0, 0.0]
+        assert np.array_equal(best, _reference_search(ev, steps))
 
 
 # every family at every n <= 8 it allows, with noise f < 1 on the mixture
@@ -837,8 +944,8 @@ def test_search_reads_only_the_gram_form(recipe):
     ev, _ = _dense_deviations(GameSpec(n, recipe), profile, range(1, n + 1))
     assert all(np.size(value) <= n * 8 for value in vars(ev).values())
     rebuilt = _DeviationEvaluator(ev._gram.copy(), ev._f, ev._mixed_floor)
-    for got, want in zip(analysis._grid_argmax(rebuilt, 9), analysis._grid_argmax(ev, 9)):
-        assert got.tobytes() == want.tobytes()
+    got, want = analysis._best_deviations(rebuilt, 9), analysis._best_deviations(ev, 9)
+    assert got.tobytes() == want.tobytes()
     for got, want in zip(rebuilt.exact_optima(), ev.exact_optima()):
         assert got.tobytes() == want.tobytes()
 
@@ -920,6 +1027,4 @@ def test_grid_chunks_keep_the_first_maximum(chunk, monkeypatch):
     assert [best_response(*run, grid_resolution=5) for run in runs] == whole
     for spec, profile, _ in runs:
         ev = _all_players(spec, profile)
-        best, value = analysis._grid_argmax(ev, 5)
-        ref_best, ref_value = _full_grid_argmax(ev, 5)
-        assert np.array_equal(best, ref_best) and np.array_equal(value, ref_value)
+        assert np.array_equal(analysis._best_deviations(ev, 5), _reference_search(ev, 5))
