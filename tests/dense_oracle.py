@@ -11,6 +11,10 @@ with `final_state`, its loop over the players, as the reference for
 for `analysis.best_response`: one player's search on its own, from the
 exhaustive grid over all g^3 points, and `nash_check_per_player`, which
 runs it for every player, is the reference for `analysis.nash_check`.
+`exact_optimum` takes one player's exact best deviation from its Gram
+form in scalar steps, wrapping alpha and beta into [-pi, pi) with
+`_wrap_angle`: the reference that `analysis._DeviationEvaluator.exact_optima`,
+which takes every player's in whole-array steps, matches bit for bit.
 A pure state here is what `states.build_pure` returns: a read-only,
 norm-checked array of 2^n amplitudes.
 """
@@ -31,7 +35,6 @@ from qmg.analysis import (
     REFINEMENT_MIN_STEP,
     DeviationReport,
     _su2_batch,
-    _wrap_angle,
 )
 from qmg.game import (
     IDENTITY,
@@ -232,18 +235,30 @@ class PlayerEvaluator:
         return float(self._f * np.sum(probs[self._winning]) + self._mixed_floor)
 
     def exact_optimum(self) -> np.ndarray:
-        """(theta, alpha, beta) of the exact best deviation.
+        """(theta, alpha, beta) of the exact best deviation: `exact_optimum`
+        of this player's Gram form."""
+        return exact_optimum(self._gram)
 
-        Unitarity turns the pure payoff into Tr G_1 + m_0 (G_0 - G_1)
-        m_0^dagger, which the top eigenvector x of G_0 - G_1 maximises
-        as m_0 = x^dagger.
-        """
-        _, vecs = np.linalg.eigh(self._gram[0] - self._gram[1])
-        x0, x1 = vecs[:, -1]
-        theta = 2 * math.atan2(abs(x1), abs(x0))
-        alpha = -np.angle(x0)
-        beta = -np.angle(x1) - math.pi / 2
-        return np.array([theta, _wrap_angle(alpha), _wrap_angle(beta)])
+
+def _wrap_angle(v: float) -> float:
+    """The same angle in [-pi, pi)."""
+    return (v + math.pi) % (2 * math.pi) - math.pi
+
+
+def exact_optimum(gram: np.ndarray) -> np.ndarray:
+    """(theta, alpha, beta) of the exact best deviation for one (2, 2, 2)
+    Gram form, in scalar steps.
+
+    Unitarity turns the pure payoff into Tr G_1 + m_0 (G_0 - G_1)
+    m_0^dagger, which the top eigenvector x of G_0 - G_1 maximises
+    as m_0 = x^dagger.
+    """
+    _, vecs = np.linalg.eigh(gram[0] - gram[1])
+    x0, x1 = vecs[:, -1]
+    theta = 2 * math.atan2(abs(x1), abs(x0))
+    alpha = -np.angle(x0)
+    beta = -np.angle(x1) - math.pi / 2
+    return np.array([theta, _wrap_angle(alpha), _wrap_angle(beta)])
 
 
 def grid_argmax(ev: PlayerEvaluator, steps: int) -> Tuple[np.ndarray, float]:

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_oracle import (
+    PlayerEvaluator,
     best_response_per_player,
+    exact_optimum,
     final_state,
     minority_winners,
     nash_check_per_player,
@@ -586,6 +588,20 @@ class TestLockstepSearch:
         assert best_response(spec, profile, player, grid) == best_response_per_player(
             spec, profile, player, grid
         )
+        # every player's exact optimum, whether or not it is reported
+        exact, _ = _all_players(spec, profile).exact_optima()
+        for k, point in enumerate(exact):
+            oracle = PlayerEvaluator(spec, profile, k + 1).exact_optimum()
+            assert point.tobytes() == oracle.tobytes()
+
+    def test_exact_optima_equal_the_scalar_steps_on_random_gram_forms(self):
+        # 200 random Gram forms: a theta from numpy's vectorised abs and
+        # arctan2 differs from the scalar steps in the last bit on 50 rows
+        rng = np.random.default_rng(200)
+        z = rng.normal(size=(200, 2, 2, 4)) + 1j * rng.normal(size=(200, 2, 2, 4))
+        gram = np.einsum("prax,prbx->prab", z, z.conj())
+        points, _ = _DeviationEvaluator(gram, 0.9, 0.05).exact_optima()
+        assert points.tobytes() == np.array([exact_optimum(g) for g in gram]).tobytes()
 
     @pytest.mark.parametrize("chunk", [1, 7, 64])
     @given(case=_deviation_cases(max_n=6), grid=st.sampled_from([2, 3, 5, 9, 25]))
@@ -883,6 +899,19 @@ class TestGridScreen:
         )
         _, (vals,) = _full_grid(ev, 25)
         assert np.count_nonzero(vals >= vals.max() - 1e-12) == 26
+        best = analysis._best_deviations(ev, 25)
+        assert np.allclose(best, [[PI / 2, -3 * PI / 4, -7 * PI / 12]], atol=1e-15)
+        assert np.array_equal(best, _reference_search(ev, 25))
+
+    def test_screen_rounding_within_its_margin_keeps_the_tied_point(self, monkeypatch):
+        # a screen that reads 1.5e-12 low, past what EXACT_OPTIMUM_MARGIN
+        # alone absorbs: GRID_SCREEN_MARGIN still lets the tied points be
+        # scored, where a floor without it leaves the exact (pi/2, 0, pi/6)
+        ev, _ = _dense_deviations(ghz_spec(6), StrategyProfile.symmetric(ne_strategy(6), 6), [1])
+        screen = _DeviationEvaluator.screen
+        monkeypatch.setattr(
+            _DeviationEvaluator, "screen", lambda self, *args: screen(self, *args) - 1.5e-12
+        )
         best = analysis._best_deviations(ev, 25)
         assert np.allclose(best, [[PI / 2, -3 * PI / 4, -7 * PI / 12]], atol=1e-15)
         assert np.array_equal(best, _reference_search(ev, 25))
