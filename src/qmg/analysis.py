@@ -10,9 +10,9 @@ player on one theta plane per call (for `DeviationReport.refinement_steps`,
 see `_refinement_rounds`).
 `best_response` is the one-player case. Nash-equilibrium
 verification via the unilateral-deviation inequality makes one such
-search: for player 1 alone when the profile is symmetric (the other
-players' reports are copies with `player` set), for every player
-otherwise. `game.PAYOFF_CHUNK` bounds the search's Gram einsums as it
+search, over the first player of each class of interchangeable players
+(see `nash_check`); the other members' reports are copies with `player`
+set. `game.PAYOFF_CHUNK` bounds the search's Gram einsums as it
 bounds the kernel's calls, and `game._payoff` gives its reported
 payoffs. Also the closed-form 6-player payoff formula, the N-player
 entangler-payoff conjecture, and parameter sweeps that produce
@@ -41,7 +41,7 @@ from .game import (
     minority_mask,
     minority_projector,
 )
-from .states import InitialStateRecipe, StateFamily
+from .states import _FAMILIES, InitialStateRecipe, StateFamily
 
 NASH_TOLERANCE = 1e-4
 REFINEMENT_MIN_STEP = 1e-6
@@ -380,26 +380,31 @@ def nash_check(
 ) -> List[DeviationReport]:
     """Best-response search for every player; NE iff no player gains.
 
-    One lockstep `_best_responses` search serves every player, and
-    validates grid_resolution and tolerance as `best_response` does. A
-    symmetric profile (every player on one strategy) is searched for
-    player 1 alone; every other player's report is a copy with `player`
-    set. That is exact: every state family is invariant under a group of
-    qubit permutations that carries any qubit to any other (GHZ, the
-    entangler and the identity noise floor under all of them; Bell, the
-    mixture and W3 under permutations within a block and swaps of whole
-    blocks), U^(x)n commutes with every permutation, and the minority
-    payoff is symmetric under relabelling the players. So a permutation
-    taking player 1 to player j maps each deviation of player 1 to the
-    same deviation of player j at the same payoff. Any other profile is
-    searched for all players at once; each report equals a search for
-    that player alone, bit for bit.
+    Players i and j are interchangeable when they hold equal strategies
+    and their blocks (of the family's block size: 1 for GHZ and the
+    entangler, 2 for Bell and the mixture, 3 for W3) hold the same
+    multiset of strategies. Then a permutation within blocks and a swap
+    of whole blocks takes i to j and fixes the profile; it fixes the
+    state and the noise floor too, U^(x)n commutes with it, and the
+    minority payoff is symmetric under relabelling the players. So each
+    deviation of i pays what the same deviation of j pays. One lockstep
+    `_best_responses` search runs the first player of each class, and
+    validates grid_resolution and tolerance as `best_response` does;
+    each such report equals a search for that player alone, bit for bit,
+    and every other member gets it with `player` set. A symmetric
+    profile is one class, searched for player 1.
     """
-    players = list(range(1, spec.n_players + 1))
-    if len(set(candidate.strategies)) == 1:
-        (report,) = _best_responses(spec, candidate, [1], grid_resolution, tolerance)
-        return [report] + [replace(report, player=player) for player in players[1:]]
-    return _best_responses(spec, candidate, players, grid_resolution, tolerance)
+    block = _FAMILIES[spec.recipe.family][0]
+    keys = [(s.theta, s.alpha, s.beta) for s in candidate.strategies]
+    blocks = [tuple(sorted(keys[b : b + block])) for b in range(0, len(keys), block)]
+    firsts = {}  # class key -> the class's first player
+    leads = [firsts.setdefault((key, blocks[p // block]), p + 1) for p, key in enumerate(keys)]
+    searched = _best_responses(spec, candidate, list(firsts.values()), grid_resolution, tolerance)
+    reports = {report.player: report for report in searched}
+    return [
+        reports[lead] if lead == player else replace(reports[lead], player=player)
+        for player, lead in enumerate(leads, 1)
+    ]
 
 
 def payoff_surface(

@@ -330,8 +330,9 @@ def nash_check_per_player(
     grid_resolution: int = 25,
     tolerance: float = NASH_TOLERANCE,
 ) -> List[DeviationReport]:
-    """`analysis.nash_check` without the orbit shortcut or the lockstep
-    search: every player searched on its own by `best_response_per_player`."""
+    """`analysis.nash_check` without its classes of interchangeable players
+    or the lockstep search: every player searched on its own by
+    `best_response_per_player`."""
     return [
         best_response_per_player(spec, candidate, player, grid_resolution, tolerance)
         for player in range(1, spec.n_players + 1)

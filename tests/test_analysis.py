@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 import tracemalloc
@@ -531,6 +532,50 @@ def _spy_on_the_search(monkeypatch):
     return searched
 
 
+# each family's block size, written out apart from `states._FAMILIES`
+_BLOCK_SIZES = {
+    StateFamily.GHZ: 1,
+    StateFamily.EXPONENTIAL_ENTANGLER: 1,
+    StateFamily.BELL_PRODUCT: 2,
+    StateFamily.GHZ_BELL_MIXTURE: 2,
+    StateFamily.W3_PRODUCT: 3,
+}
+
+
+def _classes(spec, profile):
+    """The players grouped by their strategy and by their block's multiset
+    of strategies; players and classes in player order."""
+    block = _BLOCK_SIZES[spec.recipe.family]
+    classes = {}
+    for p, strategy in enumerate(profile.strategies):
+        start = p - p % block
+        mates = collections.Counter(profile.strategies[start : start + block])
+        classes.setdefault((strategy, frozenset(mates.items())), []).append(p + 1)
+    return list(classes.values())
+
+
+def _assert_classes_match_per_player_search(reports, reference, classes):
+    """Each class's first player's report equals its per-player search bit
+    for bit; every other member's is that report with `player` set, and
+    within 1e-12 of its own per-player search."""
+    for first, *members in classes:
+        assert reports[first - 1] == reference[first - 1]
+        for p in members:
+            assert reports[p - 1] == dataclasses.replace(reports[first - 1], player=p)
+    _assert_matches_per_player_search(reports, reference)
+
+
+# the NE with player 4 at identity, N = 6: player 4 is a class alone, and
+# its blockmates (3 for Bell and the mixture, 5 and 6 for W3) split off
+_PLAYER_4_OFF_CLASSES = {
+    StateFamily.GHZ: [[1, 2, 3, 5, 6], [4]],
+    StateFamily.EXPONENTIAL_ENTANGLER: [[1, 2, 3, 5, 6], [4]],
+    StateFamily.BELL_PRODUCT: [[1, 2, 5, 6], [3], [4]],
+    StateFamily.GHZ_BELL_MIXTURE: [[1, 2, 5, 6], [3], [4]],
+    StateFamily.W3_PRODUCT: [[1, 2, 3], [4], [5, 6]],
+}
+
+
 class TestNashCheckOrbits:
     @pytest.mark.parametrize("spec", _FAMILY_SPECS, ids=lambda s: s.recipe.family.value)
     @pytest.mark.parametrize(
@@ -549,11 +594,15 @@ class TestNashCheckOrbits:
 
     @pytest.mark.parametrize("spec", _FAMILY_SPECS, ids=lambda s: s.recipe.family.value)
     def test_other_profile_makes_one_search_over_every_player(self, spec, monkeypatch):
+        # one search of each class's first player serves all six players
         candidate = StrategyProfile.symmetric(ne_strategy(6), 6).replace(4, IDENTITY)
+        classes = _PLAYER_4_OFF_CLASSES[spec.recipe.family]
+        assert _classes(spec, candidate) == classes
         reference = nash_check_per_player(spec, candidate, 9)
         searched = _spy_on_the_search(monkeypatch)
-        assert nash_check(spec, candidate, 9) == reference
-        assert searched == [[1, 2, 3, 4, 5, 6]]
+        reports = nash_check(spec, candidate, 9)
+        assert searched == [[first for first, *_ in classes]]
+        _assert_classes_match_per_player_search(reports, reference, classes)
 
     @given(_recipes(max_n=8), _strategies)
     @settings(max_examples=25, deadline=None)
@@ -573,7 +622,48 @@ class TestNashCheckOrbits:
     @pytest.mark.parametrize("spec", _FAMILY_SPECS, ids=lambda s: s.recipe.family.value)
     def test_one_player_off_the_symmetric_strategy(self, spec):
         candidate = StrategyProfile.symmetric(ne_strategy(6), 6).replace(4, IDENTITY)
-        assert nash_check(spec, candidate, 5) == nash_check_per_player(spec, candidate, 5)
+        _assert_classes_match_per_player_search(
+            nash_check(spec, candidate, 5),
+            nash_check_per_player(spec, candidate, 5),
+            _PLAYER_4_OFF_CLASSES[spec.recipe.family],
+        )
+
+    @given(_recipes(max_n=8), _strategies, _strategies, st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_players_on_two_strategies_are_searched_once_per_class(
+        self, recipe, a, b, data
+    ):
+        # random profiles draw distinct strategies, so their classes are
+        # singletons; here each player holds one of two
+        n = recipe.n_qubits
+        spec = GameSpec(n, recipe)
+        picks = st.lists(st.sampled_from([a, b]), min_size=n, max_size=n)
+        profile = StrategyProfile(data.draw(picks))
+        grid = data.draw(st.sampled_from([2, 5, 9]))
+        classes = _classes(spec, profile)
+        reference = nash_check_per_player(spec, profile, grid)
+        with pytest.MonkeyPatch.context() as mp:
+            searched = _spy_on_the_search(mp)
+            reports = nash_check(spec, profile, grid)
+        assert searched == [[first for first, *_ in classes]]
+        _assert_classes_match_per_player_search(reports, reference, classes)
+
+    def test_bell_players_on_one_strategy_with_other_partners_stay_apart(self, monkeypatch):
+        # players 1 and 3 both hold a, but 1's partner holds b and 3's holds
+        # a; players 1 and 6 are interchangeable from different places in
+        # their blocks
+        a, b = StrategyParams(1.1, 0.4, -2.3), StrategyParams(0.3, -1.2, 2.9)
+        spec = GameSpec(6, InitialStateRecipe(StateFamily.BELL_PRODUCT, 6))
+        profile = StrategyProfile((a, b, a, a, b, a))
+        classes = [[1, 6], [2, 5], [3, 4]]
+        assert _classes(spec, profile) == classes
+        reference = nash_check_per_player(spec, profile, 9)
+        searched = _spy_on_the_search(monkeypatch)
+        reports = nash_check(spec, profile, 9)
+        assert searched == [[1, 2, 3]]
+        _assert_classes_match_per_player_search(reports, reference, classes)
+        # one report for players 1 and 3 would be wrong: they gain 0.111 and 0.190
+        assert reports[2].max_gain - reports[0].max_gain > 0.05
 
 
 class TestLockstepSearch:
@@ -617,7 +707,8 @@ class TestLockstepSearch:
         assert reports == nash_check_per_player(spec, profile, grid)
 
     def test_every_einsum_holds_at_most_grid_chunk_pairs(self, monkeypatch):
-        # six players: five of them tie their exact optimum on the whole
+        # six players in two classes: the first of the five on the
+        # equilibrium strategy ties its exact optimum on the whole
         # theta = pi plane, whose 81 survivors must split at 64 deviations,
         # and the partial states (2^6 amplitudes each) go one per kernel
         # call; the screen and the exact step make no einsum
@@ -642,8 +733,9 @@ class TestLockstepSearch:
         monkeypatch.setattr(analysis, "np", CountingNumpy())
         monkeypatch.setattr(game, "apply_locals", counting_apply_locals)
         monkeypatch.setattr(game, "PAYOFF_CHUNK", 64)
-        assert nash_check(spec, candidate, 9) == reference
-        assert sizes == [64, 17] * 5
+        reports = nash_check(spec, candidate, 9)
+        _assert_classes_match_per_player_search(reports, reference, [[1, 3, 4, 5, 6], [2]])
+        assert sizes == [64, 17]
         assert amplitudes and max(amplitudes) <= 64
 
     def test_reported_payoffs_sum_in_the_projectors_order(self, monkeypatch):
@@ -662,8 +754,9 @@ class TestLockstepSearch:
         monkeypatch.setattr(game, "_payoff", recorded)
         nash_check(spec, candidate, 5)
         best_response(spec, candidate, 3, 5)
-        # two reported payoffs per report: six players, then one
-        assert len(winning) == 2 * 6 + 2
+        # two reported payoffs per searched report: the classes [1], [2] and
+        # [3, 4, 5, 6], then one
+        assert len(winning) == 2 * 3 + 2
         assert all(w is game.minority_projector(6, 1) for w in winning)
 
     @pytest.mark.parametrize(
@@ -687,7 +780,8 @@ class TestLockstepSearch:
         assert nash_check(spec, profile, grid) == nash_check_per_player(spec, profile, grid)
 
     def test_ghz6_equilibrium_is_the_same_at_one_and_at_six_players(self):
-        # nash_check_ghz6.csv: the symmetric shortcut searches player 1 alone
+        # nash_check_ghz6.csv: a symmetric profile is one class, searched
+        # for player 1 alone
         spec = ghz_spec(6)
         candidate = StrategyProfile.symmetric(ne_strategy(6), 6)
         lockstep = analysis._best_responses(spec, candidate, range(1, 7), 25, NASH_TOLERANCE)
@@ -723,7 +817,9 @@ class TestSearchWork:
     ):
         spec = GameSpec(6, InitialStateRecipe(StateFamily.GHZ_BELL_MIXTURE, 6, x=0.5, f=0.9))
         candidate = StrategyProfile.symmetric(ne_strategy(6), 6).replace(2, IDENTITY)
-        players = [3] if search == "best_response" else list(range(1, 7))
+        # nash_check searches the first player of each class: [1], [2] and
+        # [3, 4, 5, 6]
+        players = [3] if search == "best_response" else [1, 2, 3]
         # each (player, plane) pair that holds a survivor, in order, with its
         # theta and survivor count, from the exhaustive grid: a point
         # survives if it reaches its player's exact value less both margins
@@ -1021,6 +1117,15 @@ def test_best_response_memory_does_not_grow_with_grid():
     # survivors of every plane into one call would hold the whole grid
     ties = (ghz_spec(2), StrategyProfile.symmetric(IDENTITY, 2), 1)
     assert _peak_bytes(best_response, *ties, grid_resolution=100) < 8 * 2**20
+
+
+def test_one_deviator_check_holds_one_block_per_class():
+    # the search keeps each searched player's 2 x 2^(n-1) block to the end;
+    # searching all twelve players held twelve (a 1.2 to 1.3 MiB peak), and
+    # the first players of the two classes hold two (near 0.6 MiB)
+    n = 12
+    candidate = StrategyProfile.symmetric(ne_strategy(n), n).replace(n, IDENTITY)
+    assert _peak_bytes(nash_check, ghz_spec(n), candidate, grid_resolution=25) < 0.9 * 2**20
 
 
 def test_surface_memory_stays_within_one_chunk():

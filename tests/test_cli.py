@@ -236,6 +236,28 @@ class TestRun:
         assert code == 0
         assert "is_nash=false" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "state, off, interchangeable",
+        [("ghz", 4, [1, 2, 3, 5, 6]), ("bell", 6, [1, 2, 3, 4])],
+    )
+    def test_nash_check_rows_of_interchangeable_players_agree(
+        self, state, off, interchangeable, tmp_path
+    ):
+        # one player at identity: the players in the other blocks form one
+        # class, so their rows differ only in the player column. Searched one
+        # by one, Bell players 1-2 and 3-4 got different tied grid points
+        path = tmp_path / "nash.csv"
+        strategies = ["pi/2,-pi/12,pi/12"] * 6
+        strategies[off - 1] = "0,0,0"
+        assert main(["nash-check", "--n", "6", "--state", state,
+                     "--profile", ";".join(strategies), "--output", str(path)]) == 0
+        header, *lines = path.read_text().splitlines()
+        rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+        assert [row.pop("player") for row in rows] == [str(p) for p in range(1, 7)]
+        first, *members = interchangeable
+        assert all(rows[p - 1] == rows[first - 1] for p in members)
+        assert rows[off - 1] != rows[first - 1]
+
     def test_sweep_x_csv_columns(self, tmp_path):
         path = tmp_path / "sweep.csv"
         assert main(["sweep-x", "--n", "6", "--steps", "5",
