@@ -33,7 +33,8 @@ RUNS = [
 
 def run_all() -> int:
     OUT.mkdir(exist_ok=True)
-    for args in RUNS:
+    for run in RUNS:
+        args = list(run)
         if "--output" in args:
             i = args.index("--output") + 1
             args[i] = str(OUT / args[i])

@@ -4,13 +4,16 @@
 table records and summary line, whether it needs a strategy profile,
 and the recipe of the state it builds (None when the run builds none:
 the classical closed form, or the conjecture given --payoff-quantum).
-`_FLAG_SPEC` holds one entry per flag: its converter, its domain (a
-predicate plus the phrase of the `<flag> must be <phrase>, got <value>`
-error) and its help; `parse_config` converts and checks each in one pass.
-A flag has one name, its `_FLAG_SPEC` key, on the command line (never
-abbreviated) and in a `--config` file. Every bad command line, argparse's
-usage errors too, raises one `CliError`. Angles are decimal radians or pi
-fractions ("pi/2", "-pi/12"); a strategy is exactly three non-empty angles.
+`RunConfig` holds one field per flag, declared once by `_flag`: its
+default, its converter, its domain (a predicate plus the phrase of the
+`<flag> must be <phrase>, got <value>` error) and its help. `_FLAG_SPEC`
+is derived from those fields in their order; `parse_config` converts and
+checks each flag in one pass, and `RunConfig` checks the rules that join
+several flags itself. A flag has one name, its field's name with "-" for
+"_", on the command line (never abbreviated) and in a `--config` file.
+Every bad command line, argparse's usage errors too, raises one
+`CliError`. Angles are decimal radians or pi fractions ("pi/2",
+"-pi/12"); a strategy is exactly three non-empty angles.
 """
 from __future__ import annotations
 
@@ -21,7 +24,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import analysis, game
@@ -69,28 +72,70 @@ def _parse_profile(text: str) -> Tuple[Tuple[float, float, float], ...]:
     return tuple(_parse_triple(c) for c in text.split(";"))
 
 
+# Every command's bound on --n, checked before anything is built: the
+# exact classical payoff of n = 100000 players takes about 0.3 s.
+MAX_PLAYERS = 100_000
+
+_UNIT = (lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+_AT_LEAST_TWO = (lambda v: v >= 2, ">= 2")
+
+
+def _flag(default, converter, domain, help_text):
+    """A RunConfig field that is a flag; domain is (predicate, phrase) or None."""
+    return field(default=default, metadata={"flag": (converter, domain, help_text)})
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully validated description of one CLI run."""
+    """Fully validated description of one CLI run; each field after command is a flag."""
 
     command: str
-    n: int = 6
-    state: str = "ghz"
-    x: float = 1.0
-    f: float = 1.0
-    gamma: float = math.pi / 2
-    symmetric: Optional[Tuple[float, float, float]] = None
-    profile: Optional[Tuple[Tuple[float, float, float], ...]] = None
-    player: int = 1
-    grid: int = 25
-    theta_steps: int = 25
-    alpha_steps: int = 25
-    steps: int = 11
-    tolerance: float = analysis.NASH_TOLERANCE
-    payoff_classical: Optional[float] = None
-    payoff_quantum: Optional[float] = None
-    output: Optional[str] = None
-    format: str = "csv"
+    n: int = _flag(6, int, (lambda v: 2 <= v <= MAX_PLAYERS, f"in [2, {MAX_PLAYERS}]"),
+                   "number of players / qubits")
+    state: str = _flag("ghz", str, (lambda v: v in _FAMILY_NAMES,
+                                    "one of " + ", ".join(_FAMILY_NAMES)), "initial state family")
+    x: float = _flag(1.0, float, _UNIT, "GHZ/Bell mixture weight")
+    f: float = _flag(1.0, float, _UNIT, "fidelity, 1 = noiseless")
+    gamma: float = _flag(math.pi / 2, parse_angle,
+                         (lambda v: 0.0 <= v <= math.pi / 2, "in [0, pi/2]"), "entangler angle")
+    symmetric: Optional[Tuple[float, float, float]] = _flag(
+        None, _parse_triple, None, "shared strategy 'theta,alpha,beta'")
+    profile: Optional[Tuple[Tuple[float, float, float], ...]] = _flag(
+        None, _parse_profile, None, "per-player strategies 't,a,b;t,a,b;...'")
+    player: int = _flag(1, int, None, "1-based player for best-response")
+    grid: int = _flag(25, int, _AT_LEAST_TWO, "grid resolution per strategy axis")
+    theta_steps: int = _flag(25, int, _AT_LEAST_TWO, "surface grid points along theta")
+    alpha_steps: int = _flag(25, int, _AT_LEAST_TWO, "surface grid points along alpha")
+    steps: int = _flag(11, int, _AT_LEAST_TWO, "number of sweep points")
+    tolerance: float = _flag(analysis.NASH_TOLERANCE, float,
+                             (lambda v: math.isfinite(v) and v > 0, "finite and positive"),
+                             "payoff-gain tolerance for the NE verdict")
+    payoff_classical: Optional[float] = _flag(None, float, _UNIT,
+                                              "classical payoff fed to the conjecture")
+    payoff_quantum: Optional[float] = _flag(None, float, _UNIT,
+                                            "quantum payoff fed to the conjecture")
+    output: Optional[str] = _flag(None, str, None, "path of the emitted table")
+    format: str = _flag("csv", str, (lambda v: v in ("csv", "json"), "csv or json"),
+                        "output format")
+
+    def __post_init__(self):
+        """Check the rules that join flags; parse_config checks each flag's domain."""
+        if self.profile is not None and self.symmetric is not None:
+            raise CliError("give --symmetric or --profile, not both")
+        command = _COMMANDS[self.command]
+        try:
+            # building the recipe triggers the family's qubit-count rules; n is
+            # checked before a profile of n strategies is built
+            if command.recipe(self) is not None and self.n > MAX_QUBITS:
+                raise CliError(f"n must be <= {MAX_QUBITS} to build a state, got {self.n}")
+            # triggers angle-domain and profile-shape validation, also for a
+            # profile given to a command that does not play one
+            if command.needs_profile or self.symmetric is not None or self.profile is not None:
+                self.strategy_profile()
+        except ValueError as exc:
+            raise CliError(str(exc)) from None
+        if not 1 <= self.player <= self.n:
+            raise CliError(f"player must be in [1, {self.n}], got {self.player}")
 
     def game_spec(self) -> GameSpec:
         """The game on the state of this command's row."""
@@ -109,36 +154,9 @@ class RunConfig:
         return StrategyProfile.symmetric(StrategyParams(*self.symmetric), self.n)
 
 
-# Every command's bound on --n, checked before anything is built: the
-# exact classical payoff of n = 100000 players takes about 0.3 s.
-MAX_PLAYERS = 100_000
-
-_UNIT = (lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
-_AT_LEAST_TWO = (lambda v: v >= 2, ">= 2")
-
+# name -> (converter, domain, help), one entry per RunConfig flag field
 _FLAG_SPEC = {
-    # name -> (converter, domain as (predicate, phrase) or None, help)
-    "n": (int, (lambda v: 2 <= v <= MAX_PLAYERS, f"in [2, {MAX_PLAYERS}]"),
-          "number of players / qubits"),
-    "state": (str, (lambda v: v in _FAMILY_NAMES, "one of " + ", ".join(_FAMILY_NAMES)),
-              "initial state family"),
-    "x": (float, _UNIT, "GHZ/Bell mixture weight"),
-    "f": (float, _UNIT, "fidelity, 1 = noiseless"),
-    "gamma": (parse_angle, (lambda v: 0.0 <= v <= math.pi / 2, "in [0, pi/2]"),
-              "entangler angle"),
-    "symmetric": (_parse_triple, None, "shared strategy 'theta,alpha,beta'"),
-    "profile": (_parse_profile, None, "per-player strategies 't,a,b;t,a,b;...'"),
-    "player": (int, None, "1-based player for best-response"),
-    "grid": (int, _AT_LEAST_TWO, "grid resolution per strategy axis"),
-    "theta-steps": (int, _AT_LEAST_TWO, "surface grid points along theta"),
-    "alpha-steps": (int, _AT_LEAST_TWO, "surface grid points along alpha"),
-    "steps": (int, _AT_LEAST_TWO, "number of sweep points"),
-    "tolerance": (float, (lambda v: math.isfinite(v) and v > 0, "finite and positive"),
-                  "payoff-gain tolerance for the NE verdict"),
-    "payoff-classical": (float, _UNIT, "classical payoff fed to the conjecture"),
-    "payoff-quantum": (float, _UNIT, "quantum payoff fed to the conjecture"),
-    "output": (str, None, "path of the emitted table"),
-    "format": (str, (lambda v: v in ("csv", "json"), "csv or json"), "output format"),
+    f.name.replace("_", "-"): f.metadata["flag"] for f in fields(RunConfig) if f.metadata
 }
 
 
@@ -206,29 +224,7 @@ def parse_config(args: Sequence[str]) -> RunConfig:
             raise CliError(f"{name} must be {domain[1]}, got {value}")
         raw[attr] = value
 
-    config = RunConfig(command=ns.command, **raw)
-    _validate(config)
-    return config
-
-
-def _validate(config: RunConfig) -> None:
-    if config.profile is not None and config.symmetric is not None:
-        raise CliError("give --symmetric or --profile, not both")
-    command = _COMMANDS[config.command]
-    try:
-        # building the recipe triggers the family's qubit-count rules; n is
-        # checked before a profile of n strategies is built
-        if command.recipe(config) is not None and config.n > MAX_QUBITS:
-            raise CliError(f"n must be <= {MAX_QUBITS} to build a state, got {config.n}")
-        # triggers angle-domain and profile-shape validation, also for a
-        # profile given to a command that does not play one
-        given = config.symmetric is not None or config.profile is not None
-        if command.needs_profile or given:
-            config.strategy_profile()
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    if not 1 <= config.player <= config.n:
-        raise CliError(f"player must be in [1, {config.n}], got {config.player}")
+    return RunConfig(command=ns.command, **raw)
 
 
 def _fmt(value) -> str:

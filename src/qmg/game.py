@@ -106,7 +106,7 @@ def strategy_unitary(p: StrategyParams) -> np.ndarray:
     return m
 
 
-@functools.lru_cache(maxsize=128)  # every (n, player) with n <= MAX_QUBITS
+@functools.cache  # one entry per (n, player): n > MAX_QUBITS raises, uncached
 def minority_projector(n: int, player: int) -> np.ndarray:
     """Read-only intp array of the basis indices where the player wins.
 
@@ -120,7 +120,7 @@ def minority_projector(n: int, player: int) -> np.ndarray:
     return idx
 
 
-@functools.lru_cache(maxsize=128)  # every (n, player) with n <= MAX_QUBITS
+@functools.cache  # one entry per (n, player): n > MAX_QUBITS raises, uncached
 def minority_mask(n: int, player: int) -> np.ndarray:
     """Read-only boolean mask over the 2^n basis indices where the player wins.
 

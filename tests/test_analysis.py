@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -74,6 +75,13 @@ class TestFormulas:
             payoff_formula_eq8(1.5)
         with pytest.raises(ValueError):
             payoff_formula_eq9(0.5, -0.1)
+        with pytest.raises(ValueError, match=re.escape("x must be in [0, 1], got 1.5")):
+            payoff_formula_eq9(1.5, 1.0)
+        with pytest.raises(ValueError, match=re.escape("gamma must be in [0, pi/2], got 2.0")):
+            conjecture_eq14(2.0, 0.1875, 0.3125)
+        with pytest.raises(ValueError,
+                           match=re.escape("payoff_classical must be in [0, 1], got 1.5")):
+            conjecture_eq14(0.0, 1.5, 0.3125)
 
     def test_conjecture_limits(self):
         c, q = 3 / 16, 5 / 16

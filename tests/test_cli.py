@@ -123,6 +123,39 @@ class TestParseConfig:
         assert config.state == "mixture"
         assert config.symmetric == (PI / 2, -PI / 12, PI / 12)  # from file
 
+    def test_config_file_line_without_equals(self, tmp_path):
+        # comment-only and blank lines are skipped, yet still counted
+        path = tmp_path / "run.cfg"
+        path.write_text("n = 4\n# comment\n\nfoo\n", encoding="utf-8")
+        with pytest.raises(CliError,
+                           match="^config line 4: expected key = value, got 'foo'$"):
+            parse_config(["classical", "--config", str(path)])
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            pytest.param(dict(command="payoff", n=4, symmetric=(0.0, 0.0, 0.0),
+                              profile=((0.0, 0.0, 0.0),) * 4),
+                         "give --symmetric or --profile, not both", id="symmetric and profile"),
+            pytest.param(dict(command="nash-check", n=4), "command needs --symmetric or --profile",
+                         id="no profile"),
+            pytest.param(dict(command="payoff", n=13, symmetric=(0.0, 0.0, 0.0)),
+                         "n must be <= 12 to build a state, got 13", id="past the dense ceiling"),
+            pytest.param(dict(command="payoff", n=5, state="bell", symmetric=(0.0, 0.0, 0.0)),
+                         "bell requires even n_qubits", id="family's qubit count"),
+            pytest.param(dict(command="payoff", n=4, profile=((0.0, 0.0, 0.0),) * 3),
+                         "profile has 3 strategies for n=4", id="profile length"),
+            pytest.param(dict(command="classical", n=4, symmetric=(9.0, 0.0, 0.0)),
+                         "theta must be in [0, pi], got 9.0", id="angle of an unplayed profile"),
+            pytest.param(dict(command="best-response", n=4, symmetric=(0.0, 0.0, 0.0), player=5),
+                         "player must be in [1, 4], got 5", id="player past n"),
+        ],
+    )
+    def test_run_config_checks_the_rules_between_flags(self, kwargs, message):
+        # built directly, with no command line, a RunConfig still checks them
+        with pytest.raises(CliError, match=f"^{re.escape(message)}$"):
+            RunConfig(**kwargs)
+
     def test_config_file_unknown_key(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("volume = 11\n", encoding="utf-8")
@@ -196,6 +229,10 @@ class TestEmitTable:
         with pytest.raises(CliError):
             emit_table([], "csv", str(path))
         assert not path.exists()
+
+    def test_unknown_format_rejected(self):
+        with pytest.raises(CliError, match="^unknown output format 'xml'$"):
+            render_table(self.ROWS, "xml")
 
     def test_unwritable_path(self):
         with pytest.raises(CliError):
@@ -456,6 +493,15 @@ class TestCleanFailure:
             pytest.param(["payoff", "--n", "2", "--profile", "0,0,0;;0,0,0"],
                          "bad value for --profile: expected 'theta,alpha,beta', got ''",
                          id="argv19-empty strategy inside a profile"),
+            pytest.param(["best-response", "--n", "4", "--symmetric", "0,0,0", "--player", "5"],
+                         "player must be in [1, 4], got 5",
+                         id="argv20-player past n"),
+            pytest.param(["payoff", "--n", "4", "--symmetric", "pi/0,0,0"],
+                         "bad value for --symmetric: zero denominator in angle 'pi/0'",
+                         id="argv21-zero denominator in an angle"),
+            pytest.param(["payoff", "--n", "4", "--symmetric", "0,0,4"],
+                         "beta must be in [-pi, pi], got 4.0",
+                         id="argv22-beta must be in [-pi, pi], got 4.0"),
         ],
     )
     def test_domain_errors_are_clean(self, argv, message, capsys):
@@ -530,6 +576,20 @@ class TestCleanFailure:
         captured = capsys.readouterr()
         assert captured.out.startswith("usage: qmg")
         assert captured.err == ""
+
+    def test_help_lists_every_flag_with_its_help_and_domain(self, monkeypatch, capsys):
+        # wide enough that no help phrase wraps
+        monkeypatch.setenv("COLUMNS", "400")
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        out = capsys.readouterr().out
+        assert set(re.findall(r"^  --([a-z-]+)", out, re.MULTILINE)) == _FLAG_NAMES
+        for name, (_, domain, help_text) in _FLAG_SPEC.items():
+            if domain is not None:
+                help_text += f", {domain[1]}"
+            # the flag, its metavar, then its help text and nothing else
+            line = rf"^  --{name} {name.replace('-', '_').upper()}\s+{re.escape(help_text)}$"
+            assert re.search(line, out, re.MULTILINE), name
 
     def test_qmg_threads_is_not_read(self, monkeypatch):
         monkeypatch.setenv("QMG_THREADS", "not-a-number")

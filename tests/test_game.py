@@ -652,6 +652,10 @@ class TestBaselines:
         assert max_symmetric_payoff(4) == Fraction(1, 4)
         assert max_symmetric_payoff(2) == 0
 
+    def test_max_symmetric_payoff_needs_two_players(self):
+        with pytest.raises(ValueError, match="need at least 2 players"):
+            max_symmetric_payoff(1)
+
 
 class TestStrategyProfile:
     @pytest.mark.parametrize("player", [0, -1, 5])
@@ -659,8 +663,16 @@ class TestStrategyProfile:
         with pytest.raises(ValueError):
             random_profile(4).replace(player, IDENTITY)
 
+    def test_rejects_entries_that_are_not_strategies(self):
+        with pytest.raises(TypeError, match="profile entries must be StrategyParams"):
+            StrategyProfile((IDENTITY, (0.0, 0.0, 0.0)))
+
 
 class TestGameSpec:
+    def test_needs_two_players(self):
+        with pytest.raises(ValueError, match="need at least 2 players"):
+            GameSpec(1, InitialStateRecipe(StateFamily.GHZ, 2))
+
     def test_recipe_size_must_match(self):
         with pytest.raises(ValueError):
             GameSpec(4, InitialStateRecipe(StateFamily.GHZ, 6))
