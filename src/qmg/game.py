@@ -25,7 +25,7 @@ from typing import Iterator, List, Sequence
 
 import numpy as np
 
-from .core import _check_qubit_count, apply_locals
+from .core import _check_qubit_count, apply_locals, distinct_columns
 from .states import InitialStateRecipe, build_pure
 
 
@@ -51,12 +51,19 @@ IDENTITY = StrategyParams(0.0, 0.0, 0.0)
 
 @dataclass(frozen=True)
 class StrategyProfile:
+    """One strategy per player, compared field by field and hashed once."""
+
     strategies: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "strategies", tuple(self.strategies))
         if not all(isinstance(s, StrategyParams) for s in self.strategies):
             raise TypeError("profile entries must be StrategyParams")
+
+    def __hash__(self):
+        if "_hash" not in vars(self):  # on first use: most profiles are never hashed
+            object.__setattr__(self, "_hash", hash(self.strategies))
+        return self._hash
 
     @classmethod
     def symmetric(cls, params: StrategyParams, n: int) -> "StrategyProfile":
@@ -168,16 +175,16 @@ def _pure(spec: GameSpec) -> GameSpec:
     return replace(spec, recipe=replace(spec.recipe, f=1.0))
 
 
-# The initial states of the last four recipes, each a read-only 2^N array
-# shared by every caller (64 KiB at N = 12, so 256 KiB at most). Callers
-# vary the profile far more often than the recipe, but a pass of the
-# `nash` benchmark workload cycles through four recipes (GHZ, mixture and
-# Bell at N = 10, GHZ at N = 12): a smaller memo rebuilds a state on
-# almost every search. A miss calls the module-level build_pure, so a
-# tracer that wraps it sees it.
+# The initial states of the last four recipes, each as its read-only
+# `distinct_columns`, shared by every caller (at N = 12, 4 KiB for a family
+# state, 64 KiB if every column is distinct). Callers vary the profile far
+# more often than the recipe, but a pass of the `nash` benchmark workload
+# cycles through four recipes (GHZ, mixture and Bell at N = 10, GHZ at
+# N = 12): a smaller memo rebuilds a state on almost every search. A miss
+# calls the module-level build_pure, so a tracer that wraps it sees it.
 @functools.lru_cache(maxsize=4)
-def _initial_state(recipe: InitialStateRecipe) -> np.ndarray:
-    return build_pure(recipe)
+def _initial_state(recipe: InitialStateRecipe) -> tuple[np.ndarray, np.ndarray]:
+    return distinct_columns(build_pure(recipe))
 
 
 def final_amplitudes(spec: GameSpec, profiles: Sequence[StrategyProfile]) -> np.ndarray:
@@ -189,8 +196,7 @@ def final_amplitudes(spec: GameSpec, profiles: Sequence[StrategyProfile]) -> np.
     n = spec.n_players
     if any(len(profile) != n for profile in profiles):
         raise ValueError(f"every profile needs {n} strategies")
-    initial = _initial_state(_pure(spec).recipe)
-    return apply_locals(np.broadcast_to(initial, (len(profiles), 2**n)), _unitaries(profiles))
+    return apply_locals(*_initial_state(_pure(spec).recipe), _unitaries(profiles))
 
 
 def final_amplitude_chunks(

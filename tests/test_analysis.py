@@ -303,9 +303,9 @@ class TestSweeps:
         # row is keyed on the f = 1 spec and every point of the sweep reads it
         calls = []
 
-        def counted(states, unitaries):
-            calls.append(len(states))
-            return apply_locals(states, unitaries)
+        def counted(columns, spread, unitaries):
+            calls.append(len(unitaries))
+            return apply_locals(columns, spread, unitaries)
 
         monkeypatch.setattr(game, "apply_locals", counted)
         game._probabilities.cache_clear()
@@ -734,9 +734,10 @@ class TestLockstepSearch:
                 sizes.append(out.size)
                 return out
 
-        def counting_apply_locals(states, unitaries):
-            amplitudes.append(states.size)
-            return apply_locals(states, unitaries)
+        def counting_apply_locals(columns, spread, unitaries):
+            out = apply_locals(columns, spread, unitaries)
+            amplitudes.append(out.size)
+            return out
 
         monkeypatch.setattr(analysis, "np", CountingNumpy())
         monkeypatch.setattr(game, "apply_locals", counting_apply_locals)

@@ -16,9 +16,9 @@ from dense_oracle import (
     qubit_count,
 )
 from qmg import game
-from qmg.core import MAX_QUBITS, _check_unit_rows, apply_locals
+from qmg.core import MAX_QUBITS, _check_unit_rows, apply_locals, distinct_columns
 from qmg.game import GameSpec, StrategyParams, strategy_unitary
-from qmg.states import InitialStateRecipe, StateFamily
+from qmg.states import InitialStateRecipe, StateFamily, build_pure
 
 RNG = np.random.default_rng(7)
 
@@ -155,66 +155,146 @@ def sequential(psi, us):
     return psi
 
 
+def family_recipes():
+    """Every family at every valid N up to MAX_QUBITS, at x = 0, 0.5 and 1."""
+    for family in StateFamily:
+        for n in range(2, MAX_QUBITS + 1):
+            for x in (0.0, 0.5, 1.0):
+                try:
+                    recipe = InitialStateRecipe(family, n, x=x)
+                except ValueError:  # n is no multiple of the family's block
+                    continue
+                yield pytest.param(recipe, id=f"{family.value}-{n}-x{x}")
+
+
+class TestDistinctColumns:
+    @pytest.mark.parametrize("n", range(1, MAX_QUBITS + 1))
+    def test_columns_spread_back_to_the_state_bytes(self, n):
+        psi = random_state(n)
+        columns, spread = distinct_columns(psi)
+        assert spread.dtype == np.intp
+        assert np.ascontiguousarray(columns[:, spread]).tobytes() == psi.tobytes()
+
+    @pytest.mark.parametrize("recipe", list(family_recipes()))
+    def test_k_is_a_power_of_two_within_the_trailing_patterns(self, recipe):
+        n = recipe.n_qubits
+        psi = build_pure(recipe)
+        columns, spread = distinct_columns(psi)
+        k = columns.shape[1]
+        assert columns.shape[0] == 2 ** ((n + 1) // 2) and spread.shape == (2 ** (n // 2),)
+        assert k & (k - 1) == 0 and k <= 2 ** (n // 2)
+        # the padding repeats a column and only distinct columns come before it
+        distinct = len(set(spread.tolist()))
+        assert k // 2 < distinct <= k and set(spread.tolist()) == set(range(distinct))
+        assert np.ascontiguousarray(columns[:, spread]).tobytes() == psi.tobytes()
+
+    def test_exact_column_counts(self):
+        mixture = build_pure(InitialStateRecipe(StateFamily.GHZ_BELL_MIXTURE, 12, x=0.5))
+        assert distinct_columns(mixture)[0].shape == (64, 4)
+        assert distinct_columns(random_state(12))[0].shape == (64, 64)
+        assert distinct_columns(random_state(11))[0].shape == (64, 32)
+
+    def test_columns_are_compared_by_bytes(self):
+        # the columns (s, +0) and (s, -0) are equal under ==, not in bits
+        s = math.sqrt(0.5)
+        psi = np.array([s, s, 0.0, -0.0], dtype=complex)
+        assert np.array_equal(psi.reshape(2, 2)[:, 0], psi.reshape(2, 2)[:, 1])
+        columns, spread = distinct_columns(psi)
+        assert columns.shape == (2, 2) and spread.tolist() == [0, 1]
+
+    def test_results_are_read_only(self):
+        columns, spread = distinct_columns(random_state(4))
+        with pytest.raises(ValueError):
+            columns[0, 0] = 0
+        with pytest.raises(ValueError):
+            spread[0] = 0
+
+
 class TestApplyLocals:
-    @pytest.mark.parametrize("n", [1, 2, 5, 8, 9, 10, 11, 12])
+    @pytest.mark.parametrize("n", range(1, MAX_QUBITS + 1))
     def test_bit_identical_to_sequential_apply_local(self, n):
         for rows in (1, 3):
-            states = [random_state(n) for _ in range(rows)]
+            psi = random_state(n)
             us = [[random_unitary() for _ in range(n)] for _ in range(rows)]
-            out = apply_locals(np.array(states), np.array(us))
+            out = apply_locals(*distinct_columns(psi), np.array(us))
             assert out.shape == (rows, 2**n)
-            for got, psi, row in zip(out, states, us):
+            for got, row in zip(out, us):
                 assert np.array_equal(got, sequential(psi, row))
 
     @given(st.integers(1, MAX_QUBITS), st.sampled_from([1, 3]), st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_random_batches_match_the_oracle(self, n, rows, seed):
         rng = np.random.default_rng(seed)
-        amps = rng.normal(size=(rows, 2**n)) + 1j * rng.normal(size=(rows, 2**n))
-        states = [normalized(a) for a in amps]
+        psi = normalized(rng.normal(size=2**n) + 1j * rng.normal(size=2**n))
         thetas = rng.uniform(0, math.pi, size=(rows, n))
         phases = rng.uniform(-math.pi, math.pi, size=(rows, n, 2))
         us = [
             [strategy_unitary(StrategyParams(t, *ab)) for t, ab in zip(ts, abs_)]
             for ts, abs_ in zip(thetas, phases)
         ]
-        out = apply_locals(np.array(states), np.array(us))
-        for got, psi, row in zip(out, states, us):
+        out = apply_locals(*distinct_columns(psi), np.array(us))
+        for got, row in zip(out, us):
             assert np.array_equal(got, sequential(psi, row))
 
+    @pytest.mark.parametrize("recipe", list(family_recipes()))
+    def test_family_states_keep_the_oracle_bytes(self, recipe):
+        # a family state has few distinct columns, so the leading group runs
+        # at a narrower product width than 2^(n-1); tobytes tells -0 from +0
+        n = recipe.n_qubits
+        psi = build_pure(recipe)
+        symmetric = [[random_unitary()] * n for _ in range(3)]
+        identity_slot = [row[:] for row in symmetric]
+        for row in identity_slot:
+            row[int(RNG.integers(n))] = np.eye(2, dtype=complex)
+        for us in ([[random_unitary() for _ in range(n)] for _ in range(3)],
+                   symmetric, identity_slot):
+            out = apply_locals(*distinct_columns(psi), np.array(us))
+            for got, row in zip(out, us):
+                assert got.tobytes() == sequential(psi, row).tobytes()
+
     def test_length_mismatch(self):
-        amps = random_state(3)[None]
+        columns, spread = distinct_columns(random_state(3))
         with pytest.raises(ValueError):
-            apply_locals(amps, np.array([[random_unitary()] * 2]))
+            apply_locals(columns, spread, np.array([[random_unitary()] * 2]))
         with pytest.raises(ValueError):
-            apply_locals(np.repeat(amps, 2, axis=0), np.array([[random_unitary()] * 3]))
+            apply_locals(columns, spread, np.array([[random_unitary()] * 4]))
         with pytest.raises(ValueError):
-            apply_locals(amps[0], np.array([[random_unitary()] * 3])[0])
+            apply_locals(columns, spread, np.array([[random_unitary()] * 3])[0])
+        with pytest.raises(ValueError):
+            apply_locals(columns, spread[:1], np.array([[random_unitary()] * 3]))
+
+    def test_rejects_a_column_count_that_is_no_power_of_two(self):
+        psi = build_pure(InitialStateRecipe(StateFamily.GHZ, 4))
+        columns, spread = distinct_columns(psi)
+        assert columns.shape == (4, 4) and len(set(spread.tolist())) == 3
+        with pytest.raises(ValueError, match="columns"):
+            apply_locals(columns[:, :3], spread, np.array([[random_unitary()] * 4]))
 
     def test_result_is_read_only(self):
         psi = random_state(2)
-        out = apply_locals(psi[None], np.array([[random_unitary()] * 2]))
+        out = apply_locals(*distinct_columns(psi), np.array([[random_unitary()] * 2]))
         with pytest.raises(ValueError):
             out[0, 0] = 0
 
     def test_broadcast_operands_give_the_materialised_bits(self):
         psi = random_state(6)
         row = [random_unitary() for _ in range(6)]
-        amps, us = psi[None], np.array([row])
-        want = apply_locals(np.repeat(amps, 3, axis=0), np.repeat(us, 3, axis=0))
-        got = apply_locals(np.broadcast_to(amps, (3, 64)), np.broadcast_to(us, (3, 6, 2, 2)))
+        columns, spread = distinct_columns(psi)
+        us = np.array([row])
+        want = apply_locals(columns, spread, np.repeat(us, 3, axis=0))
+        got = apply_locals(columns, spread, np.broadcast_to(us, (3, 6, 2, 2)))
         assert np.array_equal(got, want)
         assert np.array_equal(got[0], sequential(psi, row))
 
     def test_every_row_is_norm_checked(self):
-        amps = np.repeat(random_state(2)[None], 3, axis=0)
+        columns, spread = distinct_columns(random_state(2))
         us = np.array([[np.eye(2)] * 2] * 3, dtype=complex)
         us[2, 1] *= 1.001  # not unitary: only the last row loses its norm
         with pytest.raises(ValueError, match="not normalized"):
-            apply_locals(amps, us)
+            apply_locals(columns, spread, us)
         us[2, 1] = np.nan
         with pytest.raises(ValueError, match="not normalized"):
-            apply_locals(amps, us)
+            apply_locals(columns, spread, us)
 
 
 class TestApplyLocalMixed:

@@ -22,7 +22,7 @@ from dense_oracle import (
 from paper_checks import classical_payoff_sum
 from qmg import game
 from qmg.analysis import nash_check, ne_strategy, payoff_surface
-from qmg.core import apply_locals
+from qmg.core import apply_locals, distinct_columns
 from qmg.game import (
     IDENTITY,
     GameSpec,
@@ -305,10 +305,11 @@ class TestPayoffPath:
     def test_memoised_initial_state_is_read_only(self):
         recipe = InitialStateRecipe(StateFamily.GHZ, 4)
         expected_payoff(GameSpec(4, recipe), random_profile(4), 1)
-        psi = game._initial_state(recipe)
-        assert psi is game._initial_state(recipe)
-        with pytest.raises(ValueError):
-            psi[0] = 0
+        initial = game._initial_state(recipe)
+        assert initial is game._initial_state(recipe)
+        for array in initial:  # the distinct columns and their spread
+            with pytest.raises(ValueError):
+                array[0] = 0
         winning = minority_projector(4, 1)
         with pytest.raises(ValueError):
             winning[0] = 0
@@ -415,10 +416,7 @@ class TestBatchedPayoffs:
         n = recipe.n_qubits
         psi = build_pure(recipe)
         profiles = [data.draw(profiles_for(n)) for _ in range(rows)]
-        out = apply_locals(
-            np.repeat(psi[None], rows, axis=0),
-            game._unitaries(profiles),
-        )
+        out = apply_locals(*distinct_columns(psi), game._unitaries(profiles))
         for got, profile in zip(out, profiles):
             state = psi
             for q, params in enumerate(profile.strategies):
@@ -497,6 +495,25 @@ class TestFinalStateMemo:
             for player in range(1, 5):
                 expected_payoff(spec, profile, player)
         assert built == [[first], [second]]
+
+    def test_an_equal_profile_object_hits_the_memo(self, monkeypatch):
+        built = []
+        build = game.final_amplitudes
+
+        def counted(spec, profiles):
+            built.append(list(profiles))
+            return build(spec, profiles)
+
+        monkeypatch.setattr(game, "final_amplitudes", counted)
+        game._probabilities.cache_clear()
+        spec = GameSpec(4, InitialStateRecipe(StateFamily.GHZ, 4))
+        first = random_profile(4)
+        # new StrategyParams objects too, so nothing is shared but the values
+        second = StrategyProfile(tuple(StrategyParams(*vars(p).values()) for p in first))
+        assert second is not first and second == first and hash(second) == hash(first)
+        payoff = expected_payoff(spec, first, 2)
+        assert expected_payoff(spec, second, 2) == payoff
+        assert built == [[first]]
 
     def test_memoised_row_is_read_only(self):
         spec = GameSpec(4, InitialStateRecipe(StateFamily.GHZ, 4))
@@ -662,6 +679,16 @@ class TestStrategyProfile:
     def test_replace_rejects_players_out_of_range(self, player):
         with pytest.raises(ValueError):
             random_profile(4).replace(player, IDENTITY)
+
+    def test_equal_profiles_hash_equal(self):
+        profile = random_profile(5)
+        copy = StrategyProfile(list(profile.strategies))
+        assert copy == profile and hash(copy) == hash(profile)
+        assert hash(profile) == hash(profile.strategies)
+        other = profile.replace(3, IDENTITY)
+        assert other != profile and hash(other) == hash(other.strategies)
+        replaced = dataclasses.replace(other, strategies=profile.strategies)
+        assert replaced == profile and hash(replaced) == hash(profile)
 
     def test_rejects_entries_that_are_not_strategies(self):
         with pytest.raises(TypeError, match="profile entries must be StrategyParams"):
