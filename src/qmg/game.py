@@ -147,12 +147,12 @@ def minority_mask(n: int, player: int) -> np.ndarray:
     return mask
 
 
-# The one budget of every batched call: amplitudes per kernel call (one
-# row at N = 12, 256 rows at N = 4) and (player, deviation) pairs per Gram
-# einsum of the best-response search, which reads it when it runs. Bigger
-# chunks raise peak memory: the N = 12 surface peaks near 2.9 MiB with
-# 8-row chunks against 0.6 MiB with this budget.
-PAYOFF_CHUNK = 2**12
+# The one budget of every batched call: amplitudes per kernel call (two
+# rows at N = 12, 512 at N = 4; on the `scan` benchmark two N = 12 rows beat
+# one and four) and deviations per Gram einsum of the best-response search,
+# read when it runs (it binds only on a theta plane past 2^13 survivors, grid
+# 91 up). The N = 12 surface peaks near 0.67 MiB, 2.17 MiB with 8-row chunks.
+PAYOFF_CHUNK = 2**13
 
 
 def _unitaries(profiles: Sequence[StrategyProfile]) -> np.ndarray:
@@ -164,14 +164,22 @@ def _unitaries(profiles: Sequence[StrategyProfile]) -> np.ndarray:
     strategy would cost more than building the one matrix.
     """
     distinct = {id(p): p for profile in profiles for p in profile.strategies}
-    mats = {key: strategy_unitary(params) for key, params in distinct.items()}
-    return np.array([[mats[id(p)] for p in profile.strategies] for profile in profiles])
+    slot = {key: k for k, key in enumerate(distinct)}
+    mats = np.array([strategy_unitary(params) for params in distinct.values()])
+    index = [slot[id(p)] for profile in profiles for p in profile.strategies]
+    return mats[index].reshape(len(profiles), -1, 2, 2)
 
 
 def _pure(spec: GameSpec) -> GameSpec:
     """The spec at f = 1, which every f of its recipe shares until the payoff."""
     if spec.recipe.f == 1.0:
         return spec
+    return _pure_twin(spec)
+
+
+# Built once per noisy spec (replace reruns __post_init__); bounded for sweeps over f.
+@functools.lru_cache(maxsize=4)
+def _pure_twin(spec: GameSpec) -> GameSpec:
     return replace(spec, recipe=replace(spec.recipe, f=1.0))
 
 

@@ -1138,15 +1138,17 @@ def test_one_deviator_check_holds_one_block_per_class():
 
 
 def test_surface_memory_stays_within_one_chunk():
-    # one N=12 row per kernel call peaks near 0.55 MiB; eight-row chunks
-    # took 2.96 MiB, so a chunk that grows back fails here
+    # two N=12 rows per kernel call peak near 0.67 MiB (one row 0.41 MiB,
+    # four rows 1.17 MiB); eight-row chunks take 2.17 MiB, so a chunk that
+    # grows that far fails here
     spec = GameSpec(12, InitialStateRecipe(StateFamily.GHZ_BELL_MIXTURE, 12, x=0.5))
     assert _peak_bytes(payoff_surface, spec, 25, 25) < 1.5 * 2**20
 
 
 def test_nash_check_memory_builds_partial_states_in_chunks():
-    # twelve players at N = 12: the chunked build, one partial state per
-    # kernel call, peaks near 1.6 MiB; all twelve in one call took 3.1 MiB
+    # twelve players at N = 12: the chunked build, two partial states per
+    # kernel call, peaks near 1.26 MiB (one per call 1.20 MiB); all twelve
+    # in one call take 3.0 MiB
     rng = np.random.default_rng(12)
     profile = StrategyProfile(
         tuple(StrategyParams(*map(float, t)) for t in zip(*_random_points(rng, 12)))

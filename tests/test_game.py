@@ -165,6 +165,9 @@ class TestStrategyUnitary:
         assert calls == [p, q, r]
         want = np.array([[strategy_unitary(s) for s in row] for row in rows])
         assert mats.tobytes() == want.tobytes()
+        # the kernel reads one C-contiguous complex (B, n, 2, 2) stack
+        assert mats.shape == (2, 4, 2, 2) and mats.dtype == complex
+        assert mats.flags.c_contiguous
 
     def test_domain_validation(self):
         with pytest.raises(ValueError):
@@ -355,6 +358,23 @@ class TestPayoffPath:
             expected_payoff(GameSpec(4, recipe), profile, 1)
         assert built == [ghz, bell, e1, e2, e3, bell]
 
+    def test_noisy_spec_builds_its_pure_twin_once(self):
+        recipe = InitialStateRecipe(StateFamily.GHZ_BELL_MIXTURE, 6, x=0.5, f=0.9)
+        game._pure_twin.cache_clear()
+        twin = game._pure(GameSpec(6, recipe))
+        assert twin == GameSpec(6, dataclasses.replace(recipe, f=1.0))
+        # an equal spec built anew finds the same twin; f = 1 is its own twin
+        assert game._pure(GameSpec(6, dataclasses.replace(recipe))) is twin
+        assert game._pure(twin) is twin
+        assert game._pure_twin.cache_info().currsize == 1
+        profile = random_profile(6)
+        for player in (1, 6):
+            k = len(minority_projector(6, player))
+            want = 0.9 * expected_payoff(twin, profile, player) + (1 - 0.9) * k / 2**6
+            game._pure_twin.cache_clear()  # a miss, then a hit
+            assert expected_payoff(GameSpec(6, recipe), profile, player) == want
+            assert expected_payoff(GameSpec(6, recipe), profile, player) == want
+
     def test_a_nash_pass_builds_each_initial_state_once(self, monkeypatch):
         # the benchmark's nash pass: GHZ, the noisy mixture and Bell at
         # N = 10, then GHZ at N = 12, in turn and then again
@@ -393,6 +413,29 @@ def profiles_for(n):
     return st.lists(strategy_params, min_size=n, max_size=n).map(
         lambda s: StrategyProfile(tuple(s))
     )
+
+
+def _random_angles(rng, n):
+    """n (theta, alpha, beta) triples drawn uniformly from their boxes."""
+    return zip(rng.uniform(0, PI, n), rng.uniform(-PI, PI, n), rng.uniform(-PI, PI, n))
+
+
+# every family at every N in 9..12 that it allows, the mixture at three x
+LARGE_RECIPES = (
+    [InitialStateRecipe(StateFamily.GHZ, n) for n in range(9, 13)]
+    + [InitialStateRecipe(StateFamily.BELL_PRODUCT, n) for n in (10, 12)]
+    + [
+        InitialStateRecipe(StateFamily.GHZ_BELL_MIXTURE, n, x=x)
+        for n in (10, 12)
+        for x in (0.0, 0.5, 1.0)
+    ]
+    + [
+        InitialStateRecipe(StateFamily.EXPONENTIAL_ENTANGLER, n, gamma=gamma)
+        for n in range(9, 13)
+        for gamma in (PI / 2, 0.7)
+    ]
+    + [InitialStateRecipe(StateFamily.W3_PRODUCT, n) for n in (9, 12)]
+)
 
 
 @st.composite
@@ -455,6 +498,36 @@ class TestBatchedPayoffs:
             for row in surface
         ]
         assert [row.payoff_simulated for row in surface] == pointwise
+
+    @pytest.mark.parametrize(
+        "recipe", LARGE_RECIPES, ids=lambda r: f"{r.family.value}-{r.n_qubits}-x{r.x}-g{r.gamma:.2f}"
+    )
+    def test_default_budget_batches_bit_for_bit_at_large_n(self, recipe):
+        # under the default budget these N run several rows per kernel
+        # call; five profiles leave a part-filled last chunk at N = 11, 12
+        n = recipe.n_qubits
+        spec = GameSpec(n, recipe)
+        rng = np.random.default_rng(n)
+        profiles = [
+            StrategyProfile(tuple(StrategyParams(*map(float, t)) for t in _random_angles(rng, n)))
+            for _ in range(5)
+        ]
+        for player in (1, n):
+            batched = expected_payoffs(spec, profiles, player)
+            assert batched == [expected_payoff(spec, p, player) for p in profiles]
+
+    def test_n12_surface_runs_two_rows_per_kernel_call(self, monkeypatch):
+        # a budget that slips back to one row per call fails here
+        rows = []
+
+        def counted(columns, spread, u):
+            rows.append(len(u))
+            return apply_locals(columns, spread, u)
+
+        monkeypatch.setattr(game, "apply_locals", counted)
+        spec = GameSpec(12, InitialStateRecipe(StateFamily.GHZ_BELL_MIXTURE, 12, x=0.5))
+        payoff_surface(spec, 25, 25)
+        assert rows == [2] * 312 + [1]  # ceil(625 / 2) calls
 
     def test_profile_length_is_checked(self):
         spec = GameSpec(4, InitialStateRecipe(StateFamily.GHZ, 4))
