@@ -215,8 +215,9 @@ def _dense_deviations(
     `final_amplitude_chunks` applies the other players' unitaries once,
     leaving the k-th player's 2 x 2^(n-1) block b_k with its qubit first,
     so player 1's minority mask serves every player: G_kr = (b_k * mask_r)
-    b_k^dagger. The function squares each deviation's product with its
-    block and hands the row to `game._payoff` with player 1's
+    b_k^dagger. Each row is copied into its block before the next kernel
+    block is requested. The function hands each deviation's product with
+    its block, an amplitude row, to `game._payoff` with player 1's
     `minority_projector` indices. It holds the P blocks (P * 2^n
     amplitudes), so they live for the whole search.
     """
@@ -236,7 +237,7 @@ def _dense_deviations(
         mats = _su2_batch(thetas.ravel(), alphas.ravel(), betas.ravel())
         mats = mats.reshape(len(thetas), -1, 2, 2)
         return np.array([
-            [game._payoff(spec, row.ravel(), winning) for row in np.abs(m @ block) ** 2]
+            [game._payoff(spec, row.ravel(), winning) for row in m @ block]
             for m, block in zip(mats, blocks)
         ])
 

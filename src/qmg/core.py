@@ -6,8 +6,10 @@ floor. This module holds the qubit ceiling, the two checks every state
 passes (qubit count before a 2^n vector is built, unit norm after) and
 `apply_locals`, the one kernel that applies local unitaries: it takes one
 state's `distinct_columns` and one unitary per row and qubit, costs one
-(2, 2) @ (2, W) BLAS product and one copy per qubit, and checks every
-result row's norm, the only check a final state gets; `game` reads payoffs.
+(2, 2) @ (2, W) BLAS product and one copy per qubit, all written into one
+pair of row buffers that a caller may reuse across calls (the result is a
+view of the pair), and checks every result row's norm, the only check a
+final state gets; `game` reads payoffs.
 Qubit 0 is the most significant bit of the basis index, so for n=4 the
 basis label |1000> is index 8.
 """
@@ -32,10 +34,11 @@ def _check_unit_rows(rows: np.ndarray) -> None:
     is rejected too.
     """
     parts = rows.view(float)
-    norms = np.sqrt(np.einsum("ij,ij->i", parts, parts))
-    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= 1e-9))
-    if bad.size:
-        raise ValueError(f"state not normalized: |psi| = {norms[bad[0]]}")
+    norms = np.sqrt(np.vecdot(parts, parts))
+    off = np.abs(norms - 1.0)
+    if not off.max() <= 1e-9:  # a nan norm fails here too
+        bad = np.flatnonzero(~(off <= 1e-9))[0]
+        raise ValueError(f"state not normalized: |psi| = {norms[bad]}")
 
 
 def distinct_columns(state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -59,11 +62,13 @@ def distinct_columns(state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.frombuffer(b"".join(keys), dtype=grid.dtype).reshape(len(keys), -1).T, spread
 
 
-def apply_locals(columns: np.ndarray, spread: np.ndarray, unitaries: np.ndarray) -> np.ndarray:
+def apply_locals(
+    columns: np.ndarray, spread: np.ndarray, unitaries: np.ndarray, work: np.ndarray | None = None
+) -> np.ndarray:
     """Apply unitaries[b, q] to qubit q of row b, for every row and qubit.
 
     Every row starts from one state, given as its `distinct_columns`;
-    unitaries is (B, n, 2, 2) and the result is a new read-only (B, 2^n)
+    unitaries is (B, n, 2, 2) and the result is a read-only (B, 2^n)
     array of rows checked to have unit norm. Both operands are made
     contiguous first, and qubit q's unitary is one BLAS product with a
     contiguous (B, 2, W) array whose first axis is qubit q. The committed
@@ -75,14 +80,22 @@ def apply_locals(columns: np.ndarray, spread: np.ndarray, unitaries: np.ndarray)
     The tests pin every n up to MAX_QUBITS to a per-qubit oracle, bit
     for bit, for random states and every family's.
 
-    The copies work in two groups: the leading ceil(n/2) qubits, which
-    act on each trailing pattern's column alone and so run on the K
-    distinct columns at W = 2^(ceil(n/2)-1) * K, then the trailing
-    floor(n/2) at W = 2^(n-1). Within a group, each copy rotates only
-    that group's axes, bringing its next qubit to the front. The copy
-    after a group's last qubit puts the group, back in order, behind the
-    other group (after the leading group, it also spreads the K columns
-    back); after both, the rows are in natural order.
+    Every product and every copy writes into one of the two rows of
+    `work`, a C-contiguous complex (2, >= B * 2^n) array that must not
+    overlap the operands; without it the call allocates one pair. The
+    result is a view of `work`, so it stays valid only until `work` is
+    written again, by the next call given the same pair for one. The
+    copies work in two groups: the leading ceil(n/2) qubits, which act
+    on each trailing pattern's column alone and so run on the K distinct
+    columns at W = 2^(ceil(n/2)-1) * K, then the trailing floor(n/2) at
+    W = 2^(n-1). Within a group, each copy rotates only that group's
+    axes, bringing its next qubit to the front, and the group's views
+    are built once. After the leading group's last product, one copy
+    puts the group, back in order, behind the K columns, and one gather
+    spreads them back to the trailing patterns; after the trailing
+    group's, one more rotation puts it back in order and one 2-D
+    transpose moves it behind the leading group, which leaves the rows
+    in natural order.
     """
     us = np.ascontiguousarray(unitaries, dtype=complex)
     if us.ndim != 4 or us.shape[2:] != (2, 2):
@@ -92,16 +105,40 @@ def apply_locals(columns: np.ndarray, spread: np.ndarray, unitaries: np.ndarray)
     lead, k = (n + 1) // 2, columns.shape[-1]
     if columns.shape + spread.shape != (2**lead, k, 2 ** (n - lead)) or bin(k).count("1") != 1:
         raise ValueError(f"{columns.shape} columns, {spread.shape} spread for {n} qubits")
-    x = np.empty((rows, 2, columns.size // 2), dtype=complex)
-    x.reshape(rows, 2**lead, k)[:] = columns
+    full = rows << n
+    if work is None:
+        work = np.empty((2, full), dtype=complex)
+    elif (work.dtype != complex or work.ndim != 2 or len(work) != 2 or work.shape[1] < full
+          or not work.flags.c_contiguous):
+        raise ValueError(f"work must be a C-contiguous complex (2, >= {full}) array")
+    here, there = work[0], work[1]
+    here[:rows * columns.size].reshape(rows, 2**lead, k)[...] = columns
     for first, size, behind in ((0, lead, k), (lead, n - lead, 2**lead)):
-        # axes: the qubit just applied, the group's other qubits, the other group
-        split = (rows, 2, 2**size // 2, behind)
-        for j in range(size):
-            y = (us[:, first + j] @ x).reshape(split)
-            y = y.transpose(0, 2, 1, 3) if j < size - 1 else y.transpose(0, 3, 2, 1)
-            x = (y if first or j < size - 1 else y.take(spread, axis=1)).reshape(rows, 2, -1)
-    out = x.reshape(rows, 2**n)
+        if not size:  # n = 1: no trailing group
+            break
+        # views of the rows: the group's input, which each rotation
+        # rewrites, and each product, whose axes are the qubit just
+        # applied, the group's other qubits and the other group
+        length = (rows << size) * behind
+        x, y = here[:length].reshape(rows, 2, -1), there[:length].reshape(rows, 2, -1)
+        rotated = y.reshape(rows, 2, -1, behind).transpose(0, 2, 1, 3)
+        into = x.reshape(rotated.shape)
+        for q in range(first, first + size - 1):
+            np.matmul(us[:, q], x, out=y)
+            into[...] = rotated
+        np.matmul(us[:, first + size - 1], x, out=y)
+        if not first:
+            # take copies an input that is not contiguous, and a "raise"
+            # take its out; "clip" never clips a valid spread
+            x.reshape(rows, k, -1, 2)[...] = y.reshape(rows, 2, -1, k).transpose(0, 3, 2, 1)
+            x.reshape(rows, k, -1).take(
+                spread, axis=1, out=there[:full].reshape(rows, spread.size, -1), mode="clip"
+            )
+        else:
+            into[...] = rotated
+            there[:full].reshape(rows, behind, -1)[...] = x.reshape(rows, -1, behind).transpose(0, 2, 1)
+        here, there = there, here
+    out = here[:full].reshape(rows, 2**n)
     _check_unit_rows(out)
     out.setflags(write=False)
     return out

@@ -9,9 +9,10 @@ Player i (1-based) acts on qubit i-1, the i-th most significant bit.
 `minority_mask` (memoised, read-only) is the one form of that rule in
 the package, `final_amplitudes` builds every final state from the
 memoised initial state (`final_amplitude_chunks` many of them,
-PAYOFF_CHUNK amplitudes per call), and `_payoff` turns each row of
-final probabilities into a payoff, for every caller in the package,
-summing in the order of `minority_projector`'s indices.
+PAYOFF_CHUNK amplitudes per call, in one reused work pair), and
+`_payoff` turns each row of final amplitudes into a payoff, for every
+caller in the package, squaring only the winning amplitudes and summing
+them in the order of `minority_projector`'s indices.
 """
 from __future__ import annotations
 
@@ -147,12 +148,15 @@ def minority_mask(n: int, player: int) -> np.ndarray:
     return mask
 
 
-# The one budget of every batched call: amplitudes per kernel call (two
-# rows at N = 12, 512 at N = 4; on the `scan` benchmark two N = 12 rows beat
-# one and four) and deviations per Gram einsum of the best-response search,
-# read when it runs (it binds only on a theta plane past 2^13 survivors, grid
-# 91 up). The N = 12 surface peaks near 0.67 MiB, 2.17 MiB with 8-row chunks.
-PAYOFF_CHUNK = 2**13
+# The one budget of every batched call: amplitudes per kernel call (four
+# rows at N = 12, 1024 at N = 4) and deviations per Gram einsum of the
+# best-response search, read when it runs (it binds only on a theta plane
+# past 2^14 survivors, grid 129 up). Since a batch's calls share one work
+# pair, more rows per call no longer fault in fresh pages, and on the `scan`
+# benchmark four N = 12 rows beat two; eight were faster still, but a
+# twelve-player N = 12 Nash check then peaks at 2.13 MiB, past its 2 MiB
+# test bound. The N = 12 surface peaks near 0.69 MiB.
+PAYOFF_CHUNK = 2**14
 
 
 def _unitaries(profiles: Sequence[StrategyProfile]) -> np.ndarray:
@@ -195,16 +199,19 @@ def _initial_state(recipe: InitialStateRecipe) -> tuple[np.ndarray, np.ndarray]:
     return distinct_columns(build_pure(recipe))
 
 
-def final_amplitudes(spec: GameSpec, profiles: Sequence[StrategyProfile]) -> np.ndarray:
+def final_amplitudes(
+    spec: GameSpec, profiles: Sequence[StrategyProfile], work: np.ndarray | None = None
+) -> np.ndarray:
     """Read-only (B, 2^N) final amplitudes, one row per profile.
 
     One `apply_locals` call applies every player's strategy unitary to
-    their own qubit of the recipe's memoised initial state.
+    their own qubit of the recipe's memoised initial state, in `work`
+    if given (see `apply_locals`: the result is a view of it).
     """
     n = spec.n_players
     if any(len(profile) != n for profile in profiles):
         raise ValueError(f"every profile needs {n} strategies")
-    return apply_locals(*_initial_state(_pure(spec).recipe), _unitaries(profiles))
+    return apply_locals(*_initial_state(_pure(spec).recipe), _unitaries(profiles), work)
 
 
 def final_amplitude_chunks(
@@ -212,32 +219,35 @@ def final_amplitude_chunks(
 ) -> Iterator[np.ndarray]:
     """`final_amplitudes` of the profiles, PAYOFF_CHUNK amplitudes per call.
 
-    The chunks come in the profiles' order, so memory stays bounded
-    however many profiles there are.
+    The blocks come in the profiles' order, and every call writes into
+    one work pair, allocated once for the whole batch, so memory stays
+    bounded however many profiles there are. Each block is a view of
+    that pair: it stays valid only until the next block is requested.
     """
     size = max(1, PAYOFF_CHUNK // 2**spec.n_players)
+    work = np.empty((2, min(size, len(profiles)) << spec.n_players), dtype=complex)
     for start in range(0, len(profiles), size):
-        yield final_amplitudes(spec, profiles[start:start + size])
+        yield final_amplitudes(spec, profiles[start:start + size], work)
 
 
-# Every player's payoff under one profile reads the same probability row,
-# and so does every f of one recipe: callers key it on the `_pure` spec.
+# Every player's payoff under one profile reads the same amplitude row (a
+# view of its call's own work pair), and so does every f of one recipe:
+# callers key it on the `_pure` spec.
 @functools.lru_cache(maxsize=1)
-def _probabilities(spec: GameSpec, profile: StrategyProfile) -> np.ndarray:
-    probs = np.abs(final_amplitudes(spec, [profile])[0]) ** 2
-    probs.setflags(write=False)
-    return probs
+def _amplitudes(spec: GameSpec, profile: StrategyProfile) -> np.ndarray:
+    return final_amplitudes(spec, [profile])[0]
 
 
-def _payoff(spec: GameSpec, probs: np.ndarray, winning: np.ndarray) -> float:
-    """Payoff from one row of final probabilities and the winning indices.
+def _payoff(spec: GameSpec, amplitudes: np.ndarray, winning: np.ndarray) -> float:
+    """Payoff from one row of final amplitudes and the winning indices.
 
-    The row's winning probabilities are summed as one 1-D array, in the
-    projector's order. The identity component of a noisy initial state
-    is invariant under the strategy unitaries, so the payoff separates
-    exactly into f * (pure payoff) + (1-f) * k / 2^N.
+    Only the winning amplitudes are squared, and their probabilities are
+    summed as one 1-D array, in the projector's order. The identity
+    component of a noisy initial state is invariant under the strategy
+    unitaries, so the payoff separates exactly into
+    f * (pure payoff) + (1-f) * k / 2^N.
     """
-    pure = float(np.sum(probs[winning]))
+    pure = float(np.sum(np.abs(amplitudes[winning]) ** 2))
     f = spec.recipe.f
     return f * pure + (1 - f) * len(winning) / 2**spec.n_players
 
@@ -245,7 +255,7 @@ def _payoff(spec: GameSpec, probs: np.ndarray, winning: np.ndarray) -> float:
 def expected_payoff(spec: GameSpec, profile: StrategyProfile, player: int) -> float:
     """Expected payoff Tr[rho_fin P_player] of the recipe's initial state."""
     winning = minority_projector(spec.n_players, player)
-    return _payoff(spec, _probabilities(_pure(spec), profile), winning)
+    return _payoff(spec, _amplitudes(_pure(spec), profile), winning)
 
 
 def expected_payoffs(
@@ -258,7 +268,7 @@ def expected_payoffs(
     winning = minority_projector(spec.n_players, player)
     payoffs = []
     for rows in final_amplitude_chunks(spec, profiles):
-        payoffs += [_payoff(spec, probs, winning) for probs in np.abs(rows) ** 2]
+        payoffs += [_payoff(spec, row, winning) for row in rows]
     return payoffs
 
 

@@ -299,16 +299,16 @@ class TestSweeps:
         assert calls[0].f == 1.0
 
     def test_sweep_f_runs_the_kernel_once(self, monkeypatch):
-        # nothing before the payoff reads f, so the memoised probability
+        # nothing before the payoff reads f, so the memoised amplitude
         # row is keyed on the f = 1 spec and every point of the sweep reads it
         calls = []
 
-        def counted(columns, spread, unitaries):
+        def counted(columns, spread, unitaries, *args):
             calls.append(len(unitaries))
-            return apply_locals(columns, spread, unitaries)
+            return apply_locals(columns, spread, unitaries, *args)
 
         monkeypatch.setattr(game, "apply_locals", counted)
-        game._probabilities.cache_clear()
+        game._amplitudes.cache_clear()
         rows = sweep_f(n=12, x=0.5, steps=11)
         assert len(rows) == 11 and calls == [1]
 
@@ -734,8 +734,8 @@ class TestLockstepSearch:
                 sizes.append(out.size)
                 return out
 
-        def counting_apply_locals(columns, spread, unitaries):
-            out = apply_locals(columns, spread, unitaries)
+        def counting_apply_locals(columns, spread, unitaries, *args):
+            out = apply_locals(columns, spread, unitaries, *args)
             amplitudes.append(out.size)
             return out
 

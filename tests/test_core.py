@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -213,13 +214,43 @@ class TestDistinctColumns:
 class TestApplyLocals:
     @pytest.mark.parametrize("n", range(1, MAX_QUBITS + 1))
     def test_bit_identical_to_sequential_apply_local(self, n):
+        # a caller-given pair, longer than the call needs and filled with
+        # nan, gives the same bytes as the pair the call allocates itself
+        work = np.full((2, (3 << n) + 5), np.nan, dtype=complex)
         for rows in (1, 3):
             psi = random_state(n)
             us = [[random_unitary() for _ in range(n)] for _ in range(rows)]
-            out = apply_locals(*distinct_columns(psi), np.array(us))
-            assert out.shape == (rows, 2**n)
-            for got, row in zip(out, us):
-                assert np.array_equal(got, sequential(psi, row))
+            for out in (apply_locals(*distinct_columns(psi), np.array(us)),
+                        apply_locals(*distinct_columns(psi), np.array(us), work)):
+                assert out.shape == (rows, 2**n)
+                for got, row in zip(out, us):
+                    assert got.tobytes() == sequential(psi, row).tobytes()
+                with pytest.raises(ValueError):
+                    out[0, 0] = 0
+
+    def test_a_given_pair_holds_every_row_sized_buffer(self):
+        # four N = 12 rows are 256 KiB; one row-sized temporary is 64 KiB
+        n, rows = MAX_QUBITS, 4
+        columns, spread = distinct_columns(random_state(n))
+        us = np.array([[random_unitary() for _ in range(n)] for _ in range(rows)])
+        work = np.empty((2, rows << n), dtype=complex)
+        tracemalloc.start()
+        try:
+            out = apply_locals(columns, spread, us, work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**10
+        assert np.shares_memory(out, work)
+
+    def test_rejects_a_pair_that_cannot_hold_the_rows(self):
+        columns, spread = distinct_columns(random_state(3))
+        us = np.array([[random_unitary()] * 3] * 2)
+        for work in (np.empty((2, 15), dtype=complex), np.empty((3, 16), dtype=complex),
+                     np.empty((2, 16)), np.empty((2, 32), dtype=complex)[:, ::2],
+                     np.empty(32, dtype=complex), np.empty((2, 1, 16), dtype=complex)):
+            with pytest.raises(ValueError, match="work"):
+                apply_locals(columns, spread, us, work)
 
     @given(st.integers(1, MAX_QUBITS), st.sampled_from([1, 3]), st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)

@@ -516,18 +516,32 @@ class TestBatchedPayoffs:
             batched = expected_payoffs(spec, profiles, player)
             assert batched == [expected_payoff(spec, p, player) for p in profiles]
 
-    def test_n12_surface_runs_two_rows_per_kernel_call(self, monkeypatch):
-        # a budget that slips back to one row per call fails here
+    def test_n12_surface_runs_four_rows_per_kernel_call(self, monkeypatch):
+        # a budget that slips back to one or two rows per call fails here
         rows = []
 
-        def counted(columns, spread, u):
+        def counted(columns, spread, u, *args):
             rows.append(len(u))
-            return apply_locals(columns, spread, u)
+            return apply_locals(columns, spread, u, *args)
 
         monkeypatch.setattr(game, "apply_locals", counted)
         spec = GameSpec(12, InitialStateRecipe(StateFamily.GHZ_BELL_MIXTURE, 12, x=0.5))
         payoff_surface(spec, 25, 25)
-        assert rows == [2] * 312 + [1]  # ceil(625 / 2) calls
+        assert rows == [4] * 156 + [1]  # ceil(625 / 4) calls
+
+    def test_surface_hands_one_work_pair_to_every_kernel_call(self, monkeypatch):
+        # the batch allocates its pair once, sized for a full chunk
+        pairs = []
+
+        def recorded(columns, spread, u, work=None):
+            pairs.append(work)
+            return apply_locals(columns, spread, u, work)
+
+        monkeypatch.setattr(game, "apply_locals", recorded)
+        spec = GameSpec(12, InitialStateRecipe(StateFamily.GHZ_BELL_MIXTURE, 12, x=0.5))
+        payoff_surface(spec, 25, 25)
+        assert len(pairs) == 157 and all(work is pairs[0] for work in pairs)
+        assert pairs[0].shape == (2, game.PAYOFF_CHUNK)
 
     def test_profile_length_is_checked(self):
         spec = GameSpec(4, InitialStateRecipe(StateFamily.GHZ, 4))
@@ -540,7 +554,7 @@ class TestFinalStateMemo:
     @settings(max_examples=40, deadline=None)
     def test_interleaved_calls_give_the_unmemoised_payoffs(self, cases, rnd):
         def fresh(recipe, profile, player):
-            game._probabilities.cache_clear()
+            game._amplitudes.cache_clear()
             return expected_payoff(GameSpec(recipe.n_qubits, recipe), profile, player)
 
         want = [fresh(*case) for case in cases]
@@ -561,7 +575,7 @@ class TestFinalStateMemo:
             return build(spec, profiles)
 
         monkeypatch.setattr(game, "final_amplitudes", counted)
-        game._probabilities.cache_clear()
+        game._amplitudes.cache_clear()
         spec = GameSpec(4, InitialStateRecipe(StateFamily.GHZ, 4))
         first, second = random_profile(4), random_profile(4)
         for profile in (first, first, second):
@@ -578,7 +592,7 @@ class TestFinalStateMemo:
             return build(spec, profiles)
 
         monkeypatch.setattr(game, "final_amplitudes", counted)
-        game._probabilities.cache_clear()
+        game._amplitudes.cache_clear()
         spec = GameSpec(4, InitialStateRecipe(StateFamily.GHZ, 4))
         first = random_profile(4)
         # new StrategyParams objects too, so nothing is shared but the values
@@ -592,10 +606,10 @@ class TestFinalStateMemo:
         spec = GameSpec(4, InitialStateRecipe(StateFamily.GHZ, 4))
         profile = random_profile(4)
         expected_payoff(spec, profile, 1)
-        probs = game._probabilities(spec, profile)
-        assert probs is game._probabilities(spec, profile)
+        row = game._amplitudes(spec, profile)
+        assert row is game._amplitudes(spec, profile)
         with pytest.raises(ValueError):
-            probs[0] = 0
+            row[0] = 0
 
 
 class TestInvariants:
