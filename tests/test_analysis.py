@@ -756,9 +756,9 @@ class TestLockstepSearch:
         winning = []
         payoff = game._payoff
 
-        def recorded(spec, probs, indices):
+        def recorded(spec, amplitudes, indices):
             winning.append(indices)
-            return payoff(spec, probs, indices)
+            return payoff(spec, amplitudes, indices)
 
         monkeypatch.setattr(game, "_payoff", recorded)
         nash_check(spec, candidate, 5)
@@ -1131,24 +1131,24 @@ def test_best_response_memory_does_not_grow_with_grid():
 def test_one_deviator_check_holds_one_block_per_class():
     # the search keeps each searched player's 2 x 2^(n-1) block to the end;
     # searching all twelve players held twelve (a 1.2 to 1.3 MiB peak), and
-    # the first players of the two classes hold two (near 0.6 MiB)
+    # the first players of the two classes hold two (near 0.75 MiB)
     n = 12
     candidate = StrategyProfile.symmetric(ne_strategy(n), n).replace(n, IDENTITY)
     assert _peak_bytes(nash_check, ghz_spec(n), candidate, grid_resolution=25) < 0.9 * 2**20
 
 
 def test_surface_memory_stays_within_one_chunk():
-    # two N=12 rows per kernel call peak near 0.67 MiB (one row 0.41 MiB,
-    # four rows 1.17 MiB); eight-row chunks take 2.17 MiB, so a chunk that
-    # grows that far fails here
+    # four N=12 rows per kernel call, every call in one work pair, peak
+    # near 0.69 MiB (two rows 0.44 MiB, eight 1.19 MiB); sixteen-row chunks
+    # take 2.19 MiB, so a chunk that grows that far fails here
     spec = GameSpec(12, InitialStateRecipe(StateFamily.GHZ_BELL_MIXTURE, 12, x=0.5))
     assert _peak_bytes(payoff_surface, spec, 25, 25) < 1.5 * 2**20
 
 
 def test_nash_check_memory_builds_partial_states_in_chunks():
-    # twelve players at N = 12: the chunked build, two partial states per
-    # kernel call, peaks near 1.26 MiB (one per call 1.20 MiB); all twelve
-    # in one call take 3.0 MiB
+    # twelve players at N = 12: the chunked build, four partial states per
+    # kernel call, peaks near 1.63 MiB (two per call 1.38 MiB); eight per
+    # call take 2.13 MiB and all twelve in one call 2.63 MiB
     rng = np.random.default_rng(12)
     profile = StrategyProfile(
         tuple(StrategyParams(*map(float, t)) for t in zip(*_random_points(rng, 12)))

@@ -359,8 +359,7 @@ def diagonal_expectation(state, indices):
     """<psi|P|psi> as a noiseless game reads it: `game._payoff` at f = 1."""
     n = qubit_count(state)
     spec = GameSpec(n, InitialStateRecipe(StateFamily.GHZ, n))
-    probs = np.abs(state) ** 2
-    return game._payoff(spec, probs, np.fromiter(indices, dtype=np.intp))
+    return game._payoff(spec, state, np.fromiter(indices, dtype=np.intp))
 
 
 class TestDiagonalExpectation:
@@ -386,3 +385,4 @@ class TestDiagonalExpectation:
         if indices:
             value = diagonal_expectation(psi, indices)
             assert -1e-12 <= value <= 1 + 1e-12
+            assert abs(value - dense_expectation(MixedState.from_pure(psi), indices)) < 1e-12
