@@ -34,7 +34,9 @@ def _check_unit_rows(rows: np.ndarray) -> None:
     is rejected too.
     """
     parts = rows.view(float)
-    norms = np.sqrt(np.vecdot(parts, parts))
+    # each row's sum of squares as one (1, m) @ (m, 1) product, which runs
+    # on NumPy 1.x too and costs less than einsum
+    norms = np.sqrt((parts[:, None] @ parts[..., None]).ravel())
     off = np.abs(norms - 1.0)
     if not off.max() <= 1e-9:  # a nan norm fails here too
         bad = np.flatnonzero(~(off <= 1e-9))[0]
@@ -112,7 +114,7 @@ def apply_locals(
     elif (work.dtype != complex or work.ndim != 2 or len(work) != 2 or work.shape[1] < full
           or not work.flags.c_contiguous):
         raise ValueError(f"work must be a C-contiguous complex (2, >= {full}) array")
-    here, there = work[0], work[1]
+    here, there = work[0, :full], work[1, :full]
     here[:rows * columns.size].reshape(rows, 2**lead, k)[...] = columns
     for first, size, behind in ((0, lead, k), (lead, n - lead, 2**lead)):
         if not size:  # n = 1: no trailing group
@@ -133,13 +135,13 @@ def apply_locals(
             # take its out; "clip" never clips a valid spread
             x.reshape(rows, k, -1, 2)[...] = y.reshape(rows, 2, -1, k).transpose(0, 3, 2, 1)
             x.reshape(rows, k, -1).take(
-                spread, axis=1, out=there[:full].reshape(rows, spread.size, -1), mode="clip"
+                spread, axis=1, out=there.reshape(rows, spread.size, -1), mode="clip"
             )
         else:
             into[...] = rotated
-            there[:full].reshape(rows, behind, -1)[...] = x.reshape(rows, -1, behind).transpose(0, 2, 1)
+            there.reshape(rows, behind, -1)[...] = x.reshape(rows, -1, behind).transpose(0, 2, 1)
         here, there = there, here
-    out = here[:full].reshape(rows, 2**n)
+    out = here.reshape(rows, 2**n)
     _check_unit_rows(out)
     out.setflags(write=False)
     return out
