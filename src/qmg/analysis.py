@@ -1,22 +1,9 @@
 """Game-theoretic analysis on top of the engine.
 
-Best-response search on each deviator's 2x2 Gram form: `_best_responses`
-searches a list of players in lockstep through `_best_deviations`, which
-takes each player's exact optimum and its payoff from the top
-eigenpair first, then screens the grid with the Gram form's closed form
-in theta and alpha - beta (`_DeviationEvaluator.screen`) and scores only
-the points that can come within EXACT_OPTIMUM_MARGIN of that payoff, one
-player on one theta plane per call (for `DeviationReport.refinement_steps`,
-see `_refinement_rounds`).
-`best_response` is the one-player case. Nash-equilibrium
-verification via the unilateral-deviation inequality makes one such
-search, over the first player of each class of interchangeable players
-(see `nash_check`); the other members' reports are copies with `player`
-set. `game.PAYOFF_CHUNK` bounds the search's Gram einsums as it
-bounds the kernel's calls, and `game._payoff` gives its reported
-payoffs. Also the closed-form 6-player payoff formula, the N-player
-entangler-payoff conjecture, and parameter sweeps that produce
-figure-ready tables.
+Best responses and Nash checks on each deviator's 2x2 Gram form
+(`best_response`, `nash_check`), the closed-form 6-player payoff
+formula, the N-player entangler-payoff conjecture, and parameter sweeps
+that produce figure-ready tables.
 """
 from __future__ import annotations
 
@@ -50,7 +37,8 @@ REFINEMENT_MIN_STEP = 1e-6
 EXACT_OPTIMUM_MARGIN = 1e-12
 # A grid point is scored only if its (theta, alpha - beta) screen value
 # reaches the exact optimum's payoff less EXACT_OPTIMUM_MARGIN and this,
-# which absorbs the screen's rounding (within 1e-14, pinned by the tests).
+# which absorbs the screen's rounding (within 1e-14 in TestGridScreen); pinned by
+# tests/test_analysis.py::TestGridScreen::test_screen_rounding_within_its_margin_keeps_the_tied_point.
 GRID_SCREEN_MARGIN = 1e-12
 
 
@@ -60,13 +48,10 @@ def ne_strategy(n: int) -> StrategyParams:
 
 
 def entangler_ne_strategy(n: int) -> StrategyParams:
-    """Equilibrium strategy for the exponential-entangler initial state.
-
-    That state carries a relative phase i on |1...1>; shifting the GHZ
-    equilibrium phases by pi/(4n) absorbs it, giving
-    M(pi/2, -pi/4n, pi/4n). At gamma=pi/2 this reproduces the GHZ
-    equilibrium payoff exactly.
-    """
+    """Equilibrium strategy M(pi/2, -pi/4n, pi/4n) for the exponential
+    entangler: shifting the GHZ equilibrium phases by pi/(4n) absorbs the
+    state's relative phase i on |1...1>, so at gamma=pi/2 it reproduces
+    the GHZ equilibrium payoff exactly."""
     return StrategyParams(math.pi / 2, -math.pi / (4 * n), math.pi / (4 * n))
 
 
@@ -139,12 +124,9 @@ def _su2_batch(thetas: np.ndarray, alphas: np.ndarray, betas: np.ndarray) -> np.
 class _DeviationEvaluator:
     """Each listed player's payoffs when deviating, from 2x2 Gram matrices:
     f * sum_r m_r G_kr m_r^dagger + mixed_floor for the k-th player (0-based
-    k) at deviation rows m_0, m_1. `gram` is their (P, 2, 2, 2) array;
-    nothing here reads a state, so any engine that builds it can drive the
-    search. `payoffs` scores one player's deviations, `exact_optima` gives
-    every player's exact optimum and its payoff, and `screen` is the
-    closed form this payoff takes at beta = 0 (see `screen_w`).
-    """
+    k) at deviation rows m_0, m_1, with `gram` their (P, 2, 2, 2) array.
+    Nothing here reads a state, so any engine that builds it can drive the
+    search."""
 
     def __init__(self, gram: np.ndarray, f: float, mixed_floor: float):
         self._gram = gram
@@ -176,8 +158,9 @@ class _DeviationEvaluator:
         which the top eigenvector x of G_0 - G_1 maximises as m_0 = x^dagger, at
         Tr G_1 + its eigenvalue. One stacked `eigh` serves every player, and
         whole-array `np.angle` and `%` give alpha and beta the scalar calls' bits.
-        Theta stays on Python complexes: for 200,000 random Gram forms' x, `np.abs`
-        and `np.arctan2` missed `abs` and `math.atan2` 75,474 and 10,587 times.
+        Theta stays on Python complexes, as numpy's `abs` and `arctan2` move its
+        last bit. Pinned by
+        tests/test_analysis.py::TestLockstepSearch::test_exact_optima_equal_the_scalar_steps_on_random_gram_forms.
         """
         vals, vecs = np.linalg.eigh(self._gram[:, 0] - self._gram[:, 1])
         top = vecs[:, :, -1]
@@ -200,8 +183,8 @@ class _DeviationEvaluator:
         """f (a + b cos(theta) + sin(theta) w) + mixed_floor for the listed
         players at `k` (an index or a slice), up to rounding. At each
         player's largest w, a (P, 1) column, it is each theta plane's
-        maximum, as sin(theta) >= 0 for theta in [0, pi]; at one theta and
-        one player's row of w, it is that plane's row."""
+        maximum, since sin(theta) >= 0; at one theta and one player's row
+        of w, it is that plane's row."""
         pure = self._a[k] + self._b[k] * np.cos(thetas) + np.sin(thetas) * w
         return self._f * pure + self._mixed_floor
 
@@ -212,14 +195,11 @@ def _dense_deviations(
     """The listed players' evaluator on the dense engine, and the function
     that gives their reported payoffs.
 
-    `final_amplitude_chunks` applies the other players' unitaries once,
-    leaving the k-th player's 2 x 2^(n-1) block b_k with its qubit first,
-    so player 1's minority mask serves every player: G_kr = (b_k * mask_r)
-    b_k^dagger. Each row is copied into its block before the next kernel
-    block is requested. The function hands each deviation's product with
-    its block, an amplitude row, to `game._payoff` with player 1's
-    `minority_projector` indices. It holds the P blocks (P * 2^n
-    amplitudes), so they live for the whole search.
+    With the other players' unitaries applied, the k-th player's
+    2 x 2^(n-1) block b_k has its qubit first, so player 1's minority mask
+    serves every player: G_kr = (b_k * mask_r) b_k^dagger. The function
+    scores each deviation's product with its block through `game._payoff`
+    with player 1's indices; it holds the P blocks (P * 2^n amplitudes).
     """
     n = spec.n_players
     partials = [candidate.replace(player, IDENTITY) for player in players]
@@ -259,16 +239,12 @@ def _best_deviations(ev: _DeviationEvaluator, steps: int) -> np.ndarray:
     first maximum of `ev.payoffs` in ravel order, replaced by the exact
     optimum when that pays more by EXACT_OPTIMUM_MARGIN, bit for bit.
 
-    The exact optima come first, so only the grid points that can come
-    within that margin are scored: those whose closed-form screen reaches
-    the floor below. The Gram-form payoff depends on alpha and beta only
-    through alpha - beta; from the w of `ev.screen_w`, `ev.screen` gives
-    each theta plane's maximum at each player's largest w, and only a
-    plane that reaches the floor has its (2g - 1) row read. Its points
-    that reach it are scored, one `ev.payoffs` call per such plane and
-    player, and a strict `>` keeps the first maximum. So memory grows with
-    w and the plane maxima (P (3g - 1)), one screen row and one plane's
-    survivors, never with the whole grid (g^3).
+    The exact optima come first, so only the grid points whose screen, a
+    closed form in theta and alpha - beta, reaches the floor below (see
+    GRID_SCREEN_MARGIN) are scored: only a theta plane whose screen
+    maximum reaches it has its (2g - 1) row read, and its survivors are
+    scored in one `ev.payoffs` call per plane and player. Memory grows
+    with P (3g - 1), never with the grid's g^3.
     """
     exact, exact_val = ev.exact_optima()
     thetas = np.linspace(*_THETA_BOX, steps)
@@ -297,11 +273,9 @@ def _best_deviations(ev: _DeviationEvaluator, steps: int) -> np.ndarray:
 
 
 def _refinement_rounds(steps: int) -> int:
-    """The number of /5 rounds that take the widest grid step to
-    REFINEMENT_MIN_STEP or below: the rounds a coordinate refinement
-    after the grid would take, by the same float divisions. Reports keep
-    it as `refinement_steps` for the table; no refinement runs.
-    """
+    """The number of /5 rounds, by a coordinate refinement's float
+    divisions, that take the widest grid step to REFINEMENT_MIN_STEP or
+    below. Reports keep it as `refinement_steps`; no refinement runs."""
     step = (_ANGLE_BOX[1] - _ANGLE_BOX[0]) / (steps - 1)
     rounds = 0
     while step > REFINEMENT_MIN_STEP:
@@ -319,14 +293,11 @@ def _best_responses(
 ) -> List[DeviationReport]:
     """One report per listed player, from one search that runs them in lockstep.
 
-    Raises ValueError unless grid_resolution is an int >= 2 and
-    tolerance is finite and positive (the CLI's rule).
-
-    `_best_deviations` gives each player's best deviation from the 2x2
-    Gram form alone: the exact optimum, unless the grid's first maximum
-    comes within EXACT_OPTIMUM_MARGIN of it. Both reported payoffs come
-    from the dense product at their single point. `refinement_steps` is
-    `_refinement_rounds` of the grid.
+    Checks its arguments as `best_response` says. Each best deviation
+    comes from `_best_deviations`, both reported payoffs from the dense
+    product at their single point, and each report equals a search for
+    that player alone, bit for bit (pinned by
+    tests/test_analysis.py::TestLockstepSearch::test_reports_equal_the_per_player_search).
     """
     _check_steps("grid_resolution", grid_resolution)
     if not (math.isfinite(tolerance) and tolerance > 0):
@@ -366,9 +337,9 @@ def best_response(
 ) -> DeviationReport:
     """Search the full (theta, alpha, beta) box for the player's best deviation.
 
-    The one-player case of the lockstep search `_best_responses`, which
-    raises ValueError unless grid_resolution is an int >= 2 and
-    tolerance is finite and positive.
+    The one-player case of the lockstep search `_best_responses`. Raises
+    ValueError unless grid_resolution is an int >= 2 and tolerance is
+    finite and positive (the CLI's rule).
     """
     return _best_responses(spec, candidate, [player], grid_resolution, tolerance)[0]
 
@@ -382,18 +353,14 @@ def nash_check(
     """Best-response search for every player; NE iff no player gains.
 
     Players i and j are interchangeable when they hold equal strategies
-    and their blocks (of the family's block size: 1 for GHZ and the
-    entangler, 2 for Bell and the mixture, 3 for W3) hold the same
-    multiset of strategies. Then a permutation within blocks and a swap
-    of whole blocks takes i to j and fixes the profile; it fixes the
-    state and the noise floor too, U^(x)n commutes with it, and the
-    minority payoff is symmetric under relabelling the players. So each
-    deviation of i pays what the same deviation of j pays. One lockstep
-    `_best_responses` search runs the first player of each class, and
-    validates grid_resolution and tolerance as `best_response` does;
-    each such report equals a search for that player alone, bit for bit,
-    and every other member gets it with `player` set. A symmetric
-    profile is one class, searched for player 1.
+    and their blocks (of the family's block size in `_FAMILIES`) hold the
+    same multiset of strategies: a permutation within blocks and a swap
+    of whole blocks then takes i to j and fixes the profile, the state
+    and the noise floor, and the minority payoff is symmetric under
+    relabelling the players. One lockstep `_best_responses` search, which
+    validates grid_resolution and tolerance as `best_response` does, runs
+    the first player of each class; every other member gets that report
+    with `player` set.
     """
     block = _FAMILIES[spec.recipe.family][0]
     keys = [(s.theta, s.alpha, s.beta) for s in candidate.strategies]
@@ -510,11 +477,8 @@ def sweep_gamma(
     payoff_classical: Optional[float] = None,
     payoff_quantum: Optional[float] = None,
 ) -> List[SweepRow]:
-    """Simulated entangler payoff vs the conjectured formula across gamma.
-
-    The conjecture is reported, not asserted; only the endpoints are
-    expected to agree.
-    """
+    """Simulated entangler payoff vs the conjectured formula across gamma;
+    the conjecture is reported, not asserted (only the endpoints agree)."""
     gammas = _sweep_axis(math.pi / 2, steps)
     payoff_classical, payoff_quantum = conjecture_endpoints(
         n, payoff_classical, payoff_quantum

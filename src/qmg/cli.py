@@ -1,19 +1,12 @@
 """Command-line harness: two tables drive every run.
 
-`_COMMANDS` holds one row per subcommand: the runner that returns its
-table records and summary line, whether it needs a strategy profile,
-and the recipe of the state it builds (None when the run builds none:
-the classical closed form, or the conjecture given --payoff-quantum).
-`RunConfig` holds one field per flag, declared once by `_flag`: its
-default, its converter, its domain (a predicate plus the phrase of the
-`<flag> must be <phrase>, got <value>` error) and its help. `_FLAG_SPEC`
-is derived from those fields in their order; `parse_config` converts and
-checks each flag in one pass, and `RunConfig` checks the rules that join
-several flags itself. A flag has one name, its field's name with "-" for
-"_", on the command line (never abbreviated) and in a `--config` file.
-Every bad command line, argparse's usage errors too, raises one
-`CliError`. Angles are decimal radians or pi fractions ("pi/2",
-"-pi/12"); a strategy is exactly three non-empty angles.
+`_COMMANDS` holds one `_Command` row per subcommand, and `RunConfig` one
+field per flag, declared once by `_flag`; `_FLAG_SPEC` is derived from
+those fields. A flag has one name, its field's name with "-" for "_", on
+the command line (never abbreviated) and in a `--config` file. Every bad
+command line, argparse's usage errors too, raises one `CliError`. Angles
+are decimal radians or pi fractions ("pi/2", "-pi/12"); a strategy is
+exactly three non-empty angles.
 """
 from __future__ import annotations
 
@@ -72,8 +65,7 @@ def _parse_profile(text: str) -> Tuple[Tuple[float, float, float], ...]:
     return tuple(_parse_triple(c) for c in text.split(";"))
 
 
-# Every command's bound on --n, checked before anything is built: the
-# exact classical payoff of n = 100000 players takes about 0.3 s.
+# Every command's bound on --n, checked before anything is built.
 MAX_PLAYERS = 100_000
 
 _UNIT = (lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
@@ -81,7 +73,8 @@ _AT_LEAST_TWO = (lambda v: v >= 2, ">= 2")
 
 
 def _flag(default, converter, domain, help_text):
-    """A RunConfig field that is a flag; domain is (predicate, phrase) or None."""
+    """A RunConfig field that is a flag; domain is None or (predicate, phrase),
+    the phrase of the `<flag> must be <phrase>, got <value>` error."""
     return field(default=default, metadata={"flag": (converter, domain, help_text)})
 
 
@@ -194,10 +187,8 @@ def _read_config_file(text: str) -> dict:
 
 
 def parse_config(args: Sequence[str]) -> RunConfig:
-    """Parse tokens (plus any --config file) into a validated RunConfig.
-
-    Explicit flags override config-file values.
-    """
+    """Parse tokens (plus any --config file) into a validated RunConfig;
+    explicit flags override config-file values."""
     ns = _PARSER.parse_args(list(args))
 
     file_values = {}

@@ -1,23 +1,19 @@
 """Dense state-vector algebra for small qubit registers.
 
-A state is a normalised length-2^n complex vector, a plain array; noise
-never needs a density matrix because the game adds it as an exact affine
-floor. This module holds the qubit ceiling, the two checks every state
-passes (qubit count before a 2^n vector is built, unit norm after) and
-`apply_locals`, the one kernel that applies local unitaries: it takes one
-state's `distinct_columns` and one unitary per row and qubit, costs one
-(2, 2) @ (2, W) BLAS product and one copy per qubit, all written into one
-pair of row buffers that a caller may reuse across calls (the result is a
-view of the pair), and checks every result row's norm, the only check a
-final state gets; `game` reads payoffs.
-Qubit 0 is the most significant bit of the basis index, so for n=4 the
-basis label |1000> is index 8.
+A state is a normalised length-2^n complex vector, a plain array. This
+module holds the qubit ceiling, the two checks every state passes (qubit
+count before a 2^n vector is built, unit norm after), `distinct_columns`
+and `apply_locals`, the one kernel that applies local unitaries. Qubit 0
+is the most significant bit of the basis index, so for n=4 the basis
+label |1000> is index 8.
 """
 from __future__ import annotations
 
 import numpy as np
 
-# Dense storage only; 2^12 amplitudes is the intended ceiling.
+# The largest n of any 2^n array (states, kernel rows, minority masks),
+# checked before one is built; the kernel is pinned bit for bit at every n
+# up to it. ROADMAP item 3 raises it, by measurement.
 MAX_QUBITS = 12
 
 
@@ -27,12 +23,8 @@ def _check_qubit_count(n_qubits: int) -> None:
 
 
 def _check_unit_rows(rows: np.ndarray) -> None:
-    """Reject any complex amplitude row whose norm is off 1 by more than 1e-9.
-
-    The norm is the square root of the row's sum of squares over its
-    real and imaginary parts. A non-finite row has a nan or inf norm and
-    is rejected too.
-    """
+    """Reject any complex amplitude row whose norm is off 1 by more than 1e-9,
+    or is not finite."""
     parts = rows.view(float)
     # each row's sum of squares as one (1, m) @ (m, 1) product, which runs
     # on NumPy 1.x too and costs less than einsum
@@ -70,35 +62,33 @@ def apply_locals(
     """Apply unitaries[b, q] to qubit q of row b, for every row and qubit.
 
     Every row starts from one state, given as its `distinct_columns`;
-    unitaries is (B, n, 2, 2) and the result is a read-only (B, 2^n)
-    array of rows checked to have unit norm. Both operands are made
-    contiguous first, and qubit q's unitary is one BLAS product with a
-    contiguous (B, 2, W) array whose first axis is qubit q. The committed
-    tables depend on the last bits of that product. Its shape and
-    contiguity fix them; while W is a power of two, each column's bits
-    depend only on its two amplitudes, so the copies between products
-    may order the columns as they like. At W = 6 (n = 4, three distinct
-    columns) OpenBLAS moves some columns' bits, hence the padding of K.
-    The tests pin every n up to MAX_QUBITS to a per-qubit oracle, bit
-    for bit, for random states and every family's.
+    unitaries is (B, n, 2, 2) and the result is a read-only (B, 2^n) array
+    of unit-norm rows. Raises ValueError for any other shape, an n past
+    MAX_QUBITS, a column count K that is no power of two, a bad `work` or
+    a row off unit norm.
 
-    Every product and every copy writes into one of the two rows of
+    Work pair: every product and copy writes into one of the two rows of
     `work`, a C-contiguous complex (2, >= B * 2^n) array that must not
     overlap the operands; without it the call allocates one pair. The
-    result is a view of `work`: it stays valid only until `work` is
-    written again, as by the next call given the same pair. The
-    copies work in two groups: the leading ceil(n/2) qubits, which act
-    on each trailing pattern's column alone and so run on the K distinct
-    columns at W = 2^(ceil(n/2)-1) * K, then the trailing floor(n/2) at
-    W = 2^(n-1). Within a group, each copy rotates only that group's
-    axes, bringing its next qubit to the front, and the group's views
-    are built once. After the leading group's last product, one copy
-    puts the group, back in order, behind the K columns, and one gather
-    spreads them back to the trailing patterns; after the trailing
-    group's, one more rotation puts it back in order and one 2-D
-    transpose moves it behind the leading group, which leaves the rows
-    in natural order (at N = 12 the two copies take about 12 us per two
-    rows, one 3-axis reversal 17 us).
+    result is a view of `work`, valid until `work` is written again, as
+    by the next call given the same pair. Pinned by
+    tests/test_core.py::TestApplyLocals::test_a_given_pair_holds_every_row_sized_buffer.
+
+    Bit rules: both operands are made contiguous, and qubit q's unitary
+    is one BLAS product with a contiguous (B, 2, W) array whose first axis
+    is qubit q; that shape and contiguity fix the last bits the committed
+    tables depend on. While W is a power of two each column's bits depend
+    only on its two amplitudes, so the copies may order the columns
+    freely; at W = 6 (n = 4, K = 3) OpenBLAS moves some, hence K's
+    padding. Pinned by
+    tests/test_core.py::TestApplyLocals::test_family_states_keep_the_oracle_bytes
+    and tests/test_core.py::TestDistinctColumns::test_k_is_a_power_of_two_within_the_trailing_patterns.
+
+    The leading ceil(n/2) qubits act on each trailing pattern's column
+    alone, so they run on the K distinct columns at W = 2^(ceil(n/2)-1) * K
+    and end with a copy and a gather that spread them back; the trailing
+    floor(n/2) run at W = 2^(n-1) and end with a rotation and a 2-D
+    transpose that leave the rows in natural order.
     """
     us = np.ascontiguousarray(unitaries, dtype=complex)
     if us.ndim != 4 or us.shape[2:] != (2, 2):

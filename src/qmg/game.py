@@ -4,15 +4,8 @@ Each of N players holds one qubit and plays an SU(2) strategy operator
 on it. Players in the strict minority after measurement in the
 computational basis receive payoff 1; ties and unanimity pay nothing.
 Player i (1-based) acts on qubit i-1, the i-th most significant bit.
-`strategy_unitary` builds a strategy's matrix once, as a read-only
-(2, 2) array, from the angles `StrategyParams` has checked.
-`minority_mask` (memoised, read-only) is the one form of that rule in
-the package, `final_amplitudes` builds every final state from the
-memoised initial state (`final_amplitude_chunks` many of them,
-PAYOFF_CHUNK amplitudes per call, in one reused work pair), and
-`_payoff` turns each row of final amplitudes into a payoff, for every
-caller in the package, squaring only the winning amplitudes and summing
-them in the order of `minority_projector`'s indices.
+`minority_mask` is the one form of that rule, `final_amplitudes` builds
+final states, and `_payoff` turns each into a payoff for every caller.
 """
 from __future__ import annotations
 
@@ -118,9 +111,9 @@ def strategy_unitary(p: StrategyParams) -> np.ndarray:
 def minority_projector(n: int, player: int) -> np.ndarray:
     """Read-only intp array of the basis indices where the player wins.
 
-    The indices run in the iteration order of their frozenset, and that
-    order fixes every payoff's summation order to the last bit. Memoised:
-    repeated calls return the same array object.
+    The indices run in their frozenset's iteration order, which `_payoff`
+    keeps as every payoff's summation order. Memoised: repeated calls
+    return the same array object.
     """
     winning = frozenset(np.flatnonzero(minority_mask(n, player)).tolist())
     idx = np.fromiter(winning, dtype=np.intp, count=len(winning))
@@ -132,7 +125,6 @@ def minority_projector(n: int, player: int) -> np.ndarray:
 def minority_mask(n: int, player: int) -> np.ndarray:
     """Read-only boolean mask over the 2^n basis indices where the player wins.
 
-    A player wins in the strict minority; ties and unanimity pay nothing.
     n is checked against MAX_QUBITS before the 2^n outcomes are built.
     Memoised: repeated calls return the same array object.
     """
@@ -150,22 +142,18 @@ def minority_mask(n: int, player: int) -> np.ndarray:
 
 # The one budget of every batched call: amplitudes per kernel call (four
 # rows at N = 12, 1024 at N = 4) and deviations per Gram einsum of the
-# best-response search, read when it runs (it binds only on a theta plane
-# past 2^14 survivors, grid 129 up). Since a batch's calls share one work
-# pair, more rows per call no longer fault in fresh pages, and on the `scan`
-# benchmark four N = 12 rows beat two; eight were faster still, but a
-# twelve-player N = 12 Nash check then peaks at 2.13 MiB, past its 2 MiB
-# test bound. The N = 12 surface peaks near 0.69 MiB.
+# best-response search, read when it runs. 2^15 would take a twelve-player
+# N = 12 Nash check past the 2 MiB bound of
+# tests/test_analysis.py::test_nash_check_memory_builds_partial_states_in_chunks.
 PAYOFF_CHUNK = 2**14
 
 
 def _unitaries(profiles: Sequence[StrategyProfile]) -> np.ndarray:
     """(B, n, 2, 2) strategy matrices, one matrix per distinct strategy object.
 
-    Keyed by identity, not by value, and shared by all the profiles: a
-    symmetric profile holds one object n times, the profiles of one
-    deviation search share all but one, and hashing every frozen
-    strategy would cost more than building the one matrix.
+    Keyed by identity, not value: a symmetric profile holds one object n
+    times, a deviation search's profiles share all but one, and hashing
+    every frozen strategy would cost more than building the matrix.
     """
     distinct = {id(p): p for profile in profiles for p in profile.strategies}
     slot = {key: k for k, key in enumerate(distinct)}
@@ -188,12 +176,9 @@ def _pure_twin(spec: GameSpec) -> GameSpec:
 
 
 # The initial states of the last four recipes, each as its read-only
-# `distinct_columns`, shared by every caller (at N = 12, 4 KiB for a family
-# state, 64 KiB if every column is distinct). Callers vary the profile far
-# more often than the recipe, but a pass of the `nash` benchmark workload
-# cycles through four recipes (GHZ, mixture and Bell at N = 10, GHZ at
-# N = 12): a smaller memo rebuilds a state on almost every search. A miss
-# calls the module-level build_pure, so a tracer that wraps it sees it.
+# `distinct_columns`: a pass of the `nash` benchmark workload cycles through
+# four recipes, and a smaller memo rebuilds a state on almost every search.
+# A miss calls the module-level build_pure, so a tracer that wraps it sees it.
 @functools.lru_cache(maxsize=4)
 def _initial_state(recipe: InitialStateRecipe) -> tuple[np.ndarray, np.ndarray]:
     return distinct_columns(build_pure(recipe))
@@ -204,9 +189,9 @@ def final_amplitudes(
 ) -> np.ndarray:
     """Read-only (B, 2^N) final amplitudes, one row per profile.
 
-    One `apply_locals` call applies every player's strategy unitary to
-    their own qubit of the recipe's memoised initial state, in `work`
-    if given (see `apply_locals`: the result is a view of it).
+    One `apply_locals` call, given `work`, applies every player's strategy
+    unitary to their own qubit of the recipe's memoised initial state.
+    Raises ValueError unless every profile holds N strategies.
     """
     n = spec.n_players
     if any(len(profile) != n for profile in profiles):
@@ -219,10 +204,8 @@ def final_amplitude_chunks(
 ) -> Iterator[np.ndarray]:
     """`final_amplitudes` of the profiles, PAYOFF_CHUNK amplitudes per call.
 
-    The blocks come in the profiles' order, and every call writes into
-    one work pair, allocated once for the whole batch, so memory stays
-    bounded however many profiles there are. Each block is a view of
-    that pair: it stays valid only until the next block is requested.
+    Blocks come in the profiles' order; every call shares one work pair,
+    so each block is valid only until the next is requested.
     """
     size = max(1, PAYOFF_CHUNK // 2**spec.n_players)
     work = np.empty((2, min(size, len(profiles)) << spec.n_players), dtype=complex)
@@ -230,9 +213,8 @@ def final_amplitude_chunks(
         yield final_amplitudes(spec, profiles[start:start + size], work)
 
 
-# Every player's payoff under one profile reads the same amplitude row (a
-# view of its call's own work pair), and so does every f of one recipe:
-# callers key it on the `_pure` spec.
+# Every player's payoff under one profile reads the same amplitude row, and
+# so does every f of one recipe: callers key it on the `_pure` spec.
 @functools.lru_cache(maxsize=1)
 def _amplitudes(spec: GameSpec, profile: StrategyProfile) -> np.ndarray:
     return final_amplitudes(spec, [profile])[0]
@@ -241,11 +223,14 @@ def _amplitudes(spec: GameSpec, profile: StrategyProfile) -> np.ndarray:
 def _payoff(spec: GameSpec, amplitudes: np.ndarray, winning: np.ndarray) -> float:
     """Payoff from one row of final amplitudes and the winning indices.
 
-    Only the winning amplitudes are squared, and their probabilities are
-    summed as one 1-D array, in the projector's order. The identity
-    component of a noisy initial state is invariant under the strategy
-    unitaries, so the payoff separates exactly into
-    f * (pure payoff) + (1-f) * k / 2^N.
+    Every payoff in the package sums here: only the winning amplitudes
+    are squared, and their probabilities are summed as one 1-D array in
+    `minority_projector`'s order, which the committed tables depend on
+    (pinned by
+    tests/test_analysis.py::TestLockstepSearch::test_reported_payoffs_sum_in_the_projectors_order).
+    The identity component of a noisy initial state is invariant under
+    the strategy unitaries, so the payoff is f * (pure payoff) +
+    (1-f) * k / 2^N exactly.
     """
     pure = float(np.sum(np.abs(amplitudes[winning]) ** 2))
     f = spec.recipe.f
@@ -261,10 +246,7 @@ def expected_payoff(spec: GameSpec, profile: StrategyProfile, player: int) -> fl
 def expected_payoffs(
     spec: GameSpec, profiles: Sequence[StrategyProfile], player: int
 ) -> List[float]:
-    """`expected_payoff` of one player under each profile, bit for bit.
-
-    The profiles run through the kernel in `final_amplitude_chunks`.
-    """
+    """`expected_payoff` of one player under each profile, bit for bit."""
     winning = minority_projector(spec.n_players, player)
     payoffs = []
     for rows in final_amplitude_chunks(spec, profiles):

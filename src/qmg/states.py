@@ -1,12 +1,11 @@
 """The initial-state families used by the game, one table row each.
 
-Families: GHZ cat states, products of symmetric Bell pairs, the
-x-weighted GHZ/Bell superposition, the exponential entangler state at
-angle gamma, and products of three-qubit W states. Each is a sum of at
-most three product terms c * v^(n/block) over blocks of one to three
-qubits: `_FAMILIES` lists them and `build_pure` is the one builder.
-Every state is pure; a recipe's fidelity f < 1 stands for the noisy
-start f|psi><psi| + (1-f)I/2^n, which the game adds as an exact floor.
+GHZ cat states, products of symmetric Bell pairs, the x-weighted
+GHZ/Bell superposition, the exponential entangler state at angle gamma,
+and products of three-qubit W states: each a sum of at most three
+product terms c * v^(n/block) over blocks of one to three qubits, listed
+in `_FAMILIES` and built by `build_pure`. Every state is pure; a
+recipe's f < 1 stands for f|psi><psi| + (1-f)I/2^n (see `game._payoff`).
 """
 from __future__ import annotations
 
@@ -67,11 +66,9 @@ _FAMILIES = {
 
 @dataclass(frozen=True)
 class InitialStateRecipe:
-    """Which family to build, for how many qubits, with which parameters.
-
-    x is the GHZ/Bell mixture weight, f the fidelity of the noisy
-    mixture (f=1 means pure), gamma the entangler angle.
-    """
+    """Which family to build, for how many qubits, with which parameters:
+    x is the GHZ/Bell mixture weight, f the fidelity of the noisy mixture
+    (f=1 means pure), gamma the entangler angle."""
 
     family: StateFamily
     n_qubits: int

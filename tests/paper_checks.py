@@ -4,7 +4,8 @@ Pareto dominance between payoff vectors (the W3 product against the GHZ
 equilibrium), the 6-player noiseless equilibrium payoff of Eq. 8,
 which is `qmg.analysis.payoff_formula_eq9` at f = 1. Also the classical
 payoff as a sum of binomials, the reference for the closed form in
-`qmg.game.classical_payoff`.
+`qmg.game.classical_payoff`, and the exact values of the committed
+tables' cells, as fractions or closed forms in them.
 """
 from __future__ import annotations
 
@@ -31,6 +32,23 @@ def classical_payoff_sum(n: int) -> Fraction:
     the other m - 1 come from the remaining n - 1 players."""
     wins = 2 * sum(math.comb(n - 1, m - 1) for m in range(1, (n - 1) // 2 + 1))
     return Fraction(wins, 2**n)
+
+
+# The 6-player GHZ equilibrium payoff, M(pi/2, -pi/12, pi/12) for everyone.
+GHZ6_EQUILIBRIUM_PAYOFF = Fraction(5, 16)
+# Under identity play each W3 block holds exactly one 1, so the ones are a
+# 2-of-6 minority and a player's bit is 1 with probability 1/3.
+W3_PRODUCT_PAYOFF = Fraction(1, 3)
+
+
+def payoff_formula_eq9_exact(x: Fraction, f: Fraction) -> Fraction:
+    """Eq. 9 at rational x and f: (3 + f + f x^2)/16, exactly."""
+    return (3 + f + f * x**2) / 16
+
+
+def crossover_ghz_strategy_payoff(x: Fraction) -> Fraction:
+    """The 4-player mixture's payoff under M(pi/2, -pi/8, pi/8): x^2/4."""
+    return x**2 / 4
 
 
 class ParetoResult(enum.Enum):
