@@ -24,7 +24,7 @@ from .game import (
     classical_payoff,
     expected_payoff,
     expected_payoffs,
-    final_amplitude_chunks,
+    final_amplitudes,
     minority_mask,
     minority_projector,
 )
@@ -203,7 +203,7 @@ def _dense_deviations(
     """
     n = spec.n_players
     partials = [candidate.replace(player, IDENTITY) for player in players]
-    rows = itertools.chain.from_iterable(final_amplitude_chunks(spec, partials))
+    rows = itertools.chain.from_iterable(final_amplitudes(spec, partials))
     blocks = np.empty((len(partials), 2, 2 ** (n - 1)), dtype=complex)
     for block, player, row in zip(blocks, players, rows):
         high = 2 ** (player - 1)  # the basis states of the qubits before the player's

@@ -57,7 +57,7 @@ def distinct_columns(state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def apply_locals(
-    columns: np.ndarray, spread: np.ndarray, unitaries: np.ndarray, work: np.ndarray | None = None
+    columns: np.ndarray, spread: np.ndarray, unitaries: np.ndarray, work: np.ndarray
 ) -> np.ndarray:
     """Apply unitaries[b, q] to qubit q of row b, for every row and qubit.
 
@@ -69,9 +69,8 @@ def apply_locals(
 
     Work pair: every product and copy writes into one of the two rows of
     `work`, a C-contiguous complex (2, >= B * 2^n) array that must not
-    overlap the operands; without it the call allocates one pair. The
-    result is a view of `work`, valid until `work` is written again, as
-    by the next call given the same pair. Pinned by
+    overlap the operands. The result is a view of `work`, valid until it
+    is written again, as by the next call given the same pair. Pinned by
     tests/test_core.py::TestApplyLocals::test_a_given_pair_holds_every_row_sized_buffer.
 
     Bit rules: both operands are made contiguous, and qubit q's unitary
@@ -99,10 +98,8 @@ def apply_locals(
     if columns.shape + spread.shape != (2**lead, k, 2 ** (n - lead)) or bin(k).count("1") != 1:
         raise ValueError(f"{columns.shape} columns, {spread.shape} spread for {n} qubits")
     full = rows << n
-    if work is None:
-        work = np.empty((2, full), dtype=complex)
-    elif (work.dtype != complex or work.ndim != 2 or len(work) != 2 or work.shape[1] < full
-          or not work.flags.c_contiguous):
+    if (work.dtype != complex or work.ndim != 2 or len(work) != 2 or work.shape[1] < full
+            or not work.flags.c_contiguous):
         raise ValueError(f"work must be a C-contiguous complex (2, >= {full}) array")
     here, there = work[0, :full], work[1, :full]
     here[:rows * columns.size].reshape(rows, 2**lead, k)[...] = columns

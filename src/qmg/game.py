@@ -166,12 +166,6 @@ def _pure(spec: GameSpec) -> GameSpec:
     """The spec at f = 1, which every f of its recipe shares until the payoff."""
     if spec.recipe.f == 1.0:
         return spec
-    return _pure_twin(spec)
-
-
-# Built once per noisy spec (replace reruns __post_init__); bounded for sweeps over f.
-@functools.lru_cache(maxsize=4)
-def _pure_twin(spec: GameSpec) -> GameSpec:
     return replace(spec, recipe=replace(spec.recipe, f=1.0))
 
 
@@ -184,40 +178,31 @@ def _initial_state(recipe: InitialStateRecipe) -> tuple[np.ndarray, np.ndarray]:
     return distinct_columns(build_pure(recipe))
 
 
-def final_amplitudes(
-    spec: GameSpec, profiles: Sequence[StrategyProfile], work: np.ndarray | None = None
-) -> np.ndarray:
-    """Read-only (B, 2^N) final amplitudes, one row per profile.
+def final_amplitudes(spec: GameSpec, profiles: Sequence[StrategyProfile]) -> Iterator[np.ndarray]:
+    """Read-only (B, 2^N) blocks of final amplitudes, one row per profile.
 
-    One `apply_locals` call, given `work`, applies every player's strategy
-    unitary to their own qubit of the recipe's memoised initial state.
-    Raises ValueError unless every profile holds N strategies.
+    Each block is one `apply_locals` call on at most PAYOFF_CHUNK
+    amplitudes, which applies every player's strategy unitary to their own
+    qubit of the recipe's memoised initial state. Blocks come in the
+    profiles' order, all in one work pair, so each is valid only until
+    the next is requested. Raises ValueError, before any block, unless
+    every profile holds N strategies.
     """
     n = spec.n_players
     if any(len(profile) != n for profile in profiles):
         raise ValueError(f"every profile needs {n} strategies")
-    return apply_locals(*_initial_state(_pure(spec).recipe), _unitaries(profiles), work)
-
-
-def final_amplitude_chunks(
-    spec: GameSpec, profiles: Sequence[StrategyProfile]
-) -> Iterator[np.ndarray]:
-    """`final_amplitudes` of the profiles, PAYOFF_CHUNK amplitudes per call.
-
-    Blocks come in the profiles' order; every call shares one work pair,
-    so each block is valid only until the next is requested.
-    """
-    size = max(1, PAYOFF_CHUNK // 2**spec.n_players)
-    work = np.empty((2, min(size, len(profiles)) << spec.n_players), dtype=complex)
+    columns, spread = _initial_state(_pure(spec).recipe)
+    size = max(1, PAYOFF_CHUNK // 2**n)
+    work = np.empty((2, min(size, len(profiles)) << n), dtype=complex)
     for start in range(0, len(profiles), size):
-        yield final_amplitudes(spec, profiles[start:start + size], work)
+        yield apply_locals(columns, spread, _unitaries(profiles[start:start + size]), work)
 
 
 # Every player's payoff under one profile reads the same amplitude row, and
 # so does every f of one recipe: callers key it on the `_pure` spec.
 @functools.lru_cache(maxsize=1)
 def _amplitudes(spec: GameSpec, profile: StrategyProfile) -> np.ndarray:
-    return final_amplitudes(spec, [profile])[0]
+    return next(final_amplitudes(spec, [profile]))[0]
 
 
 def _payoff(spec: GameSpec, amplitudes: np.ndarray, winning: np.ndarray) -> float:
@@ -249,7 +234,7 @@ def expected_payoffs(
     """`expected_payoff` of one player under each profile, bit for bit."""
     winning = minority_projector(spec.n_players, player)
     payoffs = []
-    for rows in final_amplitude_chunks(spec, profiles):
+    for rows in final_amplitudes(spec, profiles):
         payoffs += [_payoff(spec, row, winning) for row in rows]
     return payoffs
 

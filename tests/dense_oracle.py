@@ -205,7 +205,7 @@ class PlayerEvaluator:
 
     def __init__(self, spec: GameSpec, candidate: StrategyProfile, player: int):
         n = spec.n_players
-        partial = final_amplitudes(spec, [candidate.replace(player, IDENTITY)])[0]
+        partial = next(final_amplitudes(spec, [candidate.replace(player, IDENTITY)]))[0]
         q = player - 1
         self._block = np.moveaxis(partial.reshape([2] * n), q, 0).reshape(2, -1)
         mask = minority_mask(n, player)

@@ -198,7 +198,7 @@ def test_criterion_10_property_suites():
     for n in (4, 6):
         spec = GameSpec(n, InitialStateRecipe(StateFamily.GHZ, n))
         profile = StrategyProfile(tuple(rand_params() for _ in range(n)))
-        out = final_amplitudes(spec, [profile])[0]
+        out = next(final_amplitudes(spec, [profile]))[0]
         assert abs(np.linalg.norm(out) - 1) < 1e-12
     rho = build_initial(InitialStateRecipe(StateFamily.GHZ, 4, f=0.5))
     rho_out = dense_final_state(rho, StrategyProfile(tuple(rand_params() for _ in range(4))))
@@ -240,7 +240,7 @@ def test_criterion_10_property_suites():
         for _ in range(100):
             profile = StrategyProfile(tuple(rand_params() for _ in range(n)))
             total = sum(expected_payoff(spec, profile, p) for p in range(1, n + 1))
-            probs = np.abs(final_amplitudes(spec, [profile])[0]) ** 2
+            probs = np.abs(next(final_amplitudes(spec, [profile]))[0]) ** 2
             assert abs(total - probs @ weights) < 1e-10
 
     report("10. property suites (SU(2), norms, noise split, Kronecker, conservation)", True)

@@ -35,6 +35,12 @@ def random_unitary():
     return strategy_unitary(StrategyParams(theta, alpha, beta))
 
 
+def apply_in_a_pair(columns, spread, unitaries):
+    """`apply_locals` in a new work pair of exactly the size the call needs."""
+    us = np.asarray(unitaries)
+    return apply_locals(columns, spread, us, np.empty((2, len(us) << us.shape[1]), dtype=complex))
+
+
 def basis(n, index):
     amps = np.zeros(2**n, dtype=complex)
     amps[index] = 1.0
@@ -214,13 +220,13 @@ class TestDistinctColumns:
 class TestApplyLocals:
     @pytest.mark.parametrize("n", range(1, MAX_QUBITS + 1))
     def test_bit_identical_to_sequential_apply_local(self, n):
-        # a caller-given pair, longer than the call needs and filled with
-        # nan, gives the same bytes as the pair the call allocates itself
+        # a pair longer than the call needs and filled with nan gives the
+        # same bytes as an exact-size pair
         work = np.full((2, (3 << n) + 5), np.nan, dtype=complex)
         for rows in (1, 3):
             psi = random_state(n)
             us = [[random_unitary() for _ in range(n)] for _ in range(rows)]
-            for out in (apply_locals(*distinct_columns(psi), np.array(us)),
+            for out in (apply_in_a_pair(*distinct_columns(psi), np.array(us)),
                         apply_locals(*distinct_columns(psi), np.array(us), work)):
                 assert out.shape == (rows, 2**n)
                 for got, row in zip(out, us):
@@ -263,7 +269,7 @@ class TestApplyLocals:
             [strategy_unitary(StrategyParams(t, *ab)) for t, ab in zip(ts, abs_)]
             for ts, abs_ in zip(thetas, phases)
         ]
-        out = apply_locals(*distinct_columns(psi), np.array(us))
+        out = apply_in_a_pair(*distinct_columns(psi), np.array(us))
         for got, row in zip(out, us):
             assert np.array_equal(got, sequential(psi, row))
 
@@ -279,31 +285,31 @@ class TestApplyLocals:
             row[int(RNG.integers(n))] = np.eye(2, dtype=complex)
         for us in ([[random_unitary() for _ in range(n)] for _ in range(3)],
                    symmetric, identity_slot):
-            out = apply_locals(*distinct_columns(psi), np.array(us))
+            out = apply_in_a_pair(*distinct_columns(psi), np.array(us))
             for got, row in zip(out, us):
                 assert got.tobytes() == sequential(psi, row).tobytes()
 
     def test_length_mismatch(self):
         columns, spread = distinct_columns(random_state(3))
         with pytest.raises(ValueError):
-            apply_locals(columns, spread, np.array([[random_unitary()] * 2]))
+            apply_in_a_pair(columns, spread, np.array([[random_unitary()] * 2]))
         with pytest.raises(ValueError):
-            apply_locals(columns, spread, np.array([[random_unitary()] * 4]))
+            apply_in_a_pair(columns, spread, np.array([[random_unitary()] * 4]))
         with pytest.raises(ValueError):
-            apply_locals(columns, spread, np.array([[random_unitary()] * 3])[0])
+            apply_in_a_pair(columns, spread, np.array([[random_unitary()] * 3])[0])
         with pytest.raises(ValueError):
-            apply_locals(columns, spread[:1], np.array([[random_unitary()] * 3]))
+            apply_in_a_pair(columns, spread[:1], np.array([[random_unitary()] * 3]))
 
     def test_rejects_a_column_count_that_is_no_power_of_two(self):
         psi = build_pure(InitialStateRecipe(StateFamily.GHZ, 4))
         columns, spread = distinct_columns(psi)
         assert columns.shape == (4, 4) and len(set(spread.tolist())) == 3
         with pytest.raises(ValueError, match="columns"):
-            apply_locals(columns[:, :3], spread, np.array([[random_unitary()] * 4]))
+            apply_in_a_pair(columns[:, :3], spread, np.array([[random_unitary()] * 4]))
 
     def test_result_is_read_only(self):
         psi = random_state(2)
-        out = apply_locals(*distinct_columns(psi), np.array([[random_unitary()] * 2]))
+        out = apply_in_a_pair(*distinct_columns(psi), np.array([[random_unitary()] * 2]))
         with pytest.raises(ValueError):
             out[0, 0] = 0
 
@@ -312,8 +318,8 @@ class TestApplyLocals:
         row = [random_unitary() for _ in range(6)]
         columns, spread = distinct_columns(psi)
         us = np.array([row])
-        want = apply_locals(columns, spread, np.repeat(us, 3, axis=0))
-        got = apply_locals(columns, spread, np.broadcast_to(us, (3, 6, 2, 2)))
+        want = apply_in_a_pair(columns, spread, np.repeat(us, 3, axis=0))
+        got = apply_in_a_pair(columns, spread, np.broadcast_to(us, (3, 6, 2, 2)))
         assert np.array_equal(got, want)
         assert np.array_equal(got[0], sequential(psi, row))
 
@@ -322,10 +328,10 @@ class TestApplyLocals:
         us = np.array([[np.eye(2)] * 2] * 3, dtype=complex)
         us[2, 1] *= 1.001  # not unitary: only the last row loses its norm
         with pytest.raises(ValueError, match="not normalized"):
-            apply_locals(columns, spread, us)
+            apply_in_a_pair(columns, spread, us)
         us[2, 1] = np.nan
         with pytest.raises(ValueError, match="not normalized"):
-            apply_locals(columns, spread, us)
+            apply_in_a_pair(columns, spread, us)
 
 
 class TestApplyLocalMixed:

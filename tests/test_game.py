@@ -19,7 +19,7 @@ from dense_oracle import (
     make_noisy,
     minority_winners,
 )
-from paper_checks import classical_payoff_sum
+from paper_checks import classical_payoff_sum, ghz_equilibrium_payoff_exact
 from qmg import game
 from qmg.analysis import nash_check, ne_strategy, payoff_surface
 from qmg.core import apply_locals, distinct_columns
@@ -110,7 +110,7 @@ def payoff_cases(draw):
 
 def final_row(recipe, profile):
     """The package's final amplitudes of one profile."""
-    return final_amplitudes(GameSpec(recipe.n_qubits, recipe), [profile])[0]
+    return next(final_amplitudes(GameSpec(recipe.n_qubits, recipe), [profile]))[0]
 
 
 def dense_payoff(recipe, profile, player):
@@ -285,7 +285,7 @@ class TestFinalState:
     def test_length_mismatch(self):
         spec = GameSpec(4, InitialStateRecipe(StateFamily.GHZ, 4))
         with pytest.raises(ValueError):
-            final_amplitudes(spec, [StrategyProfile.symmetric(IDENTITY, 3)])
+            next(final_amplitudes(spec, [StrategyProfile.symmetric(IDENTITY, 3)]))
 
 
 class TestPayoffPath:
@@ -358,20 +358,16 @@ class TestPayoffPath:
             expected_payoff(GameSpec(4, recipe), profile, 1)
         assert built == [ghz, bell, e1, e2, e3, bell]
 
-    def test_noisy_spec_builds_its_pure_twin_once(self):
+    def test_noisy_payoff_is_f_times_the_pure_payoff_plus_the_floor(self):
         recipe = InitialStateRecipe(StateFamily.GHZ_BELL_MIXTURE, 6, x=0.5, f=0.9)
-        game._pure_twin.cache_clear()
         twin = game._pure(GameSpec(6, recipe))
         assert twin == GameSpec(6, dataclasses.replace(recipe, f=1.0))
-        # an equal spec built anew finds the same twin; f = 1 is its own twin
-        assert game._pure(GameSpec(6, dataclasses.replace(recipe))) is twin
-        assert game._pure(twin) is twin
-        assert game._pure_twin.cache_info().currsize == 1
+        assert game._pure(twin) is twin  # f = 1 is its own twin
         profile = random_profile(6)
         for player in (1, 6):
             k = len(minority_projector(6, player))
             want = 0.9 * expected_payoff(twin, profile, player) + (1 - 0.9) * k / 2**6
-            game._pure_twin.cache_clear()  # a miss, then a hit
+            game._amplitudes.cache_clear()  # a miss, then a hit
             assert expected_payoff(GameSpec(6, recipe), profile, player) == want
             assert expected_payoff(GameSpec(6, recipe), profile, player) == want
 
@@ -459,7 +455,8 @@ class TestBatchedPayoffs:
         n = recipe.n_qubits
         psi = build_pure(recipe)
         profiles = [data.draw(profiles_for(n)) for _ in range(rows)]
-        out = apply_locals(*distinct_columns(psi), game._unitaries(profiles))
+        work = np.empty((2, rows << n), dtype=complex)
+        out = apply_locals(*distinct_columns(psi), game._unitaries(profiles), work)
         for got, profile in zip(out, profiles):
             state = psi
             for q, params in enumerate(profile.strategies):
@@ -566,7 +563,7 @@ class TestFinalStateMemo:
             assert got == want[i]
 
     def test_one_final_state_per_profile(self, monkeypatch):
-        # a memo miss reaches the module-level final_amplitudes the tracer wraps
+        # a memo miss calls final_amplitudes through the module, as patched here
         built = []
         build = game.final_amplitudes
 
@@ -759,6 +756,24 @@ class TestBaselines:
     def test_max_symmetric_payoff_needs_two_players(self):
         with pytest.raises(ValueError, match="need at least 2 players"):
             max_symmetric_payoff(1)
+
+
+class TestGhzEquilibrium:
+    """`ghz_equilibrium_payoff_exact`: every player's payoff from the GHZ
+    state under `ne_strategy(N)`."""
+
+    def test_is_the_classical_payoff_at_odd_n_and_at_n_minus_1_at_even_n(self):
+        for n in range(3, 301):
+            want = classical_payoff_sum(n - 1 if n % 2 == 0 else n)
+            assert ghz_equilibrium_payoff_exact(n) == want, n
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_the_dense_engine_pays_it_to_every_player(self, n):
+        spec = GameSpec(n, InitialStateRecipe(StateFamily.GHZ, n))
+        profile = StrategyProfile.symmetric(ne_strategy(n), n)
+        want = float(ghz_equilibrium_payoff_exact(n))
+        for player in range(1, n + 1):
+            assert abs(expected_payoff(spec, profile, player) - want) <= 1e-12
 
 
 class TestStrategyProfile:

@@ -1,16 +1,20 @@
 """The committed tables' cells against their exact values.
 
 `tests/test_tables.py` shows that each table regenerates byte for byte;
-this file shows that the committed bytes are right. A covered cell must
-satisfy |cell - exact| <= 1/2 * 10^-11 * |exact| + 1e-15, in exact
-arithmetic: the first term is the `.12g` print, the second the engine's
-rounding (the largest `abs_error` cell is 3.3e-16).
+this file shows that the committed bytes are right. A covered cell with
+10^e <= |cell| < 10^(e+1) must satisfy
+|cell - exact| <= 1/2 * 10^(e-11) + 1e-15, in exact arithmetic: the first
+term is half a unit in the 12th significant digit, the last that `.12g`
+prints, and a 0 cell has none; the second is the engine's rounding (the
+largest `abs_error` cell is 3.3e-16).
+
+The 18 tied-point cells of `nash_check_ghz6.csv` (`best_theta`,
+`best_alpha` and `best_beta` of six players) are checked against the
+tied point (pi/2, -3pi/4, -7pi/12) and its payoff. Which of the grid
+points that tie the equilibrium payoff is printed depends on the last
+bits of the Gram form, and only `tests/test_tables.py` pins it.
 
 No exact value covers:
-- the 18 tied-point cells of `nash_check_ghz6.csv` (`best_theta`,
-  `best_alpha` and `best_beta` of six players): which of the grid points
-  that tie the equilibrium payoff comes first depends on the last bits of
-  the Gram form;
 - `crossover_n4.csv`'s `payoff_bell_strategy` column, whose closed form
   was fitted, not derived;
 - the interior of `sweep_gamma.csv`'s `payoff_simulated` and `abs_error`
@@ -19,6 +23,7 @@ No exact value covers:
 import csv
 import math
 import pathlib
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -30,11 +35,14 @@ from paper_checks import (
     crossover_ghz_strategy_payoff,
     payoff_formula_eq9_exact,
 )
-from qmg.analysis import conjecture_eq14
+from qmg.analysis import conjecture_eq14, ne_strategy
+from qmg.game import GameSpec, StrategyParams, StrategyProfile, expected_payoff
+from qmg.states import InitialStateRecipe, StateFamily
 
 RESULTS = pathlib.Path(__file__).resolve().parent.parent / "results"
-PRINT_RELATIVE = Fraction(1, 2 * 10**11)
 ENGINE_ALLOWANCE = Fraction(1e-15)
+# the point that `nash_check_ghz6.csv` prints for every player
+GHZ6_TIED_POINT = (math.pi / 2, -3 * math.pi / 4, -7 * math.pi / 12)
 
 
 def _rows(name):
@@ -44,11 +52,12 @@ def _rows(name):
 
 def _assert_exact(cell: str, exact, where: str) -> None:
     """The printed cell within its allowance of the exact value."""
-    exact = Fraction(exact)
-    gap = abs(Fraction(cell) - exact)
-    assert gap <= PRINT_RELATIVE * abs(exact) + ENGINE_ALLOWANCE, (
-        f"{where}: {cell} is {float(gap):.3g} from {float(exact)!r}"
-    )
+    printed = Decimal(cell)
+    gap = abs(Fraction(printed) - Fraction(exact))
+    allowance = ENGINE_ALLOWANCE
+    if printed:
+        allowance += Fraction(10) ** (printed.adjusted() - 11) / 2
+    assert gap <= allowance, f"{where}: {cell} is {float(gap):.3g} from {float(exact)!r}"
 
 
 @pytest.mark.parametrize("name, exact", [
@@ -101,6 +110,21 @@ def test_ghz6_nash_check_payoffs():
         _assert_exact(row["best_deviation_payoff"], GHZ6_EQUILIBRIUM_PAYOFF, where)
         _assert_exact(row["equilibrium_payoff"], GHZ6_EQUILIBRIUM_PAYOFF, where)
         _assert_exact(row["max_gain"], 0, where)
+
+
+def test_ghz6_nash_check_tied_point_pays_the_equilibrium():
+    rows = _rows("nash_check_ghz6.csv")
+    spec = GameSpec(6, InitialStateRecipe(StateFamily.GHZ, 6))
+    incumbent = StrategyProfile.symmetric(ne_strategy(6), 6)
+    for row in rows:
+        player = int(row["player"])
+        where = f"nash_check_ghz6.csv player {player}"
+        printed = [row[column] for column in ("best_theta", "best_alpha", "best_beta")]
+        for cell, exact in zip(printed, GHZ6_TIED_POINT):
+            _assert_exact(cell, exact, where)
+        deviation = StrategyParams(*map(float, printed))
+        payoff = expected_payoff(spec, incumbent.replace(player, deviation), player)
+        assert abs(payoff - GHZ6_EQUILIBRIUM_PAYOFF) <= 1e-12, where
 
 
 def test_crossover_ghz_strategy_column():
