@@ -3,7 +3,8 @@
 
 Evaluates the two symmetric candidate strategies M(pi/4,0,0) and
 M(pi/2,-pi/8,pi/8) over an x grid and reports where their payoff
-curves cross (expected near sqrt(2/3) ~ 0.8165).
+curves cross. Their closed forms in tests/paper_checks.py cross exactly
+at sqrt(2/3) ~ 0.8165, where both pay 1/6.
 """
 import math
 import pathlib

@@ -243,8 +243,9 @@ def _best_deviations(ev: _DeviationEvaluator, steps: int) -> np.ndarray:
     closed form in theta and alpha - beta, reaches the floor below (see
     GRID_SCREEN_MARGIN) are scored: only a theta plane whose screen
     maximum reaches it has its (2g - 1) row read, and its survivors are
-    scored in one `ev.payoffs` call per plane and player. Memory grows
-    with P (3g - 1), never with the grid's g^3.
+    scored in one `ev.payoffs` call per plane and player. Memory holds
+    the P (3g - 1) screen values and one plane's survivors, up to g^2
+    points, never the grid's g^3.
     """
     exact, exact_val = ev.exact_optima()
     thetas = np.linspace(*_THETA_BOX, steps)
@@ -411,11 +412,8 @@ def _sweep_axis(stop: float, steps: int) -> List[float]:
     return [float(v) for v in np.linspace(0.0, stop, steps)]
 
 
-def _ne_row(
-    recipe: InitialStateRecipe, analytic: Optional[float], **axes: float
-) -> SweepRow:
+def _ne_row(sim: float, analytic: Optional[float], **axes: float) -> SweepRow:
     """Simulated equilibrium payoff at one sweep point, beside its formula."""
-    sim = _ne_payoff(recipe)
     return SweepRow(
         **axes,
         payoff_simulated=sim,
@@ -436,7 +434,7 @@ def entangler_recipe(n: int, gamma: float = math.pi / 2) -> InitialStateRecipe:
 
 def _mixture_row(n: int, x: float, f: float) -> SweepRow:
     return _ne_row(
-        mixture_recipe(n, x, f),
+        _ne_payoff(mixture_recipe(n, x, f)),
         payoff_formula_eq9(x, f) if n == 6 else None,
         x=x,
         f=f,
@@ -478,16 +476,15 @@ def sweep_gamma(
     payoff_quantum: Optional[float] = None,
 ) -> List[SweepRow]:
     """Simulated entangler payoff vs the conjectured formula across gamma;
-    the conjecture is reported, not asserted (only the endpoints agree)."""
+    the conjecture is reported, not asserted (only the endpoints agree).
+    The axis ends at pi/2 exactly, so a quantum endpoint not given is the
+    last point's simulated payoff, as `conjecture_endpoints` would build it."""
     gammas = _sweep_axis(math.pi / 2, steps)
+    sims = [_ne_payoff(entangler_recipe(n, gamma)) for gamma in gammas]
     payoff_classical, payoff_quantum = conjecture_endpoints(
-        n, payoff_classical, payoff_quantum
+        n, payoff_classical, sims[-1] if payoff_quantum is None else payoff_quantum
     )
     return [
-        _ne_row(
-            entangler_recipe(n, gamma),
-            conjecture_eq14(gamma, payoff_classical, payoff_quantum),
-            gamma=gamma,
-        )
-        for gamma in gammas
+        _ne_row(sim, conjecture_eq14(gamma, payoff_classical, payoff_quantum), gamma=gamma)
+        for gamma, sim in zip(gammas, sims)
     ]

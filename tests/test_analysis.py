@@ -17,7 +17,12 @@ from dense_oracle import (
     minority_winners,
     nash_check_per_player,
 )
-from paper_checks import ParetoResult, pareto_compare, payoff_formula_eq8
+from paper_checks import (
+    ParetoResult,
+    bell_equilibrium_gain,
+    pareto_compare,
+    payoff_formula_eq8,
+)
 from qmg import analysis, game
 from qmg.analysis import (
     NASH_TOLERANCE,
@@ -230,6 +235,20 @@ class TestNashCheck:
             assert r.is_nash_within_tol == (r.max_gain <= 1e-4)
 
 
+class TestBellEquilibrium:
+    """`bell_equilibrium_gain`, the 2x2 reduction of the Bell product's
+    check at `ne_strategy(N)`, against the dense search."""
+
+    @pytest.mark.parametrize("n", range(4, 13, 2))
+    def test_the_dense_search_finds_its_gain_for_every_player(self, n):
+        spec = GameSpec(n, InitialStateRecipe(StateFamily.BELL_PRODUCT, n))
+        reports = nash_check(spec, StrategyProfile.symmetric(ne_strategy(n), n))
+        want = bell_equilibrium_gain(n)
+        assert [r.player for r in reports] == list(range(1, n + 1))
+        for r in reports:
+            assert abs(r.max_gain - want) <= 1e-12, r.player
+
+
 class TestSurface:
     def test_n4_ghz_maximum_near_known_equilibrium(self):
         spec = GameSpec(4, InitialStateRecipe(StateFamily.GHZ, 4))
@@ -322,6 +341,21 @@ class TestSweeps:
     def test_sweep_gamma_defaults(self):
         rows = sweep_gamma(n=6, steps=3)
         assert abs(rows[-1].payoff_analytic - 5 / 16) < 1e-9
+
+    @pytest.mark.parametrize("n, steps", [(4, 2), (6, 11), (12, 11)])
+    def test_sweep_gamma_builds_one_state_per_point(self, monkeypatch, n, steps):
+        # the quantum endpoint is the last point's payoff, not a second build
+        calls = []
+
+        def counted(recipe):
+            calls.append(recipe)
+            return build_pure(recipe)
+
+        monkeypatch.setattr(game, "build_pure", counted)
+        game._initial_state.cache_clear()
+        game._amplitudes.cache_clear()
+        rows = sweep_gamma(n, steps)
+        assert len(rows) == steps and len(calls) == steps
 
     def test_rejects_tiny_sweeps(self):
         with pytest.raises(ValueError):

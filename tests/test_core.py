@@ -1,4 +1,7 @@
 import math
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 from functools import reduce
 
@@ -22,6 +25,27 @@ from qmg.game import GameSpec, StrategyParams, strategy_unitary
 from qmg.states import InitialStateRecipe, StateFamily, build_pure
 
 RNG = np.random.default_rng(7)
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+LOADED = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import {module}
+print(sorted(name for name in sys.modules if name.split(".")[0] == "qmg"))
+"""
+
+
+@pytest.mark.parametrize("module, loaded", [
+    ("qmg", ["qmg"]),
+    ("qmg.core", ["qmg", "qmg.core"]),
+])
+def test_importing_the_package_loads_no_engine_module(module, loaded):
+    # the package root re-exports nothing, so it imports none of its modules
+    result = subprocess.run(
+        [sys.executable, "-c", LOADED.format(module=module), str(SRC)],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert result.stdout.strip() == repr(loaded)
 
 
 def random_state(n):

@@ -6,9 +6,12 @@ A docstring, comment, README paragraph or CI comment names a pin as
 such file must exist and define that class or function, with that
 method; so renaming a pin fails here instead of leaving a stale pointer.
 Likewise each backticked `<module>.<name>` or `<module>.<name>.<attr>`
-of `core`, `game`, `analysis`, `states` or `cli` must be a function,
-class or module-level assignment of `src/qmg/<module>.py`, and `<attr>`
-a method of that class.
+of `core`, `game`, `analysis`, `states` or `cli`, with or without a
+`qmg.` prefix, must be a function, class or module-level assignment of
+`src/qmg/<module>.py`, and `<attr>` a method of that class. The package
+root defines nothing, so a backticked `qmg.<name>` must name a module.
+The test files are read too, all but this one, whose examples name what
+does not exist on purpose.
 """
 import ast
 import pathlib
@@ -18,10 +21,12 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SOURCES = [*sorted((ROOT / "src" / "qmg").glob("*.py")), ROOT / "README.md",
-           ROOT / ".github" / "workflows" / "tests.yml"]
+           ROOT / ".github" / "workflows" / "tests.yml",
+           *sorted(p for p in (ROOT / "tests").glob("*.py") if p.name != "test_doc_pointers.py")]
 POINTER = re.compile(r"\btests/(\w+\.py)::(\w+)(?:::(\w+))?")
 # `cli.py` names a file, not a module attribute
-NAME = re.compile(r"`(core|game|analysis|states|cli)\.(?!py`)(\w+)(?:\.(\w+))?`")
+NAME = re.compile(r"`(?:qmg\.)?(core|game|analysis|states|cli)\.(?!py`)(\w+)(?:\.(\w+))?`")
+ROOT_NAME = re.compile(r"`qmg\.(\w+)")
 
 
 def _found(pattern):
@@ -29,11 +34,12 @@ def _found(pattern):
     for source in SOURCES:
         for match in pattern.finditer(source.read_text(encoding="utf-8")):
             found.add((source.relative_to(ROOT).as_posix(), *match.groups()))
-    return sorted(found, key=lambda p: (p[0], p[1], p[2], p[3] or ""))
+    return sorted(found, key=lambda p: tuple(group or "" for group in p))
 
 
 POINTERS = _found(POINTER)
 NAMES = _found(NAME)
+ROOT_NAMES = _found(ROOT_NAME)
 
 
 def _definitions(body):
@@ -89,6 +95,25 @@ def test_each_backticked_name_is_defined(source, module, name, attr):
     assert problem is None, f"{source}: {problem}"
 
 
+def _not_a_module(name):
+    """Why a backticked `qmg.name` is not a module of src/qmg, or None if it is."""
+    if (ROOT / "src" / "qmg" / f"{name}.py").is_file():
+        return None
+    return f"qmg is the package root, which defines no {name}"
+
+
+def test_the_docs_name_some_package_modules():
+    assert ROOT_NAMES
+
+
+@pytest.mark.parametrize("source, name", ROOT_NAMES, ids=[
+    f"{source}->qmg.{name}" for source, name in ROOT_NAMES
+])
+def test_each_backticked_qmg_name_is_a_module(source, name):
+    problem = _not_a_module(name)
+    assert problem is None, f"{source}: {problem}"
+
+
 def test_a_removed_name_fails_and_a_file_name_is_skipped():
     line = "`game.final_amplitude_chunks` yields blocks, as `cli.py` and `game.PAYOFF_CHUNK` say"
     found = [match.groups() for match in NAME.finditer(line)]
@@ -99,3 +124,11 @@ def test_a_removed_name_fails_and_a_file_name_is_skipped():
     assert _undefined("game", "PAYOFF_CHUNK", None) is None
     assert _undefined("analysis", "_DeviationEvaluator", "exact_optima") is None
     assert _undefined("analysis", "_DeviationEvaluator", "gram") is not None
+
+
+def test_a_prefixed_name_is_checked_and_a_root_name_fails():
+    line = "`qmg.analysis.ne_strategy` and `qmg.GameSpec`, once re-exported by the root"
+    assert [match.groups() for match in NAME.finditer(line)] == [("analysis", "ne_strategy", None)]
+    assert [match.groups() for match in ROOT_NAME.finditer(line)] == [("analysis",), ("GameSpec",)]
+    assert _not_a_module("analysis") is None
+    assert _not_a_module("GameSpec") == "qmg is the package root, which defines no GameSpec"

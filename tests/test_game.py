@@ -19,7 +19,11 @@ from dense_oracle import (
     make_noisy,
     minority_winners,
 )
-from paper_checks import classical_payoff_sum, ghz_equilibrium_payoff_exact
+from paper_checks import (
+    bell_product_payoff_exact,
+    classical_payoff_sum,
+    ghz_equilibrium_payoff_exact,
+)
 from qmg import game
 from qmg.analysis import nash_check, ne_strategy, payoff_surface
 from qmg.core import apply_locals, distinct_columns
@@ -774,6 +778,25 @@ class TestGhzEquilibrium:
         want = float(ghz_equilibrium_payoff_exact(n))
         for player in range(1, n + 1):
             assert abs(expected_payoff(spec, profile, player) - want) <= 1e-12
+
+
+class TestBellProduct:
+    """`bell_product_payoff_exact`: every player's payoff from the Bell
+    product when each pair plays M(pi/2, alpha, beta)."""
+
+    def test_is_the_classical_payoff_of_the_pairs(self):
+        for n in range(4, 301, 2):
+            assert bell_product_payoff_exact(n) == classical_payoff_sum(n // 2), n
+
+    @pytest.mark.parametrize("n", range(4, 13, 2))
+    def test_the_dense_engine_pays_it_to_every_player(self, n):
+        spec = GameSpec(n, InitialStateRecipe(StateFamily.BELL_PRODUCT, n))
+        want = float(bell_product_payoff_exact(n))
+        for _ in range(3):
+            pairs = [StrategyParams(PI / 2, *RNG.uniform(-PI, PI, 2)) for _ in range(n // 2)]
+            profile = StrategyProfile(tuple(p for p in pairs for _ in range(2)))
+            for player in range(1, n + 1):
+                assert abs(expected_payoff(spec, profile, player) - want) <= 1e-12
 
 
 class TestStrategyProfile:

@@ -14,24 +14,25 @@ tied point (pi/2, -3pi/4, -7pi/12) and its payoff. Which of the grid
 points that tie the equilibrium payoff is printed depends on the last
 bits of the Gram form, and only `tests/test_tables.py` pins it.
 
-No exact value covers:
-- `crossover_n4.csv`'s `payoff_bell_strategy` column, whose closed form
-  was fitted, not derived;
-- the interior of `sweep_gamma.csv`'s `payoff_simulated` and `abs_error`
-  columns, which Eq. 14 only conjectures.
+No exact value covers the interior of `sweep_gamma.csv`'s
+`payoff_simulated` and `abs_error` columns, which Eq. 14 only conjectures.
+`crossover_n4.csv`'s `payoff_bell_strategy` column is irrational; its
+closed form is checked in 40-digit Decimal.
 """
 import csv
 import math
 import pathlib
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from paper_checks import (
     GHZ6_EQUILIBRIUM_PAYOFF,
     W3_PRODUCT_PAYOFF,
     classical_payoff_sum,
+    crossover_bell_strategy_payoff,
     crossover_ghz_strategy_payoff,
     payoff_formula_eq9_exact,
 )
@@ -135,3 +136,30 @@ def test_crossover_ghz_strategy_column():
         where = f"crossover_n4.csv x = {row['x']}"
         _assert_exact(row["x"], x, where)
         _assert_exact(row["payoff_ghz_strategy"], crossover_ghz_strategy_payoff(x), where)
+
+
+def test_crossover_bell_strategy_column():
+    rows = _rows("crossover_n4.csv")
+    assert len(rows) == 101
+    for k, row in enumerate(rows):
+        x = Fraction(k, 100)
+        where = f"crossover_n4.csv x = {row['x']}"
+        _assert_exact(row["payoff_bell_strategy"], crossover_bell_strategy_payoff(x), where)
+
+
+def test_crossover_bell_strategy_is_the_engines_payoff_for_every_player():
+    profile = StrategyProfile.symmetric(StrategyParams(math.pi / 4, 0, 0), 4)
+    for x in np.random.default_rng(5).uniform(0, 1, 8).tolist():
+        spec = GameSpec(4, InitialStateRecipe(StateFamily.GHZ_BELL_MIXTURE, 4, x=x))
+        want = float(crossover_bell_strategy_payoff(Fraction(x)))
+        for player in range(1, 5):
+            assert abs(expected_payoff(spec, profile, player) - want) <= 1e-12, (x, player)
+
+
+def test_crossover_columns_cross_at_the_root_of_two_thirds():
+    with localcontext() as ctx:
+        ctx.prec = 40
+        x = (Decimal(2) / 3).sqrt()
+    x, sixth = Fraction(x), Fraction(1, 6)
+    assert abs(Fraction(crossover_bell_strategy_payoff(x)) - sixth) < Fraction(1, 10**35)
+    assert abs(crossover_ghz_strategy_payoff(x) - sixth) < Fraction(1, 10**35)
