@@ -243,9 +243,12 @@ def _best_deviations(ev: _DeviationEvaluator, steps: int) -> np.ndarray:
     closed form in theta and alpha - beta, reaches the floor below (see
     GRID_SCREEN_MARGIN) are scored: only a theta plane whose screen
     maximum reaches it has its (2g - 1) row read, and its survivors are
-    scored in one `ev.payoffs` call per plane and player. Memory holds
-    the P (3g - 1) screen values and one plane's survivors, up to g^2
-    points, never the grid's g^3.
+    scored in slices of `game.PAYOFF_CHUNK` points, in ravel order,
+    keeping the running first maximum; no scored value's bits depend on
+    the slice (pinned by
+    tests/test_analysis.py::test_grid_chunks_keep_the_first_maximum).
+    Memory holds the P (3g - 1) screen values and one slice, with the rest
+    of its first and last alpha rows, never a plane's g^2 points.
     """
     exact, exact_val = ev.exact_optima()
     thetas = np.linspace(*_THETA_BOX, steps)
@@ -260,14 +263,21 @@ def _best_deviations(ev: _DeviationEvaluator, steps: int) -> np.ndarray:
 
     best = np.zeros((len(planes), 3))
     best_val = np.full(len(planes), -math.inf)
+    chunk = game.PAYOFF_CHUNK
     for k, t in zip(*np.nonzero(planes >= floor[:, None])):
         np.greater_equal(ev.screen(k, thetas[t], w[k]), floor[k], out=survives)
-        i, j = np.nonzero(pairs)
-        vals = ev.payoffs(k, np.full(i.size, thetas[t]), angles[i], angles[j])
-        m = int(vals.argmax())
-        if vals[m] > best_val[k]:  # strict: the first maximum wins across planes
-            best_val[k] = vals[m]
-            best[k] = thetas[t], angles[i[m]], angles[j[m]]
+        through = np.cumsum(pairs.sum(axis=1))  # survivors up to each alpha row
+        for start in range(0, through[-1], chunk):
+            # the alpha rows that hold survivors start to start + chunk - 1
+            lo, hi = np.searchsorted(through, [start, start + chunk - 1], "right")
+            i, j = np.nonzero(pairs[lo:hi + 1])
+            skip = start - (through[lo - 1] if lo else 0)
+            i, j = i[skip:skip + chunk] + lo, j[skip:skip + chunk]
+            vals = ev.payoffs(k, np.full(i.size, thetas[t]), angles[i], angles[j])
+            m = int(vals.argmax())
+            if vals[m] > best_val[k]:  # strict: the first maximum wins across slices
+                best_val[k] = vals[m]
+                best[k] = thetas[t], angles[i[m]], angles[j[m]]
     better = exact_val > best_val + EXACT_OPTIMUM_MARGIN
     best[better] = exact[better]
     return best

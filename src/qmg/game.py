@@ -6,19 +6,28 @@ computational basis receive payoff 1; ties and unanimity pay nothing.
 Player i (1-based) acts on qubit i-1, the i-th most significant bit.
 `minority_mask` is the one form of that rule, `final_amplitudes` builds
 final states, and `_payoff` turns each into a payoff for every caller.
+
+Routing: `expected_payoff` and `expected_payoffs` send a profile to
+`structured.symmetric_payoffs` when all N of its strategies are equal and
+N >= STRUCTURED_MIN_N, and every other profile to the dense engine. The
+dense engine stays the oracle that the structured one is pinned to
+within 1e-12 at every N <= MAX_QUBITS (tests/test_structured.py). Pinned
+by tests/test_structured.py::TestRouting.
 """
 from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, Sequence
 
 import numpy as np
 
+from . import structured
 from .core import _check_qubit_count, apply_locals, distinct_columns
 from .states import InitialStateRecipe, build_pure
 
@@ -141,8 +150,9 @@ def minority_mask(n: int, player: int) -> np.ndarray:
 
 
 # The one budget of every batched call: amplitudes per kernel call (four
-# rows at N = 12, 1024 at N = 4) and deviations per Gram einsum of the
-# best-response search, read when it runs. 2^15 would take a twelve-player
+# rows at N = 12, 1024 at N = 4), deviations per Gram einsum and per slice
+# of the best-response search, and the values of a structured slice's
+# arrays, read when each runs. 2^15 would take a twelve-player
 # N = 12 Nash check past the 2 MiB bound of
 # tests/test_analysis.py::test_nash_check_memory_builds_partial_states_in_chunks.
 PAYOFF_CHUNK = 2**14
@@ -162,20 +172,39 @@ def _unitaries(profiles: Sequence[StrategyProfile]) -> np.ndarray:
     return mats[index].reshape(len(profiles), -1, 2, 2)
 
 
-def _pure(spec: GameSpec) -> GameSpec:
-    """The spec at f = 1, which every f of its recipe shares until the payoff."""
-    if spec.recipe.f == 1.0:
-        return spec
-    return replace(spec, recipe=replace(spec.recipe, f=1.0))
+# Symmetric profiles take the structured engine from this N up. Below it
+# the dense engine keeps the bits of every committed table, all at N <= 6,
+# which tests/test_tables.py compares byte for byte.
+STRUCTURED_MIN_N = 7
 
 
-# The initial states of the last four recipes, each as its read-only
-# `distinct_columns`: a pass of the `nash` benchmark workload cycles through
-# four recipes, and a smaller memo rebuilds a state on almost every search.
-# A miss calls the module-level build_pure, so a tracer that wraps it sees it.
+def _structured(n: int, profile: StrategyProfile) -> bool:
+    """Whether the profile's payoffs come from `structured`: see the module docstring."""
+    return n >= STRUCTURED_MIN_N and len(profile) == n == profile.strategies.count(profile[0])
+
+
+def _symmetric_payoffs(recipe: InitialStateRecipe, profiles: Sequence[StrategyProfile]) -> list:
+    """Player 1's, hence every player's, pure payoff under each symmetric profile."""
+    if not profiles:
+        return []
+    unitaries = np.array([strategy_unitary(profile[0]) for profile in profiles])
+    return structured.symmetric_payoffs(recipe, unitaries, PAYOFF_CHUNK)
+
+
+def _state_key(recipe: InitialStateRecipe) -> tuple:
+    """The recipe's fields in order, with f = 1: every f of a recipe shares
+    its state until the payoff, and a warm payoff builds no recipe or spec."""
+    return recipe.family, recipe.n_qubits, recipe.x, 1.0, recipe.gamma
+
+
+# The initial states of the last four recipes, keyed by `_state_key`, each
+# as its read-only `distinct_columns`: a pass of the `nash` benchmark
+# workload cycles through four recipes, and a smaller memo rebuilds a state
+# on almost every search. A miss calls the module-level build_pure, so a
+# tracer that wraps it sees it.
 @functools.lru_cache(maxsize=4)
-def _initial_state(recipe: InitialStateRecipe) -> tuple[np.ndarray, np.ndarray]:
-    return distinct_columns(build_pure(recipe))
+def _initial_state(key: tuple) -> tuple[np.ndarray, np.ndarray]:
+    return distinct_columns(build_pure(InitialStateRecipe(*key)))
 
 
 def final_amplitudes(spec: GameSpec, profiles: Sequence[StrategyProfile]) -> Iterator[np.ndarray]:
@@ -191,33 +220,42 @@ def final_amplitudes(spec: GameSpec, profiles: Sequence[StrategyProfile]) -> Ite
     n = spec.n_players
     if any(len(profile) != n for profile in profiles):
         raise ValueError(f"every profile needs {n} strategies")
-    columns, spread = _initial_state(_pure(spec).recipe)
+    columns, spread = _initial_state(_state_key(spec.recipe))
     size = max(1, PAYOFF_CHUNK // 2**n)
     work = np.empty((2, min(size, len(profiles)) << n), dtype=complex)
     for start in range(0, len(profiles), size):
         yield apply_locals(columns, spread, _unitaries(profiles[start:start + size]), work)
 
 
-# Every player's payoff under one profile reads the same amplitude row, and
-# so does every f of one recipe: callers key it on the `_pure` spec.
+# Every player's payoff under one profile, and every f of one recipe, reads
+# one evaluation, keyed by `_state_key`: the amplitude row on the dense
+# engine, or the pure payoff that every player of a symmetric profile
+# shares on the structured one. A miss builds the recipe and spec it needs.
 @functools.lru_cache(maxsize=1)
-def _amplitudes(spec: GameSpec, profile: StrategyProfile) -> np.ndarray:
-    return next(final_amplitudes(spec, [profile]))[0]
+def _evaluation(key: tuple, profile: StrategyProfile):
+    recipe = InitialStateRecipe(*key)
+    if _structured(recipe.n_qubits, profile):
+        return _symmetric_payoffs(recipe, [profile])[0]
+    return next(final_amplitudes(GameSpec(recipe.n_qubits, recipe), [profile]))[0]
 
 
-def _payoff(spec: GameSpec, amplitudes: np.ndarray, winning: np.ndarray) -> float:
-    """Payoff from one row of final amplitudes and the winning indices.
+def _payoff(spec: GameSpec, evaluation, winning: np.ndarray) -> float:
+    """Payoff from one evaluation, a pure payoff or a row of final
+    amplitudes, and the winning indices.
 
-    Every payoff in the package sums here: only the winning amplitudes
-    are squared, and their probabilities are summed as one 1-D array in
-    `minority_projector`'s order, which the committed tables depend on
-    (pinned by
+    Every payoff in the package sums here: of a row, only the winning
+    amplitudes are squared, and their probabilities are summed as one 1-D
+    array in `minority_projector`'s order, which the committed tables
+    depend on (pinned by
     tests/test_analysis.py::TestLockstepSearch::test_reported_payoffs_sum_in_the_projectors_order).
     The identity component of a noisy initial state is invariant under
     the strategy unitaries, so the payoff is f * (pure payoff) +
     (1-f) * k / 2^N exactly.
     """
-    pure = float(np.sum(np.abs(amplitudes[winning]) ** 2))
+    if isinstance(evaluation, float):
+        pure = evaluation
+    else:
+        pure = float(np.sum(np.abs(evaluation[winning]) ** 2))
     f = spec.recipe.f
     return f * pure + (1 - f) * len(winning) / 2**spec.n_players
 
@@ -225,7 +263,7 @@ def _payoff(spec: GameSpec, amplitudes: np.ndarray, winning: np.ndarray) -> floa
 def expected_payoff(spec: GameSpec, profile: StrategyProfile, player: int) -> float:
     """Expected payoff Tr[rho_fin P_player] of the recipe's initial state."""
     winning = minority_projector(spec.n_players, player)
-    return _payoff(spec, _amplitudes(_pure(spec), profile), winning)
+    return _payoff(spec, _evaluation(_state_key(spec.recipe), profile), winning)
 
 
 def expected_payoffs(
@@ -233,10 +271,12 @@ def expected_payoffs(
 ) -> List[float]:
     """`expected_payoff` of one player under each profile, bit for bit."""
     winning = minority_projector(spec.n_players, player)
-    payoffs = []
-    for rows in final_amplitudes(spec, profiles):
-        payoffs += [_payoff(spec, row, winning) for row in rows]
-    return payoffs
+    fast = [_structured(spec.n_players, profile) for profile in profiles]
+    pures = iter(_symmetric_payoffs(spec.recipe, [p for p, s in zip(profiles, fast) if s]))
+    rows = itertools.chain.from_iterable(
+        final_amplitudes(spec, [p for p, s in zip(profiles, fast) if not s])
+    )
+    return [_payoff(spec, next(pures if s else rows), winning) for s in fast]
 
 
 def classical_payoff(n: int) -> Fraction:

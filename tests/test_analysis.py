@@ -23,7 +23,7 @@ from paper_checks import (
     pareto_compare,
     payoff_formula_eq8,
 )
-from qmg import analysis, game
+from qmg import analysis, game, structured
 from qmg.analysis import (
     NASH_TOLERANCE,
     DeviationReport,
@@ -319,7 +319,8 @@ class TestSweeps:
 
     def test_sweep_f_runs_the_kernel_once(self, monkeypatch):
         # nothing before the payoff reads f, so the memoised amplitude
-        # row is keyed on the f = 1 spec and every point of the sweep reads it
+        # row is keyed on the recipe's other fields and every point of the
+        # sweep reads it; N = 6 stays on the dense engine
         calls = []
 
         def counted(columns, spread, unitaries, *args):
@@ -327,7 +328,22 @@ class TestSweeps:
             return apply_locals(columns, spread, unitaries, *args)
 
         monkeypatch.setattr(game, "apply_locals", counted)
-        game._amplitudes.cache_clear()
+        game._evaluation.cache_clear()
+        rows = sweep_f(n=6, x=0.5, steps=11)
+        assert len(rows) == 11 and calls == [1]
+
+    def test_sweep_f_evaluates_the_structured_payoff_once(self, monkeypatch):
+        # at N = 12 every f reads one structured payoff, and no kernel runs
+        calls = []
+        symmetric_payoffs = structured.symmetric_payoffs
+
+        def counted(recipe, unitaries, budget):
+            calls.append(len(unitaries))
+            return symmetric_payoffs(recipe, unitaries, budget)
+
+        monkeypatch.setattr(structured, "symmetric_payoffs", counted)
+        monkeypatch.setattr(game, "apply_locals", None)
+        game._evaluation.cache_clear()
         rows = sweep_f(n=12, x=0.5, steps=11)
         assert len(rows) == 11 and calls == [1]
 
@@ -344,7 +360,8 @@ class TestSweeps:
 
     @pytest.mark.parametrize("n, steps", [(4, 2), (6, 11), (12, 11)])
     def test_sweep_gamma_builds_one_state_per_point(self, monkeypatch, n, steps):
-        # the quantum endpoint is the last point's payoff, not a second build
+        # the quantum endpoint is the last point's payoff, not a second
+        # build; from STRUCTURED_MIN_N up no point builds a state
         calls = []
 
         def counted(recipe):
@@ -353,9 +370,10 @@ class TestSweeps:
 
         monkeypatch.setattr(game, "build_pure", counted)
         game._initial_state.cache_clear()
-        game._amplitudes.cache_clear()
+        game._evaluation.cache_clear()
         rows = sweep_gamma(n, steps)
-        assert len(rows) == steps and len(calls) == steps
+        assert len(rows) == steps
+        assert len(calls) == (steps if n < game.STRUCTURED_MIN_N else 0)
 
     def test_rejects_tiny_sweeps(self):
         with pytest.raises(ValueError):
@@ -1160,6 +1178,10 @@ def test_best_response_memory_does_not_grow_with_grid():
     # survivors of every plane into one call would hold the whole grid
     ties = (ghz_spec(2), StrategyProfile.symmetric(IDENTITY, 2), 1)
     assert _peak_bytes(best_response, *ties, grid_resolution=100) < 8 * 2**20
+    # a plane's survivors scored in one call peaked at 20.1 MiB here; in
+    # slices of at most PAYOFF_CHUNK points the peak stays near 3.4 MiB
+    deviator = StrategyProfile.symmetric(ne_strategy(6), 6).replace(2, IDENTITY)
+    assert _peak_bytes(nash_check, ghz_spec(6), deviator, grid_resolution=600) < 4 * 2**20
 
 
 def test_one_deviator_check_holds_one_block_per_class():

@@ -117,6 +117,14 @@ def final_row(recipe, profile):
     return next(final_amplitudes(GameSpec(recipe.n_qubits, recipe), [profile]))[0]
 
 
+def dense_payoffs(spec, profile):
+    """Every player's payoff from the package's dense final amplitudes,
+    whichever engine `expected_payoff` routes the profile to."""
+    row = final_row(spec.recipe, profile)
+    n = spec.n_players
+    return [game._payoff(spec, row, minority_projector(n, p)) for p in range(1, n + 1)]
+
+
 def dense_payoff(recipe, profile, player):
     """Tr[rho_fin P_player] from the full density matrix."""
     rho = dense_final_state(make_noisy(build_pure(recipe), recipe.f), profile)
@@ -312,8 +320,8 @@ class TestPayoffPath:
     def test_memoised_initial_state_is_read_only(self):
         recipe = InitialStateRecipe(StateFamily.GHZ, 4)
         expected_payoff(GameSpec(4, recipe), random_profile(4), 1)
-        initial = game._initial_state(recipe)
-        assert initial is game._initial_state(recipe)
+        initial = game._initial_state(game._state_key(recipe))
+        assert initial is game._initial_state(game._state_key(recipe))
         for array in initial:  # the distinct columns and their spread
             with pytest.raises(ValueError):
                 array[0] = 0
@@ -364,14 +372,13 @@ class TestPayoffPath:
 
     def test_noisy_payoff_is_f_times_the_pure_payoff_plus_the_floor(self):
         recipe = InitialStateRecipe(StateFamily.GHZ_BELL_MIXTURE, 6, x=0.5, f=0.9)
-        twin = game._pure(GameSpec(6, recipe))
-        assert twin == GameSpec(6, dataclasses.replace(recipe, f=1.0))
-        assert game._pure(twin) is twin  # f = 1 is its own twin
+        twin = GameSpec(6, dataclasses.replace(recipe, f=1.0))
+        assert game._state_key(twin.recipe) == game._state_key(recipe)
         profile = random_profile(6)
         for player in (1, 6):
             k = len(minority_projector(6, player))
             want = 0.9 * expected_payoff(twin, profile, player) + (1 - 0.9) * k / 2**6
-            game._amplitudes.cache_clear()  # a miss, then a hit
+            game._evaluation.cache_clear()  # a miss, then a hit
             assert expected_payoff(GameSpec(6, recipe), profile, player) == want
             assert expected_payoff(GameSpec(6, recipe), profile, player) == want
 
@@ -415,6 +422,16 @@ def profiles_for(n):
     )
 
 
+def _non_symmetric_surface():
+    """625 N = 12 profiles, a 25 x 25 surface's batch, none symmetric, so
+    all of them take the dense engine."""
+    rng = np.random.default_rng(625)
+    return [
+        StrategyProfile(tuple(StrategyParams(*map(float, t)) for t in _random_angles(rng, 12)))
+        for _ in range(625)
+    ]
+
+
 def _random_angles(rng, n):
     """n (theta, alpha, beta) triples drawn uniformly from their boxes."""
     return zip(rng.uniform(0, PI, n), rng.uniform(-PI, PI, n), rng.uniform(-PI, PI, n))
@@ -440,14 +457,17 @@ LARGE_RECIPES = (
 
 @st.composite
 def batches(draw, max_n=8):
-    """A recipe, 1-5 profiles for it, a player and a kernel budget.
+    """A recipe, 1-5 profiles for it, some symmetric, a player and a kernel budget.
 
     The budget holds one row, two rows or the default, so the batch
     often crosses a chunk boundary.
     """
     recipe = draw(recipes.filter(lambda r: r.n_qubits <= max_n))
     n = recipe.n_qubits
-    profiles = draw(st.lists(profiles_for(n), min_size=1, max_size=5))
+    # symmetric profiles take the structured engine at N >= 7, so batches
+    # there are mixed
+    symmetric = strategy_params.map(lambda p: StrategyProfile.symmetric(p, n))
+    profiles = draw(st.lists(st.one_of(profiles_for(n), symmetric), min_size=1, max_size=5))
     budget = draw(st.sampled_from([2**n, 2 * 2**n, game.PAYOFF_CHUNK]))
     return recipe, profiles, draw(st.integers(1, n)), budget
 
@@ -513,12 +533,16 @@ class TestBatchedPayoffs:
             StrategyProfile(tuple(StrategyParams(*map(float, t)) for t in _random_angles(rng, n)))
             for _ in range(5)
         ]
+        # and symmetric ones between them, which take the structured engine
+        for k in (4, 2, 0):
+            profiles.insert(k, StrategyProfile.symmetric(profiles[k][0], n))
         for player in (1, n):
             batched = expected_payoffs(spec, profiles, player)
             assert batched == [expected_payoff(spec, p, player) for p in profiles]
 
     def test_n12_surface_runs_four_rows_per_kernel_call(self, monkeypatch):
-        # a budget that slips back to one or two rows per call fails here
+        # a budget that slips back to one or two rows per call fails here;
+        # a surface's size in non-symmetric profiles, which stay dense
         rows = []
 
         def counted(columns, spread, u, *args):
@@ -527,7 +551,7 @@ class TestBatchedPayoffs:
 
         monkeypatch.setattr(game, "apply_locals", counted)
         spec = GameSpec(12, InitialStateRecipe(StateFamily.GHZ_BELL_MIXTURE, 12, x=0.5))
-        payoff_surface(spec, 25, 25)
+        expected_payoffs(spec, _non_symmetric_surface(), 1)
         assert rows == [4] * 156 + [1]  # ceil(625 / 4) calls
 
     def test_surface_hands_one_work_pair_to_every_kernel_call(self, monkeypatch):
@@ -540,7 +564,7 @@ class TestBatchedPayoffs:
 
         monkeypatch.setattr(game, "apply_locals", recorded)
         spec = GameSpec(12, InitialStateRecipe(StateFamily.GHZ_BELL_MIXTURE, 12, x=0.5))
-        payoff_surface(spec, 25, 25)
+        expected_payoffs(spec, _non_symmetric_surface(), 1)
         assert len(pairs) == 157 and all(work is pairs[0] for work in pairs)
         assert pairs[0].shape == (2, game.PAYOFF_CHUNK)
 
@@ -555,7 +579,7 @@ class TestFinalStateMemo:
     @settings(max_examples=40, deadline=None)
     def test_interleaved_calls_give_the_unmemoised_payoffs(self, cases, rnd):
         def fresh(recipe, profile, player):
-            game._amplitudes.cache_clear()
+            game._evaluation.cache_clear()
             return expected_payoff(GameSpec(recipe.n_qubits, recipe), profile, player)
 
         want = [fresh(*case) for case in cases]
@@ -576,7 +600,7 @@ class TestFinalStateMemo:
             return build(spec, profiles)
 
         monkeypatch.setattr(game, "final_amplitudes", counted)
-        game._amplitudes.cache_clear()
+        game._evaluation.cache_clear()
         spec = GameSpec(4, InitialStateRecipe(StateFamily.GHZ, 4))
         first, second = random_profile(4), random_profile(4)
         for profile in (first, first, second):
@@ -593,7 +617,7 @@ class TestFinalStateMemo:
             return build(spec, profiles)
 
         monkeypatch.setattr(game, "final_amplitudes", counted)
-        game._amplitudes.cache_clear()
+        game._evaluation.cache_clear()
         spec = GameSpec(4, InitialStateRecipe(StateFamily.GHZ, 4))
         first = random_profile(4)
         # new StrategyParams objects too, so nothing is shared but the values
@@ -603,12 +627,32 @@ class TestFinalStateMemo:
         assert expected_payoff(spec, second, 2) == payoff
         assert built == [[first]]
 
+    @pytest.mark.parametrize("n", [6, 12])
+    def test_a_warm_noisy_payoff_builds_no_spec_or_recipe(self, monkeypatch, n):
+        # the memo is keyed on the recipe's fields other than f
+        recipe = InitialStateRecipe(StateFamily.GHZ_BELL_MIXTURE, n, x=0.5, f=0.9)
+        spec = GameSpec(n, recipe)
+        profile = StrategyProfile.symmetric(ne_strategy(n), n)
+        expected_payoff(spec, profile, 1)
+        built = []
+        for cls in (GameSpec, InitialStateRecipe):
+            def counted(self, post_init=cls.__post_init__):
+                built.append(type(self))
+                post_init(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        for player in range(1, n + 1):
+            expected_payoff(spec, profile, player)
+        assert built == []
+        dataclasses.replace(spec, recipe=dataclasses.replace(recipe, f=1.0))
+        assert built == [InitialStateRecipe, GameSpec]  # the count sees a rebuild
+
     def test_memoised_row_is_read_only(self):
         spec = GameSpec(4, InitialStateRecipe(StateFamily.GHZ, 4))
         profile = random_profile(4)
         expected_payoff(spec, profile, 1)
-        row = game._amplitudes(spec, profile)
-        assert row is game._amplitudes(spec, profile)
+        row = game._evaluation(game._state_key(spec.recipe), profile)
+        assert row is game._evaluation(game._state_key(spec.recipe), profile)
         with pytest.raises(ValueError):
             row[0] = 0
 
@@ -776,8 +820,8 @@ class TestGhzEquilibrium:
         spec = GameSpec(n, InitialStateRecipe(StateFamily.GHZ, n))
         profile = StrategyProfile.symmetric(ne_strategy(n), n)
         want = float(ghz_equilibrium_payoff_exact(n))
-        for player in range(1, n + 1):
-            assert abs(expected_payoff(spec, profile, player) - want) <= 1e-12
+        for payoff in dense_payoffs(spec, profile):
+            assert abs(payoff - want) <= 1e-12
 
 
 class TestBellProduct:
@@ -795,8 +839,8 @@ class TestBellProduct:
         for _ in range(3):
             pairs = [StrategyParams(PI / 2, *RNG.uniform(-PI, PI, 2)) for _ in range(n // 2)]
             profile = StrategyProfile(tuple(p for p in pairs for _ in range(2)))
-            for player in range(1, n + 1):
-                assert abs(expected_payoff(spec, profile, player) - want) <= 1e-12
+            for payoff in dense_payoffs(spec, profile):
+                assert abs(payoff - want) <= 1e-12
 
 
 class TestStrategyProfile:
