@@ -272,7 +272,8 @@ def _best_deviations(ev: _DeviationEvaluator, steps: int) -> np.ndarray:
             lo, hi = np.searchsorted(through, [start, start + chunk - 1], "right")
             i, j = np.nonzero(pairs[lo:hi + 1])
             skip = start - (through[lo - 1] if lo else 0)
-            i, j = i[skip:skip + chunk] + lo, j[skip:skip + chunk]
+            i, j = i[skip:skip + chunk], j[skip:skip + chunk]
+            i += lo
             vals = ev.payoffs(k, np.full(i.size, thetas[t]), angles[i], angles[j])
             m = int(vals.argmax())
             if vals[m] > best_val[k]:  # strict: the first maximum wins across slices
